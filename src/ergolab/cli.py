@@ -296,6 +296,13 @@ def _apply_expectations(config: Dict, results: Dict, passed: bool) -> Tuple[bool
 # -- experiments -----------------------------------------------------------------
 
 
+def _build_flow(flow_class, matrix: np.ndarray):
+    try:
+        return flow_class(matrix)
+    except ValueError as exc:
+        raise ConfigError(f"flow: {exc}") from exc
+
+
 def _run_mean_ergodic(config: Dict):
     _take(
         config, "config", ["experiment", "flow", "vector", "scheme", "indices"],
@@ -305,18 +312,26 @@ def _run_mean_ergodic(config: Dict):
     if flow_block["kind"] == "continuous":
         if "generator" not in flow_block:
             raise ConfigError("flow: continuous flow needs a generator")
-        flow = UnitaryFlow(_parse_matrix(flow_block["generator"], "flow.generator"))
+        flow = _build_flow(
+            UnitaryFlow, _parse_matrix(flow_block["generator"], "flow.generator")
+        )
         default_domain = CONTINUOUS
     elif flow_block["kind"] == "discrete":
         if "matrix" not in flow_block:
             raise ConfigError("flow: discrete flow needs a matrix")
-        flow = PowerContraction(_parse_matrix(flow_block["matrix"], "flow.matrix"))
+        flow = _build_flow(
+            PowerContraction, _parse_matrix(flow_block["matrix"], "flow.matrix")
+        )
         default_domain = DISCRETE
     else:
         raise ConfigError("flow kind must be 'continuous' or 'discrete'")
     vector = np.array(
         [_parse_complex_cell(v, "vector") for v in config["vector"]], dtype=complex
     )
+    if len(vector) != flow.dimension:
+        raise ConfigError(
+            f"vector: expected {flow.dimension} entries for the flow, got {len(vector)}"
+        )
     scheme = _parse_scheme(config["scheme"], default_domain)
     indices = _parse_indices(config["indices"])
     tolerance = float(config.get("tolerance", 0.05))

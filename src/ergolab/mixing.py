@@ -6,12 +6,15 @@ correlations, an exhaustive gap scan certifying where a correlation
 difference vanishes, and the diagonal / double recurrence averages against
 the canonical trace.
 
-The gap scan is exhaustive over its window by design: it walks every time
-tuple with bounded first time and bounded consecutive gaps and records every
-tuple where some state separates the product from its finite-orbit image.
-A fast path covers the dominant case (single-term operators whose
-finite-orbit image vanishes) by looking words up in the pooled support table
-of the states; the general path multiplies term maps directly.
+The gap scan certifies its whole window: every time tuple with bounded first
+time and bounded consecutive gaps is accounted for, and every tuple where
+some state separates the product from its finite-orbit image is recorded.
+Only the candidate tuples are evaluated, those where some term choice can
+land every infinite-orbit letter on the pooled state support or cancel it
+against another factor; on every other tuple each value is exactly zero.  A
+fast path covers the dominant case (single-term operators whose finite-orbit
+image vanishes) by looking words up in the pooled support table of the
+states; the general path multiplies term maps directly.
 """
 
 from __future__ import annotations
@@ -124,7 +127,9 @@ class GapScanResult:
     ``threshold`` is the least G such that every scanned tuple whose first
     time and consecutive gaps are all >= G has difference exactly zero; it is
     None when even the largest scanned gap admits a violation, in which case
-    ``counterexample`` holds one such tuple.
+    ``counterexample`` holds one such tuple.  ``scanned`` is the size of the
+    certified lattice and ``evaluated`` the number of its tuples whose
+    difference was actually computed (the candidate tuples).
     """
 
     threshold: Optional[int]
@@ -133,6 +138,7 @@ class GapScanResult:
     scanned: int
     scan_window: int
     gap_max: int
+    evaluated: int
 
 
 def _mul_terms(t1: Dict[tuple, complex], t2: Dict[tuple, complex]) -> Dict[tuple, complex]:
@@ -167,9 +173,13 @@ def gap_scan(
 ) -> GapScanResult:
     """Exhaustively locate correlation-difference violations on a gap lattice.
 
-    Scans every tuple n_1 < ... < n_k with n_1 <= scan_window and consecutive
-    gaps <= gap_max (all gaps at least 1).  Operator j is shifted by
-    n_{permutation[j]}.
+    Certifies every tuple n_1 < ... < n_k with n_1 <= scan_window and
+    consecutive gaps <= gap_max (all gaps at least 1); operator j is shifted
+    by n_{permutation[j]}.  The walk evaluates only the candidate tuples,
+    where some term choice can put every infinite-orbit letter on the pooled
+    state support or cancel it against another factor; every other tuple has
+    difference exactly zero.  ``scanned`` reports the lattice size and
+    ``evaluated`` the candidate tuples computed.
     """
     ops = list(operators)
     state_list = _as_states(states)
@@ -203,6 +213,133 @@ def gap_scan(
     target_lens = frozenset(len(runs) for runs in pooled)
 
     slot_pos = [perm.index(r) for r in range(k)]
+
+    # Candidate tuples rest on two facts.  In a product of reduced words a
+    # cancelled letter always pairs with a letter of a *different* factor
+    # (each shifted factor stays reduced, the shift being a bijection on
+    # symbols).  And a shift-family run f[i]^e of operator j lands at index
+    # i + n_j.  So each infinite-orbit run of a chosen term either survives,
+    # and then the word can be in a state's support only if f[i + n_j] occurs
+    # in the pooled support (an anchor), or it meets an opposite-sign run
+    # f[i']^e' of another operator q, which needs n_j - n_q = i' - i.  When
+    # no term choice covers all its infinite runs that way, every product
+    # word is outside every support and every value is exactly 0.  Slots
+    # advance by 1..gap_max, so a partner whose slot lies s slots away must
+    # have 1*s <= |n_j - n_q| <= gap_max*s in the right direction.  A run is
+    # kept as (times of its operator that anchor it, partners (q, i' - i)).
+    def reachable(slots: int, lead: int) -> bool:
+        """Can the time `slots` slots later (or earlier, if < 0) be `lead` later?"""
+        return slots * lead > 0 and abs(slots) <= abs(lead) <= abs(slots) * gap_max
+
+    anchors: Dict[str, set] = {}
+    for runs in pooled:
+        for fam, idx, _ in runs:
+            anchors.setdefault(fam, set()).add(idx)
+    infinite_runs = [
+        [
+            [run for run in runs if op.alphabet._lengths[run[0]] is None]
+            for runs in op._terms
+        ]
+        for op in ops
+    ]
+    covers = []
+    for j, op_runs in enumerate(infinite_runs):
+        terms = []
+        for runs in op_runs:
+            term = []
+            for fam, idx, exp in runs:
+                partners = {
+                    (q, idx2 - idx)
+                    for q in range(k)
+                    if q != j
+                    for runs2 in infinite_runs[q]
+                    for fam2, idx2, exp2 in runs2
+                    if fam2 == fam
+                    and (exp2 > 0) != (exp > 0)
+                    and reachable(perm[q] - perm[j], idx - idx2)
+                }
+                atimes = frozenset(a - idx for a in anchors.get(fam, ()))
+                term.append((atimes, tuple(sorted(partners))))
+            terms.append(tuple(term))
+        covers.append(terms)
+    # with a live E-side, choices of finite-orbit terms only contribute the
+    # same to both sides, so only the infinite-orbit terms need covering
+    infinite_covers = [[term for term in terms if term] for terms in covers]
+
+    def run_times(run, j: int, pos: int, r: int):
+        """Times of operator pos, in slot r, at which a run of operator j is covered.
+
+        Operators in slots before r are fixed.  None means any time: the run
+        is covered already, or it is a run of pos that a partner in a later
+        slot can still cover.
+        """
+        atimes, partners = run
+        if j == pos:
+            out = set(atimes)
+            for q, d in partners:
+                if perm[q] > r:
+                    return None
+                out.add(times[perm[q]] + d)
+            return out
+        n_j = times[perm[j]]
+        if n_j in atimes:
+            return None
+        out = set()
+        for q, d in partners:
+            s = perm[q]
+            if q == pos:
+                out.add(n_j - d)
+            elif s > r:
+                # the partner must come at n_j - d, s - r slots after this one
+                n_q = n_j - d
+                out.update(range(n_q - (s - r) * gap_max, n_q - (s - r) + 1))
+            elif n_j - times[s] == d:
+                return None
+        return out
+
+    def op_times(terms: list, j: int, pos: int, r: int):
+        """Times of operator pos at which some term of operator j is covered."""
+        out: set = set()
+        for term in terms:
+            common = None
+            for run in term:
+                allowed = run_times(run, j, pos, r)
+                if allowed is not None:
+                    common = allowed if common is None else common & allowed
+                    if not common:
+                        break
+            if common is None:
+                return None
+            out |= common
+        return out
+
+    def candidate_times(r: int, lo: int, hi: int):
+        """Increasing times in lo..hi for slot r that can still reach a support."""
+        pos = slot_pos[r]
+        if e_dead:
+            # the slot's operator and every fixed one must keep a covered term
+            allowed = op_times(covers[pos], pos, pos, r)
+            for j in slot_pos[:r]:
+                if allowed is not None and not allowed:
+                    break
+                more = op_times(covers[j], j, pos, r)
+                if more is not None:
+                    allowed = more if allowed is None else allowed & more
+        elif r == k - 1:
+            # some infinite-orbit term, of any operator, must be covered
+            allowed = set()
+            for j in range(k):
+                more = op_times(infinite_covers[j], j, pos, r)
+                if more is None:
+                    allowed = None
+                    break
+                allowed |= more
+        else:
+            allowed = None
+        if allowed is None:
+            return range(lo, hi + 1)
+        return sorted(n for n in allowed if lo <= n <= hi)
+
     single = [len(op._terms) == 1 for op in ops]
     violations: List[Violation] = []
     times = [0] * k
@@ -226,7 +363,7 @@ def gap_scan(
                 )
             fast_tables[pos] = rows
 
-    def leaf_general(base_n: int, lo_width: int, pos: int, fq: list, fe) -> None:
+    def leaf_general(domain, pos: int, fq: list, fe) -> None:
         idx = fq.index(pos)
         left = fq[idx - 1] if idx > 0 else unit
         right = fq[idx + 1] if idx + 1 < len(fq) else unit
@@ -239,8 +376,7 @@ def gap_scan(
         else:
             e_live = False
         table = shift_tables[pos]
-        for g in range(1, lo_width + 1):
-            n = base_n + g
+        for n in domain:
             times[k - 1] = n
             diff = [0.0 + 0.0j] * n_states
             if not q_dead:
@@ -274,7 +410,7 @@ def gap_scan(
                         snapshot = tuple(times)
                     violations.append(Violation(snapshot, si, mag))
 
-    def leaf_fast(base_n: int, lo_width: int, pos: int, fq: list) -> None:
+    def leaf_fast(domain, pos: int, fq: list) -> None:
         idx = fq.index(pos)
         left = fq[idx - 1] if idx > 0 else None
         right = fq[idx + 1] if idx + 1 < len(fq) else None
@@ -288,8 +424,7 @@ def gap_scan(
         pooled_get = pooled.get
         lens = target_lens
         last = k - 1
-        for g in range(1, lo_width + 1):
-            n = base_n + g
+        for n in domain:
             m_runs, m_c, m_first, m_last, m_len = fast[n]
             if m_len and a_last != m_first and m_last != b_first:
                 if len_ab + m_len not in lens:
@@ -307,10 +442,15 @@ def gap_scan(
                     if mag > zero_tol:
                         violations.append(Violation(snapshot, si, mag))
 
+    evaluated = 0
+
     def walk(r: int, n_prev: int, fq: list, fe) -> None:
+        nonlocal evaluated
         pos = slot_pos[r]
         width = scan_window if r == 0 else gap_max
+        domain = candidate_times(r, n_prev + 1, n_prev + width)
         if r == k - 1:
+            evaluated += len(domain)
             fast_ok = (
                 e_dead
                 and single[pos]
@@ -319,14 +459,13 @@ def gap_scan(
                 )
             )
             if fast_ok:
-                leaf_fast(n_prev, width, pos, fq)
+                leaf_fast(domain, pos, fq)
             else:
-                leaf_general(n_prev, width, pos, fq, fe)
+                leaf_general(domain, pos, fq, fe)
             return
         table = shift_tables[pos]
         etable = e_tables[pos] if fe is not None else None
-        for g in range(1, width + 1):
-            n = n_prev + g
+        for n in domain:
             times[r] = n
             walk(
                 r + 1,
@@ -343,15 +482,15 @@ def gap_scan(
     # scanned at all; for k = 1 the only gap is the first time itself
     widest = scan_window if k == 1 else min(scan_window, gap_max)
     if not violations:
-        return GapScanResult(1, None, (), scanned, scan_window, gap_max)
+        return GapScanResult(1, None, (), scanned, scan_window, gap_max, evaluated)
     worst = max(v.min_gap for v in violations)
     if worst + 1 <= widest:
         return GapScanResult(
-            worst + 1, None, tuple(violations), scanned, scan_window, gap_max
+            worst + 1, None, tuple(violations), scanned, scan_window, gap_max, evaluated
         )
     witness = next(v for v in violations if v.min_gap == worst)
     return GapScanResult(
-        None, witness.times, tuple(violations), scanned, scan_window, gap_max
+        None, witness.times, tuple(violations), scanned, scan_window, gap_max, evaluated
     )
 
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
+from typing import Iterable, Mapping, Optional, Sequence, Union
 
 Run = tuple  # (family: str, index: int, exponent: int)
 
@@ -262,14 +262,7 @@ class Word:
         """Image under the n-th power of the symbol-shift automorphism."""
         return Word(self.alphabet, shift_runs(self.runs, n, self.alphabet._lengths))
 
-    def conjugated_by(self, g: "Word") -> "Word":
-        return g * self * g.inverse()
-
     # -- orbit classification -------------------------------------------------
-
-    def symbols(self) -> Iterator[tuple]:
-        for fam, idx, _ in self.runs:
-            yield (fam, idx)
 
     def orbit(self) -> Orbit:
         """Finite orbit with minimal period, or infinite.

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 from typing import List, Tuple
 
@@ -75,3 +76,80 @@ def random_vector_state(rng: random.Random, alphabet: Alphabet, support: int = 2
     if vec is None or vec.norm() == 0.0:
         vec = L2Vector.basis(alphabet.identity())
     return State.vector_state(vec.normalized())
+
+
+def mixing_corpus() -> list:
+    """The gap scans of acceptance criterion 4: (states, operators, permutation).
+
+    Ten vector states over {s, t shift; c cycle 3}, then for k = 2, 3, 4 a set
+    of operator tuples with at least one infinite-orbit term, each scanned
+    under two random permutations (100 scans).
+    """
+    ab = Alphabet({"s": None, "t": None, "c": 3})
+    rng = random.Random(20240604)
+    fams = [("s", None), ("t", None), ("c", 3)]
+
+    def lam(word, coeff=1.0):
+        return AlgebraElement.unitary(word, coeff)
+
+    def rand_word(max_runs=3, lo=-3, hi=3):
+        w = ab.identity()
+        for _ in range(rng.randint(1, max_runs)):
+            fam, m = rng.choice(fams)
+            idx = rng.randint(0, m - 1) if m else rng.randint(lo, hi)
+            w = w * ab.letter(fam, idx, rng.choice([-2, -1, 1, 2]))
+        return w
+
+    def rand_tuple(k, allow_two_terms):
+        while True:
+            ops = [lam(rand_word()) for _ in range(k)]
+            if rng.random() < 0.5:
+                # half the tuples pair a word against a shifted inverse, with
+                # mostly finite-orbit middles, so cancellations are reachable
+                base = rand_word(2)
+                ops[0] = lam(base)
+                ops[-1] = lam(base.inverse().shifted(rng.randint(1, 5)))
+                for j in range(1, k - 1):
+                    if rng.random() < 0.5:
+                        middle = (
+                            rand_word(1, 0, 2)
+                            if rng.random() < 0.3
+                            else ab.word(f"c[{rng.randint(0, 2)}]")
+                        )
+                        ops[j] = lam(middle)
+            if allow_two_terms and rng.random() < 0.3:
+                j = rng.randrange(k)
+                ops[j] = ops[j] + lam(
+                    rand_word(), complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+                )
+            infinite = any(
+                not AlgebraElement.unitary(w).finite_orbit_part()
+                for op in ops
+                for w, _ in op.items()
+            )
+            if infinite:
+                return ops
+
+    states = []
+    while len(states) < 10:
+        support = [ab.identity()] if rng.random() < 0.7 else []
+        while len(support) < rng.randint(1, 2):
+            w = rand_word(2, 0, 6)
+            if all(w != s for s in support):
+                support.append(w)
+        vec = None
+        for w in support:
+            amp = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+            piece = amp * L2Vector.basis(w)
+            vec = piece if vec is None else vec + piece
+        if vec.norm() > 1e-6:
+            states.append(State.vector_state(vec.normalized()))
+
+    scans = []
+    for k, count, allow_two in [(2, 20, True), (3, 20, True), (4, 10, False)]:
+        perms = list(itertools.permutations(range(k)))
+        for _ in range(count):
+            ops = rand_tuple(k, allow_two)
+            for perm in rng.sample(perms, 2):
+                scans.append((states, ops, perm))
+    return scans

@@ -18,7 +18,6 @@ import ergolab as lab
 from ergolab import (
     AlgebraElement,
     Alphabet,
-    L2Vector,
     State,
     bergelson_average,
     folner_defect,
@@ -40,7 +39,7 @@ from ergolab import (
     weighted_coupling_average,
     weighted_mean_flow,
 )
-from conftest import letters_of, naive_reduce, word_from_letters
+from conftest import letters_of, mixing_corpus, naive_reduce, word_from_letters
 from test_cli import base_configs, run_cli
 
 
@@ -156,78 +155,17 @@ def test_c03_one_hit_matrix_elements():
 
 def test_c04_mixing_of_all_orders():
     start = time.time()
-    ab = Alphabet({"s": None, "t": None, "c": 3})
-    rng = random.Random(20240604)
-    fams = [("s", None), ("t", None), ("c", 3)]
-
-    def rand_word(max_runs=3, lo=-3, hi=3):
-        w = ab.identity()
-        for _ in range(rng.randint(1, max_runs)):
-            fam, m = rng.choice(fams)
-            idx = rng.randint(0, m - 1) if m else rng.randint(lo, hi)
-            w = w * ab.letter(fam, idx, rng.choice([-2, -1, 1, 2]))
-        return w
-
-    def rand_tuple(k, allow_two_terms):
-        while True:
-            ops = [lam(rand_word()) for _ in range(k)]
-            if rng.random() < 0.5:
-                # half the tuples pair a word against a shifted inverse, with
-                # mostly finite-orbit middles, so cancellations are reachable
-                base = rand_word(2)
-                ops[0] = lam(base)
-                ops[-1] = lam(base.inverse().shifted(rng.randint(1, 5)))
-                for j in range(1, k - 1):
-                    if rng.random() < 0.5:
-                        middle = (
-                            rand_word(1, 0, 2)
-                            if rng.random() < 0.3
-                            else ab.word(f"c[{rng.randint(0, 2)}]")
-                        )
-                        ops[j] = lam(middle)
-            if allow_two_terms and rng.random() < 0.3:
-                j = rng.randrange(k)
-                ops[j] = ops[j] + lam(
-                    rand_word(), complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
-                )
-            infinite = any(
-                not AlgebraElement.unitary(w).finite_orbit_part()
-                for op in ops
-                for w, _ in op.items()
-            )
-            if infinite:
-                return ops
-
-    states = []
-    while len(states) < 10:
-        support = [ab.identity()] if rng.random() < 0.7 else []
-        while len(support) < rng.randint(1, 2):
-            w = rand_word(2, 0, 6)
-            if all(w != s for s in support):
-                support.append(w)
-        vec = None
-        for w in support:
-            amp = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
-            piece = amp * L2Vector.basis(w)
-            vec = piece if vec is None else vec + piece
-        if vec.norm() > 1e-6:
-            states.append(State.vector_state(vec.normalized()))
-
     ok = True
     thresholds = []
     hit_scans = 0
-    plan = [(2, 20, True), (3, 20, True), (4, 10, False)]
-    for k, count, allow_two in plan:
-        perms = list(itertools.permutations(range(k)))
-        for _ in range(count):
-            ops = rand_tuple(k, allow_two)
-            for perm in rng.sample(perms, 2):
-                res = gap_scan(states, ops, perm, scan_window=40, gap_max=40)
-                ok = ok and res.scanned == 40 * 40 ** (k - 1)
-                ok = ok and res.threshold is not None and res.threshold <= 40
-                thresholds.append(res.threshold)
-                if res.violations:
-                    hit_scans += 1
+    for states, ops, perm in mixing_corpus():
+        k = len(ops)
+        res = gap_scan(states, ops, perm, scan_window=40, gap_max=40)
+        ok = ok and res.scanned == 40 * 40 ** (k - 1)
+        ok = ok and res.threshold is not None and res.threshold <= 40
+        thresholds.append(res.threshold)
+        if res.violations:
+            hit_scans += 1
     # the mechanism must actually be exercised: some scans see violations
     ok = ok and hit_scans > 0 and max(thresholds) > 1
     print(f"  gap thresholds observed: max={max(thresholds)}, scans with "

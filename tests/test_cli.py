@@ -216,6 +216,22 @@ class TestErrorPaths:
         proc = run_cli(["run", str(path)], tmp_path)
         assert_cli_error(proc)
 
+    @pytest.mark.parametrize(
+        "flow, vector",
+        [
+            ({"kind": "continuous", "generator": [[0.0, 1.0], [0.0, 0.0]]}, [1.0, 0.0]),
+            ({"kind": "discrete", "matrix": [[2.0, 0.0], [0.0, 1.0]]}, [1.0, 0.0]),
+            ({"kind": "continuous", "generator": [[0.0, 0.0], [0.0, 1.0]]}, [1.0, 0.0, 1.0]),
+        ],
+        ids=["non-hermitian-generator", "non-contraction", "vector-length"],
+    )
+    def test_mean_ergodic_domain_errors(self, tmp_path, flow, vector):
+        config = dict(base_configs()["mean-ergodic"], flow=flow, vector=vector)
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        proc = run_cli(["run", str(path), "--out", str(tmp_path / "out")], tmp_path)
+        assert_cli_error(proc)
+
     def test_config_error_in_process(self):
         with pytest.raises(ConfigError):
             run_experiment({"experiment": "mean-ergodic"}, Path("/tmp"))
