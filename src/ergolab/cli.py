@@ -99,6 +99,25 @@ def _positive_int(value: Any, where: str) -> int:
     return value
 
 
+def _integer(value: Any, where: str) -> int:
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ConfigError(f"{where}: expected an integer")
+    return value
+
+
+def _number(value: Any, where: str) -> float:
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{where}: expected a number, got {value!r}") from None
+
+
+def _flag(value: Any, where: str) -> bool:
+    if not isinstance(value, bool):
+        raise ConfigError(f"{where}: expected true or false, got {value!r}")
+    return value
+
+
 def _parse_indices(value: Any) -> List[float]:
     if not isinstance(value, list) or not value:
         raise ConfigError("indices: expected a nonempty list")
@@ -137,6 +156,8 @@ def _parse_element(alphabet: Alphabet, obj: Any, where: str) -> AlgebraElement:
         raise ConfigError(f"{where}: expected a list of terms")
     for term in obj:
         _take(term, f"{where}[]", ["word"], ["re", "im"])
+        _number(term.get("re", 0.0), f"{where}[].re")
+        _number(term.get("im", 0.0), f"{where}[].im")
     try:
         return AlgebraElement.from_json(alphabet, obj)
     except (WordParseError, AlphabetError) as exc:
@@ -153,7 +174,9 @@ def _parse_vector(alphabet: Alphabet, obj: Any, where: str, normalize: bool) -> 
             word = alphabet.word(e["word"])
         except (WordParseError, AlphabetError) as exc:
             raise ConfigError(f"{where}: {exc}") from exc
-        pairs.append((word, complex(float(e.get("re", 0.0)), float(e.get("im", 0.0)))))
+        re = _number(e.get("re", 0.0), f"{where}[].re")
+        im = _number(e.get("im", 0.0), f"{where}[].im")
+        pairs.append((word, complex(re, im)))
     vec = L2Vector.from_terms(alphabet, pairs)
     return vec.normalized() if normalize else vec
 
@@ -166,9 +189,8 @@ def _parse_state(alphabet: Alphabet, obj: Any, where: str = "state") -> State:
     if kind == "vector":
         if "amplitudes" not in block:
             raise ConfigError(f"{where}: vector state needs amplitudes")
-        vec = _parse_vector(
-            alphabet, block["amplitudes"], where, bool(block.get("normalize", True))
-        )
+        normalize = _flag(block.get("normalize", True), f"{where}.normalize")
+        vec = _parse_vector(alphabet, block["amplitudes"], where, normalize)
         try:
             return State.vector_state(vec)
         except ValueError as exc:
@@ -179,10 +201,9 @@ def _parse_state(alphabet: Alphabet, obj: Any, where: str = "state") -> State:
         pairs = []
         for comp in block["components"]:
             e = _take(comp, f"{where}.components[]", ["weight", "amplitudes"], ["normalize"])
-            vec = _parse_vector(
-                alphabet, e["amplitudes"], where, bool(e.get("normalize", True))
-            )
-            pairs.append((float(e["weight"]), vec))
+            normalize = _flag(e.get("normalize", True), f"{where}.normalize")
+            vec = _parse_vector(alphabet, e["amplitudes"], where, normalize)
+            pairs.append((_number(e["weight"], f"{where}.weight"), vec))
         try:
             return State.mixture(pairs)
         except ValueError as exc:
@@ -405,6 +426,8 @@ def _run_multitime(config: Dict):
     times = config["times"]
     if not isinstance(times, list) or len(times) != len(operators):
         raise ConfigError("times must list one integer per operator")
+    for t in times:
+        _integer(t, "times[]")
     try:
         value = mixing.correlation(state, operators, times, config.get("permutation"))
         difference = mixing.correlation_difference(
@@ -477,8 +500,11 @@ def _run_furstenberg(config: Dict):
     factor = _parse_element(alphabet, config["factor"], "factor")
     order = _positive_int(config["order"], "order")
     sweep = _positive_int(config["sweep"], "sweep")
-    absolute = bool(config.get("absolute", True))
-    result = mixing.furstenberg_average(factor, order, sweep, absolute=absolute)
+    absolute = _flag(config.get("absolute", True), "absolute")
+    try:
+        result = mixing.furstenberg_average(factor, order, sweep, absolute=absolute)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     rows = [
         [str(n + 1), _fmt(v.real), _fmt(v.imag), _fmt(abs(v))]
         for n, v in enumerate(result.values)
@@ -504,11 +530,13 @@ def _run_bergelson(config: Dict):
     a0, a1, a2, a3 = (
         _parse_element(alphabet, obj, f"operators[{i}]") for i, obj in enumerate(ops)
     )
-    if not isinstance(config["m_base"], int) or not isinstance(config["n_base"], int):
-        raise ConfigError("m_base and n_base must be integers")
+    m_base = _integer(config["m_base"], "m_base")
+    n_base = _integer(config["n_base"], "n_base")
+    tol = config.get("equality_tolerance")
+    if tol is not None:
+        tol = _number(tol, "equality_tolerance")
     result = mixing.bergelson_average(
-        a0, a1, a2, a3, config["m_base"], config["n_base"],
-        _positive_int(config["count"], "count"),
+        a0, a1, a2, a3, m_base, n_base, _positive_int(config["count"], "count")
     )
     rows = [
         [str(m), str(n), _fmt(v), _fmt(ev)] for m, n, v, ev in result.values
@@ -518,8 +546,7 @@ def _run_bergelson(config: Dict):
         "projected_average": result.projected_average,
         "difference": result.difference,
     }
-    tol = config.get("equality_tolerance")
-    passed = True if tol is None else result.difference <= float(tol)
+    passed = True if tol is None else result.difference <= tol
     return results, ["m", "n", "abs", "projected_abs"], rows, passed
 
 

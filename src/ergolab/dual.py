@@ -338,6 +338,26 @@ class State:
             total += p * x.inner(element.apply(x))
         return total
 
+    def on_product(self, left: AlgebraElement, right: AlgebraElement) -> complex:
+        """The state's value on ``left * right``, without forming the product.
+
+        For the trace this is sum_u L[u] R[u^-1]: the smaller side is walked
+        and the other looked up at the inverted runs, and a total within
+        ``PRUNE_TOL`` of zero is exactly zero, as the identity coefficient of
+        the pruned product would be.  Vector and mixture states evaluate the
+        formed product.
+        """
+        if self.kind != self._TRACE:
+            return self(left * right)
+        left._check_compatible(right)
+        small, big = (left, right) if len(left) <= len(right) else (right, left)
+        total = 0.0
+        for runs, c in small._terms.items():
+            d = big._terms.get(invert_runs(runs))
+            if d is not None:
+                total += c * d
+        return complex(total) if abs(total) > PRUNE_TOL else 0.0 + 0.0j
+
     def profile(self, alphabet: Alphabet) -> Dict[Word, complex]:
         """Values of the state on group unitaries, as a finite word table."""
         return {

@@ -27,6 +27,10 @@ from .words import merge_runs
 
 StateOrStates = Union[State, Sequence[State]]
 
+# Refuse a Furstenberg average whose half product can hold more terms than
+# this: the bound len(a)**h on P_h is checked before any product is built.
+HALF_PRODUCT_TERM_CAP = 100_000
+
 
 def _as_states(states: StateOrStates) -> List[State]:
     if isinstance(states, State):
@@ -518,18 +522,35 @@ def furstenberg_average(
     Positivity of a holds by construction from the supplied factor.  Returns
     the running data and the trace of the (order+1)-th power of the
     finite-orbit part, which the average should dominate for large sweeps.
+
+    The product is split and never formed: with h = (order+2)//2 and the
+    prefixes P_1 = a, P_j = P_{j-1} shift^{(j-1)n}(a), each value is the trace
+    on P_h times shift^{hn}(P_{order+1-h}), a shift of a prefix already built
+    since the shift is an automorphism.  Raises ``ValueError`` before the
+    sweep when len(a)**h exceeds ``HALF_PRODUCT_TERM_CAP``.
     """
     if order < 1:
         raise ValueError("order must be at least 1")
     if sweep < 1:
         raise ValueError("sweep must be at least 1")
     a = factor * factor.adjoint()
+    half = (order + 2) // 2
+    # len(a) >= 2 already exceeds the cap at this exponent, so clamping it
+    # keeps the comparison exact without forming a huge integer
+    if len(a) ** min(half, HALF_PRODUCT_TERM_CAP.bit_length()) > HALF_PRODUCT_TERM_CAP:
+        raise ValueError(
+            f"half product bound {len(a)}^{half} terms exceeds the cap "
+            f"{HALF_PRODUCT_TERM_CAP}"
+        )
+    trace = State.trace()
     values: List[complex] = []
     for n in range(1, sweep + 1):
-        prod = a
-        for j in range(1, order + 1):
-            prod = prod * a.shifted(j * n)
-        values.append(prod.trace)
+        previous, left = None, a
+        for j in range(1, half):
+            previous, left = left, left * a.shifted(j * n)
+        # order + 1 - h is h for odd orders and h - 1 for even ones
+        right = (left if order % 2 else previous).shifted(half * n)
+        values.append(trace.on_product(left, right))
     if absolute:
         avg = sum(abs(v) for v in values) / sweep
     else:
@@ -566,11 +587,14 @@ def bergelson_average(
     """Both double averages of |trace(a0 shift^m(a1) shift^n(a2) shift^{m+n}(a3))|.
 
     The grid runs m in m_base+1..m_base+count, n likewise from n_base; the
-    projected average replaces every operator by its finite-orbit part.
+    projected average replaces every operator by its finite-orbit part.  The
+    four-fold product is never formed: the trace is read off the pair
+    (a0 shift^m(a1) shift^n(a2), shift^{m+n}(a3)).
     """
     if count < 1:
         raise ValueError("count must be at least 1")
     parts = [x.finite_orbit_part() for x in (a0, a1, a2, a3)]
+    trace = State.trace()
     values = []
     total = 0.0
     etotal = 0.0
@@ -578,8 +602,10 @@ def bergelson_average(
         lead = a0 * a1.shifted(m)
         elead = parts[0] * parts[1].shifted(m)
         for n in range(n_base + 1, n_base + count + 1):
-            v = abs((lead * a2.shifted(n) * a3.shifted(m + n)).trace)
-            ev = abs((elead * parts[2].shifted(n) * parts[3].shifted(m + n)).trace)
+            v = abs(trace.on_product(lead * a2.shifted(n), a3.shifted(m + n)))
+            ev = abs(
+                trace.on_product(elead * parts[2].shifted(n), parts[3].shifted(m + n))
+            )
             total += v
             etotal += ev
             values.append((m, n, v, ev))

@@ -232,6 +232,62 @@ class TestErrorPaths:
         proc = run_cli(["run", str(path), "--out", str(tmp_path / "out")], tmp_path)
         assert_cli_error(proc)
 
+    @pytest.mark.parametrize(
+        "kind, changes",
+        [
+            ("furstenberg", {"factor": [term("", re="x")]}),
+            (
+                "mixing-decay",
+                {"state": {"kind": "vector", "amplitudes": [term("", im="x")]}},
+            ),
+            (
+                "mixing-decay",
+                {"state": {"kind": "vector", "amplitudes": [term("")], "normalize": "false"}},
+            ),
+            (
+                "mixing-decay",
+                {
+                    "state": {
+                        "kind": "mixture",
+                        "components": [{"weight": "x", "amplitudes": [term("")]}],
+                    }
+                },
+            ),
+            ("bergelson", {"equality_tolerance": "x"}),
+            ("multitime", {"times": ["a", 2]}),
+            ("multitime", {"times": [1.5, 2]}),
+            ("furstenberg", {"absolute": "false"}),
+            ("bergelson", {"m_base": True}),
+            (
+                "furstenberg",
+                # len(a) = 7 and h = 7: 7**7 terms are over the half-product cap
+                {
+                    "factor": [term("s[0]"), term("s[1]"), term("c[0]")],
+                    "order": 12,
+                    "sweep": 1,
+                },
+            ),
+        ],
+        ids=[
+            "element-re-not-number",
+            "amplitude-im-not-number",
+            "normalize-not-boolean",
+            "weight-not-number",
+            "tolerance-not-number",
+            "times-not-integers",
+            "times-fractional",
+            "absolute-not-boolean",
+            "m-base-boolean",
+            "furstenberg-over-budget",
+        ],
+    )
+    def test_malformed_fields(self, tmp_path, kind, changes):
+        config = dict(base_configs()[kind], **changes)
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        proc = run_cli(["run", str(path), "--out", str(tmp_path / "out")], tmp_path)
+        assert_cli_error(proc)
+
     def test_config_error_in_process(self):
         with pytest.raises(ConfigError):
             run_experiment({"experiment": "mean-ergodic"}, Path("/tmp"))
