@@ -45,7 +45,6 @@ from .finite import (
     closed_evolution,
     evolve,
     four_state_system,
-    hermitian_decomposition,
     invariant_mean_projection,
     tensor_product,
     unique_ergodicity_check,

@@ -6,6 +6,13 @@ the experiment's pass condition holds, 2 when it fails, and 1 on any usage or
 config error.  Floats are printed with 17 significant digits and rows are
 emitted in a fixed order, so identical configs produce byte-identical
 artifacts.
+
+Each kind is declared once, with its runner, by ``@_experiment``: the
+top-level fields it requires and accepts, and its description.
+``run_experiment`` checks a config against that declaration, which is also
+what ``ergolab list --json`` prints, and is the one place where a domain
+``ValueError`` raised by a runner becomes a :class:`ConfigError`; ``main``
+prints a ``ConfigError`` as a single ``error:`` line.
 """
 
 from __future__ import annotations
@@ -13,9 +20,10 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -24,7 +32,6 @@ from .averaging import (
     CONTINUOUS,
     DISCRETE,
     PowerContraction,
-    SchemeError,
     UnitaryFlow,
     WeightScheme,
     fixed_space_projection,
@@ -33,6 +40,7 @@ from .averaging import (
 )
 from .dual import AlgebraElement, L2Vector, State
 from .finite import (
+    FourStateSystem,
     MarkovSystem,
     NonConvergenceError,
     four_state_system,
@@ -50,7 +58,7 @@ from .joinings import (
     relative_disjointness,
     weighted_coupling_average,
 )
-from .words import Alphabet, AlphabetError, WordParseError
+from .words import Alphabet, Word
 
 
 class ConfigError(ValueError):
@@ -81,6 +89,24 @@ def _plain(value: Any) -> Any:
     return value
 
 
+class _at:
+    """``with _at(where):`` reports a domain error raised inside as a config
+    error at ``where``; a ``ConfigError`` passes through unchanged."""
+
+    def __init__(self, where: str):
+        self.where = where
+
+    def __enter__(self) -> None:
+        pass
+
+    def __exit__(self, kind, exc, tb) -> None:
+        if isinstance(exc, (ValueError, ZeroDivisionError)) and not isinstance(exc, ConfigError):
+            raise ConfigError(f"{self.where}: {exc}") from exc
+
+
+# -- field readers ---------------------------------------------------------------
+
+
 def _take(block: Any, where: str, required: Sequence[str], optional: Sequence[str] = ()) -> Dict:
     if not isinstance(block, dict):
         raise ConfigError(f"{where}: expected an object")
@@ -91,6 +117,12 @@ def _take(block: Any, where: str, required: Sequence[str], optional: Sequence[st
     if missing:
         raise ConfigError(f"{where}: missing fields {missing}")
     return block
+
+
+def _list(value: Any, where: str) -> list:
+    if not isinstance(value, list):
+        raise ConfigError(f"{where}: expected a list")
+    return value
 
 
 def _positive_int(value: Any, where: str) -> int:
@@ -112,6 +144,15 @@ def _number(value: Any, where: str) -> float:
         raise ConfigError(f"{where}: expected a number, got {value!r}") from None
 
 
+def _rational(value: Any, where: str) -> Any:
+    """A string such as ``"1/3"`` or a finite number, for the exact layers."""
+    if isinstance(value, str) or (
+        isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
+    ):
+        return value
+    raise ConfigError(f"{where}: expected a number or a fraction string, got {value!r}")
+
+
 def _flag(value: Any, where: str) -> bool:
     if not isinstance(value, bool):
         raise ConfigError(f"{where}: expected true or false, got {value!r}")
@@ -129,13 +170,20 @@ def _parse_indices(value: Any) -> List[float]:
     return out
 
 
+def _parse_permutation(config: Dict) -> Optional[List[int]]:
+    perm = config.get("permutation")
+    if perm is None:
+        return None
+    return [_integer(p, "permutation[]") for p in _list(perm, "permutation")]
+
+
 # -- block parsers ---------------------------------------------------------------
 
 
 def _parse_alphabet(obj: Any) -> Alphabet:
     block = _take(obj, "alphabet", ["families"])
     fams = []
-    for entry in block["families"]:
+    for entry in _list(block["families"], "alphabet.families"):
         e = _take(entry, "alphabet.families[]", ["name", "kind"], ["length"])
         if e["kind"] == "shift":
             if "length" in e:
@@ -145,91 +193,89 @@ def _parse_alphabet(obj: Any) -> Alphabet:
             fams.append((e["name"], _positive_int(e.get("length"), "cycle length")))
         else:
             raise ConfigError(f"family kind must be 'shift' or 'cycle', got {e['kind']!r}")
-    try:
-        return Alphabet(fams)
-    except AlphabetError as exc:
-        raise ConfigError(str(exc)) from exc
+    return Alphabet(fams)
+
+
+def _parse_terms(
+    alphabet: Alphabet, obj: Any, where: str, what: str
+) -> List[Tuple[Word, complex]]:
+    """A list of ``{"word", "re", "im"}`` terms as (word, coefficient) pairs."""
+    if not isinstance(obj, list):
+        raise ConfigError(f"{where}: expected a list of {what}")
+    pairs = []
+    for entry in obj:
+        term = _take(entry, f"{where}[]", ["word"], ["re", "im"])
+        if not isinstance(term["word"], str):
+            raise ConfigError(f"{where}[].word: expected a string, got {term['word']!r}")
+        re = _number(term.get("re", 0.0), f"{where}[].re")
+        im = _number(term.get("im", 0.0), f"{where}[].im")
+        pairs.append((alphabet.word(term["word"]), complex(re, im)))
+    return pairs
 
 
 def _parse_element(alphabet: Alphabet, obj: Any, where: str) -> AlgebraElement:
-    if not isinstance(obj, list):
-        raise ConfigError(f"{where}: expected a list of terms")
-    for term in obj:
-        _take(term, f"{where}[]", ["word"], ["re", "im"])
-        _number(term.get("re", 0.0), f"{where}[].re")
-        _number(term.get("im", 0.0), f"{where}[].im")
-    try:
-        return AlgebraElement.from_json(alphabet, obj)
-    except (WordParseError, AlphabetError) as exc:
-        raise ConfigError(f"{where}: {exc}") from exc
+    with _at(where):
+        return AlgebraElement.from_terms(alphabet, _parse_terms(alphabet, obj, where, "terms"))
+
+
+def _parse_elements(alphabet: Alphabet, obj: Any, where: str) -> List[AlgebraElement]:
+    return [
+        _parse_element(alphabet, e, f"{where}[{i}]") for i, e in enumerate(_list(obj, where))
+    ]
 
 
 def _parse_vector(alphabet: Alphabet, obj: Any, where: str, normalize: bool) -> L2Vector:
-    if not isinstance(obj, list):
-        raise ConfigError(f"{where}: expected a list of amplitudes")
-    pairs = []
-    for term in obj:
-        e = _take(term, f"{where}[]", ["word"], ["re", "im"])
-        try:
-            word = alphabet.word(e["word"])
-        except (WordParseError, AlphabetError) as exc:
-            raise ConfigError(f"{where}: {exc}") from exc
-        re = _number(e.get("re", 0.0), f"{where}[].re")
-        im = _number(e.get("im", 0.0), f"{where}[].im")
-        pairs.append((word, complex(re, im)))
-    vec = L2Vector.from_terms(alphabet, pairs)
+    vec = L2Vector.from_terms(alphabet, _parse_terms(alphabet, obj, where, "amplitudes"))
     return vec.normalized() if normalize else vec
 
 
 def _parse_state(alphabet: Alphabet, obj: Any, where: str = "state") -> State:
     block = _take(obj, where, ["kind"], ["amplitudes", "components", "normalize"])
     kind = block["kind"]
-    if kind == "trace":
-        return State.trace()
-    if kind == "vector":
-        if "amplitudes" not in block:
-            raise ConfigError(f"{where}: vector state needs amplitudes")
-        normalize = _flag(block.get("normalize", True), f"{where}.normalize")
-        vec = _parse_vector(alphabet, block["amplitudes"], where, normalize)
-        try:
-            return State.vector_state(vec)
-        except ValueError as exc:
-            raise ConfigError(f"{where}: {exc}") from exc
-    if kind == "mixture":
-        if "components" not in block:
-            raise ConfigError(f"{where}: mixture needs components")
-        pairs = []
-        for comp in block["components"]:
-            e = _take(comp, f"{where}.components[]", ["weight", "amplitudes"], ["normalize"])
-            normalize = _flag(e.get("normalize", True), f"{where}.normalize")
-            vec = _parse_vector(alphabet, e["amplitudes"], where, normalize)
-            pairs.append((_number(e["weight"], f"{where}.weight"), vec))
-        try:
+    with _at(where):
+        if kind == "trace":
+            return State.trace()
+        if kind == "vector":
+            if "amplitudes" not in block:
+                raise ConfigError(f"{where}: vector state needs amplitudes")
+            normalize = _flag(block.get("normalize", True), f"{where}.normalize")
+            return State.vector_state(
+                _parse_vector(alphabet, block["amplitudes"], where, normalize)
+            )
+        if kind == "mixture":
+            if "components" not in block:
+                raise ConfigError(f"{where}: mixture needs components")
+            pairs = []
+            for comp in _list(block["components"], f"{where}.components"):
+                e = _take(comp, f"{where}.components[]", ["weight", "amplitudes"], ["normalize"])
+                normalize = _flag(e.get("normalize", True), f"{where}.normalize")
+                vec = _parse_vector(alphabet, e["amplitudes"], where, normalize)
+                pairs.append((_number(e["weight"], f"{where}.weight"), vec))
             return State.mixture(pairs)
-        except ValueError as exc:
-            raise ConfigError(f"{where}: {exc}") from exc
     raise ConfigError(f"{where}: unknown state kind {kind!r}")
 
 
-def _parse_scheme(obj: Any, default_domain: str) -> WeightScheme:
-    block = _take(obj, "scheme", ["family"], ["domain", "exponent", "samples"])
-    domain = block.get("domain", default_domain)
+def _parse_scheme(config: Dict, default_domain: str) -> WeightScheme:
+    """The config's ``scheme`` block; uniform weights when it has none."""
+    block = _take(
+        config.get("scheme", {"family": "uniform"}), "scheme", ["family"],
+        ["domain", "exponent", "samples"],
+    )
     kwargs: Dict[str, Any] = {}
     if "exponent" in block:
-        kwargs["exponent"] = float(block["exponent"])
+        kwargs["exponent"] = _number(block["exponent"], "scheme.exponent")
     if "samples" in block:
-        kwargs["samples"] = tuple(float(w) for w in block["samples"])
-    try:
-        return WeightScheme(domain, block["family"], **kwargs)
-    except SchemeError as exc:
-        raise ConfigError(str(exc)) from exc
+        kwargs["samples"] = tuple(
+            _number(w, "scheme.samples[]") for w in _list(block["samples"], "scheme.samples")
+        )
+    return WeightScheme(block.get("domain", default_domain), block["family"], **kwargs)
 
 
 def _parse_complex_cell(value: Any, where: str) -> complex:
     if isinstance(value, (int, float)):
         return complex(value)
     if isinstance(value, list) and len(value) == 2:
-        return complex(float(value[0]), float(value[1]))
+        return complex(_number(value[0], where), _number(value[1], where))
     raise ConfigError(f"{where}: matrix entries are numbers or [re, im] pairs")
 
 
@@ -243,15 +289,31 @@ def _parse_matrix(obj: Any, where: str) -> np.ndarray:
     return np.array(rows, dtype=complex)
 
 
+def _parse_rationals(obj: Any, where: str) -> Tuple:
+    return tuple(_rational(v, f"{where}[]") for v in _list(obj, where))
+
+
+def _parse_rational_matrix(obj: Any, where: str) -> Tuple:
+    return tuple(_parse_rationals(row, f"{where}[]") for row in _list(obj, where))
+
+
 def _parse_classical(obj: Any, where: str) -> PermutationSystem:
     block = _take(obj, where, ["permutation", "measure"])
-    try:
-        return PermutationSystem(
-            permutation=tuple(block["permutation"]),
-            measure=tuple(block["measure"]),
-        )
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ConfigError(f"{where}: {exc}") from exc
+    permutation = tuple(
+        _integer(i, f"{where}.permutation[]")
+        for i in _list(block["permutation"], f"{where}.permutation")
+    )
+    measure = _parse_rationals(block["measure"], f"{where}.measure")
+    with _at(where):
+        return PermutationSystem(permutation=permutation, measure=measure)
+
+
+def _four_state(block: Dict, where: str) -> FourStateSystem:
+    return four_state_system(
+        _number(block.get("p", 0.5), f"{where}p"),
+        family_points=_integer(block.get("family_points", 20), f"{where}family_points"),
+        normalization=block.get("normalization", "as-written"),
+    )
 
 
 def _parse_markov(obj: Any, where: str) -> MarkovSystem:
@@ -261,13 +323,9 @@ def _parse_markov(obj: Any, where: str) -> MarkovSystem:
          "normalization"],
     )
     kind = block["type"]
-    try:
+    with _at(where):
         if kind == "section4":
-            sys4 = four_state_system(
-                float(block.get("p", 0.5)),
-                family_points=int(block.get("family_points", 20)),
-                normalization=block.get("normalization", "as-written"),
-            )
+            sys4 = _four_state(block, f"{where}.")
             which = block.get("projection", "EL")
             if which == "EL":
                 return sys4.as_markov(sys4.proj_peripheral, sys4.family)
@@ -283,9 +341,18 @@ def _parse_markov(obj: Any, where: str) -> MarkovSystem:
                 idempotent=_parse_matrix(block["idempotent"], f"{where}.idempotent"),
                 functionals=_parse_matrix(block["functionals"], f"{where}.functionals"),
             )
-    except ValueError as exc:
-        raise ConfigError(f"{where}: {exc}") from exc
     raise ConfigError(f"{where}: system type must be 'section4' or 'matrix'")
+
+
+def _parse_factor(obj: Any) -> FactorSpec:
+    block = _take(obj, "factor", ["generators", "cell_masses"])
+    generators = tuple(
+        _parse_rational_matrix(g, "factor.generators[]")
+        for g in _list(block["generators"], "factor.generators")
+    )
+    masses = _parse_rationals(block["cell_masses"], "factor.cell_masses")
+    with _at("factor"):
+        return FactorSpec(generators=generators, cell_masses=masses)
 
 
 def _apply_expectations(config: Dict, results: Dict, passed: bool) -> Tuple[bool, Dict]:
@@ -316,46 +383,61 @@ def _apply_expectations(config: Dict, results: Dict, passed: bool) -> Tuple[bool
 
 # -- experiments -----------------------------------------------------------------
 
-
-def _build_flow(flow_class, matrix: np.ndarray):
-    try:
-        return flow_class(matrix)
-    except ValueError as exc:
-        raise ConfigError(f"flow: {exc}") from exc
+_Outcome = Tuple[Dict[str, Any], List[str], List[List[str]], bool]
 
 
-def _run_mean_ergodic(config: Dict):
-    _take(
-        config, "config", ["experiment", "flow", "vector", "scheme", "indices"],
-        ["tolerance", "expect"],
-    )
+class _Experiment(NamedTuple):
+    run: Callable[[Dict], _Outcome]
+    required: Tuple[str, ...]
+    optional: Tuple[str, ...]
+    description: str
+
+
+_EXPERIMENTS: Dict[str, _Experiment] = {}
+
+
+def _experiment(kind: str, required: Sequence[str], optional: Sequence[str], description: str):
+    """Register a runner under ``kind`` with the top-level fields its config takes.
+
+    Every kind also requires ``experiment`` and accepts ``expect``.  The runner
+    gets a config that has passed this check and returns (results, CSV
+    header, CSV rows, passed).
+    """
+
+    def register(run: Callable[[Dict], _Outcome]) -> Callable[[Dict], _Outcome]:
+        _EXPERIMENTS[kind] = _Experiment(run, tuple(required), (*optional, "expect"), description)
+        return run
+
+    return register
+
+
+@_experiment("mean-ergodic", ["flow", "vector", "scheme", "indices"], ["tolerance"],
+             "weighted flow averages against the fixed-space projection")
+def _run_mean_ergodic(config: Dict) -> _Outcome:
     flow_block = _take(config["flow"], "flow", ["kind"], ["generator", "matrix"])
-    if flow_block["kind"] == "continuous":
-        if "generator" not in flow_block:
-            raise ConfigError("flow: continuous flow needs a generator")
-        flow = _build_flow(
-            UnitaryFlow, _parse_matrix(flow_block["generator"], "flow.generator")
-        )
-        default_domain = CONTINUOUS
-    elif flow_block["kind"] == "discrete":
-        if "matrix" not in flow_block:
-            raise ConfigError("flow: discrete flow needs a matrix")
-        flow = _build_flow(
-            PowerContraction, _parse_matrix(flow_block["matrix"], "flow.matrix")
-        )
-        default_domain = DISCRETE
+    domain = flow_block["kind"]
+    if domain == CONTINUOUS:
+        key, flow_class = "generator", UnitaryFlow
+    elif domain == DISCRETE:
+        key, flow_class = "matrix", PowerContraction
     else:
         raise ConfigError("flow kind must be 'continuous' or 'discrete'")
+    if key not in flow_block:
+        raise ConfigError(f"flow: {domain} flow needs a {key}")
+    matrix = _parse_matrix(flow_block[key], f"flow.{key}")
+    with _at("flow"):
+        flow = flow_class(matrix)
     vector = np.array(
-        [_parse_complex_cell(v, "vector") for v in config["vector"]], dtype=complex
+        [_parse_complex_cell(v, "vector") for v in _list(config["vector"], "vector")],
+        dtype=complex,
     )
     if len(vector) != flow.dimension:
         raise ConfigError(
             f"vector: expected {flow.dimension} entries for the flow, got {len(vector)}"
         )
-    scheme = _parse_scheme(config["scheme"], default_domain)
+    scheme = _parse_scheme(config, domain)
     indices = _parse_indices(config["indices"])
-    tolerance = float(config.get("tolerance", 0.05))
+    tolerance = _number(config.get("tolerance", 0.05), "tolerance")
     target = fixed_space_projection(flow) @ vector
     errors = []
     rows = []
@@ -375,9 +457,10 @@ def _run_mean_ergodic(config: Dict):
     return results, ["N", "scheme", "error"], rows, passed
 
 
-def _run_folner_defect(config: Dict):
-    _take(config, "config", ["experiment", "scheme", "shift", "indices"], ["expect"])
-    scheme = _parse_scheme(config["scheme"], CONTINUOUS)
+@_experiment("folner-defect", ["scheme", "shift", "indices"], [],
+             "normalized shift defects of a weight family")
+def _run_folner_defect(config: Dict) -> _Outcome:
+    scheme = _parse_scheme(config, CONTINUOUS)
     shift = config["shift"]
     if not isinstance(shift, (int, float)) or isinstance(shift, bool) or shift <= 0:
         raise ConfigError("shift must be positive")
@@ -389,11 +472,9 @@ def _run_folner_defect(config: Dict):
     return results, ["N", "scheme", "defect"], rows, decreasing
 
 
-def _run_mixing_decay(config: Dict):
-    _take(
-        config, "config", ["experiment", "alphabet", "operator", "state", "n_max"],
-        ["expect"],
-    )
+@_experiment("mixing-decay", ["alphabet", "operator", "state", "n_max"], [],
+             "state decay of a shifted element toward its finite-orbit part")
+def _run_mixing_decay(config: Dict) -> _Outcome:
     alphabet = _parse_alphabet(config["alphabet"])
     operator = _parse_element(alphabet, config["operator"], "operator")
     state = _parse_state(alphabet, config["state"])
@@ -412,29 +493,20 @@ def _run_mixing_decay(config: Dict):
     return results, ["n", "re", "im", "abs"], rows, bool(results["vanishes_in_window"])
 
 
-def _run_multitime(config: Dict):
-    _take(
-        config, "config", ["experiment", "alphabet", "state", "operators", "times"],
-        ["permutation", "expect"],
-    )
+@_experiment("multitime", ["alphabet", "state", "operators", "times"], ["permutation"],
+             "one multitime correlation and its finite-orbit difference")
+def _run_multitime(config: Dict) -> _Outcome:
     alphabet = _parse_alphabet(config["alphabet"])
     state = _parse_state(alphabet, config["state"])
-    operators = [
-        _parse_element(alphabet, obj, f"operators[{i}]")
-        for i, obj in enumerate(config["operators"])
-    ]
+    operators = _parse_elements(alphabet, config["operators"], "operators")
     times = config["times"]
     if not isinstance(times, list) or len(times) != len(operators):
         raise ConfigError("times must list one integer per operator")
     for t in times:
         _integer(t, "times[]")
-    try:
-        value = mixing.correlation(state, operators, times, config.get("permutation"))
-        difference = mixing.correlation_difference(
-            state, operators, times, config.get("permutation")
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    permutation = _parse_permutation(config)
+    value = mixing.correlation(state, operators, times, permutation)
+    difference = mixing.correlation_difference(state, operators, times, permutation)
     rows = [
         [
             " ".join(str(t) for t in times),
@@ -448,34 +520,26 @@ def _run_multitime(config: Dict):
     return results, ["times", "re", "im", "difference_re", "difference_im"], rows, True
 
 
-def _run_gap_search(config: Dict):
-    _take(
-        config, "config",
-        ["experiment", "alphabet", "operators", "states", "scan_window", "gap_max"],
-        ["permutation", "zero_tol", "expect"],
-    )
+@_experiment("gap-search", ["alphabet", "operators", "states", "scan_window", "gap_max"],
+             ["permutation", "zero_tol"],
+             "exhaustive gap threshold scan for a correlation difference")
+def _run_gap_search(config: Dict) -> _Outcome:
     alphabet = _parse_alphabet(config["alphabet"])
-    operators = [
-        _parse_element(alphabet, obj, f"operators[{i}]")
-        for i, obj in enumerate(config["operators"])
-    ]
+    operators = _parse_elements(alphabet, config["operators"], "operators")
     states = [
         _parse_state(alphabet, obj, f"states[{i}]")
-        for i, obj in enumerate(config["states"])
+        for i, obj in enumerate(_list(config["states"], "states"))
     ]
     if not states:
         raise ConfigError("states: need at least one state")
-    try:
-        result = mixing.gap_scan(
-            states,
-            operators,
-            config.get("permutation"),
-            scan_window=_positive_int(config["scan_window"], "scan_window"),
-            gap_max=_positive_int(config["gap_max"], "gap_max"),
-            zero_tol=float(config.get("zero_tol", 1e-12)),
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    result = mixing.gap_scan(
+        states,
+        operators,
+        _parse_permutation(config),
+        scan_window=_positive_int(config["scan_window"], "scan_window"),
+        gap_max=_positive_int(config["gap_max"], "gap_max"),
+        zero_tol=_number(config.get("zero_tol", 1e-12), "zero_tol"),
+    )
     k = len(operators)
     header = [f"n{j + 1}" for j in range(k)] + ["state", "magnitude"]
     rows = [
@@ -491,20 +555,15 @@ def _run_gap_search(config: Dict):
     return results, header, rows, result.threshold is not None
 
 
-def _run_furstenberg(config: Dict):
-    _take(
-        config, "config", ["experiment", "alphabet", "factor", "order", "sweep"],
-        ["absolute", "expect"],
-    )
+@_experiment("furstenberg", ["alphabet", "factor", "order", "sweep"], ["absolute"],
+             "diagonal recurrence average of factor * factor-adjoint")
+def _run_furstenberg(config: Dict) -> _Outcome:
     alphabet = _parse_alphabet(config["alphabet"])
     factor = _parse_element(alphabet, config["factor"], "factor")
     order = _positive_int(config["order"], "order")
     sweep = _positive_int(config["sweep"], "sweep")
     absolute = _flag(config.get("absolute", True), "absolute")
-    try:
-        result = mixing.furstenberg_average(factor, order, sweep, absolute=absolute)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    result = mixing.furstenberg_average(factor, order, sweep, absolute=absolute)
     rows = [
         [str(n + 1), _fmt(v.real), _fmt(v.imag), _fmt(abs(v))]
         for n, v in enumerate(result.values)
@@ -517,19 +576,14 @@ def _run_furstenberg(config: Dict):
     return results, ["n", "re", "im", "abs"], rows, result.positive
 
 
-def _run_bergelson(config: Dict):
-    _take(
-        config, "config",
-        ["experiment", "alphabet", "operators", "m_base", "n_base", "count"],
-        ["equality_tolerance", "expect"],
-    )
+@_experiment("bergelson", ["alphabet", "operators", "m_base", "n_base", "count"],
+             ["equality_tolerance"], "double recurrence average over a square of shift pairs")
+def _run_bergelson(config: Dict) -> _Outcome:
     alphabet = _parse_alphabet(config["alphabet"])
     ops = config["operators"]
     if not isinstance(ops, list) or len(ops) != 4:
         raise ConfigError("operators: the double average takes exactly 4 elements")
-    a0, a1, a2, a3 = (
-        _parse_element(alphabet, obj, f"operators[{i}]") for i, obj in enumerate(ops)
-    )
+    a0, a1, a2, a3 = _parse_elements(alphabet, ops, "operators")
     m_base = _integer(config["m_base"], "m_base")
     n_base = _integer(config["n_base"], "n_base")
     tol = config.get("equality_tolerance")
@@ -550,27 +604,18 @@ def _run_bergelson(config: Dict):
     return results, ["m", "n", "abs", "projected_abs"], rows, passed
 
 
-def _run_section4(config: Dict):
-    _take(
-        config, "config", ["experiment", "p", "sweep"],
-        ["family_points", "normalization", "tolerances", "expect"],
-    )
+@_experiment("section4", ["p", "sweep"], ["family_points", "normalization", "tolerances"],
+             "the 4-state example: spectrum, both mean checks, invariant mean")
+def _run_section4(config: Dict) -> _Outcome:
     tols = _take(
         config.get("tolerances", {}), "tolerances", [],
         ["weak_mixing", "ergodic", "limit"],
     )
-    tol_weak = float(tols.get("weak_mixing", 1e-12))
-    tol_erg = float(tols.get("ergodic", 1e-3))
-    tol_limit = float(tols.get("limit", 1e-3))
+    tol_weak = _number(tols.get("weak_mixing", 1e-12), "tolerances.weak_mixing")
+    tol_erg = _number(tols.get("ergodic", 1e-3), "tolerances.ergodic")
+    tol_limit = _number(tols.get("limit", 1e-3), "tolerances.limit")
     sweep = _positive_int(config["sweep"], "sweep")
-    try:
-        sys4 = four_state_system(
-            float(config["p"]),
-            family_points=int(config.get("family_points", 20)),
-            normalization=config.get("normalization", "as-written"),
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    sys4 = _four_state(config, "")
     scheme = averaging.uniform(DISCRETE)
     eig = np.sort_complex(np.linalg.eigvals(sys4.transition))
     expected = np.sort_complex(np.array([sys4.p, 1.0, -1.0, 1.0], dtype=complex))
@@ -589,7 +634,10 @@ def _run_section4(config: Dict):
         sys4.as_markov(sys4.proj_fixed, np.eye(4)),
         scheme, sweep, tol_erg, vectors=basis,
     )
-    report = invariant_mean_projection(sys4.transition, scheme, sweep)
+    try:
+        report = invariant_mean_projection(sys4.transition, scheme, sweep)
+    except NonConvergenceError as exc:
+        return {"converged": False, "error": str(exc)}, ["row", "col", "mean_re", "mean_im"], [], False
     limit_error = float(np.max(np.abs(report.mean - sys4.proj_fixed)))
     results = {
         "eigenvalues_ok": eigen_ok,
@@ -621,25 +669,15 @@ def _run_section4(config: Dict):
     return results, ["row", "col", "mean_re", "mean_im"], rows, passed
 
 
-def _run_tensor(config: Dict):
-    _take(
-        config, "config",
-        ["experiment", "left", "right", "check", "sweep", "tolerance"],
-        ["scheme", "expect"],
-    )
+@_experiment("tensor", ["left", "right", "check", "sweep", "tolerance"], ["scheme"],
+             "mean checks on a Kronecker product system")
+def _run_tensor(config: Dict) -> _Outcome:
     left = _parse_markov(config["left"], "left")
     right = _parse_markov(config["right"], "right")
-    try:
-        system = tensor_product(left, right)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    scheme = (
-        _parse_scheme(config["scheme"], DISCRETE)
-        if "scheme" in config
-        else averaging.uniform(DISCRETE)
-    )
+    system = tensor_product(left, right)
+    scheme = _parse_scheme(config, DISCRETE)
     sweep = _positive_int(config["sweep"], "sweep")
-    tolerance = float(config["tolerance"])
+    tolerance = _number(config["tolerance"], "tolerance")
     check = config["check"]
     if check == "weak-mixing":
         report = weak_mixing_check(system, scheme, sweep, tolerance)
@@ -659,28 +697,20 @@ def _run_tensor(config: Dict):
     return results, ["check", "max_defect", "tolerance"], rows, report.passed
 
 
-def _run_thm215(config: Dict):
-    _take(
-        config, "config", ["experiment", "transition", "sweep"],
-        ["scheme", "law_tolerance", "cauchy_tolerance", "expect"],
-    )
+@_experiment("thm215", ["transition", "sweep"], ["scheme", "law_tolerance", "cauchy_tolerance"],
+             "weighted power mean certified as the invariant projection")
+def _run_thm215(config: Dict) -> _Outcome:
     transition = _parse_matrix(config["transition"], "transition")
-    scheme = (
-        _parse_scheme(config["scheme"], DISCRETE)
-        if "scheme" in config
-        else averaging.uniform(DISCRETE)
-    )
+    scheme = _parse_scheme(config, DISCRETE)
     sweep = _positive_int(config["sweep"], "sweep")
-    law_tol = float(config.get("law_tolerance", 1e-6))
-    cauchy_tol = float(config.get("cauchy_tolerance", 5e-2))
+    law_tol = _number(config.get("law_tolerance", 1e-6), "law_tolerance")
+    cauchy_tol = _number(config.get("cauchy_tolerance", 5e-2), "cauchy_tolerance")
     try:
         report = invariant_mean_projection(
             transition, scheme, sweep, law_tolerance=law_tol, cauchy_tolerance=cauchy_tol
         )
     except NonConvergenceError as exc:
         return {"converged": False, "error": str(exc)}, ["row", "col", "mean_re", "mean_im"], [], False
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
     d = transition.shape[0]
     rows = [
         [str(i), str(j), _fmt(report.mean[i, j].real), _fmt(report.mean[i, j].imag)]
@@ -698,31 +728,15 @@ def _run_thm215(config: Dict):
     return results, ["row", "col", "mean_re", "mean_im"], rows, report.lawful
 
 
-def _parse_factor(obj: Any) -> FactorSpec:
-    block = _take(obj, "factor", ["generators", "cell_masses"])
-    try:
-        return FactorSpec(
-            generators=tuple(
-                tuple(tuple(v for v in row) for row in g) for g in block["generators"]
-            ),
-            cell_masses=tuple(block["cell_masses"]),
-        )
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ConfigError(f"factor: {exc}") from exc
-
-
-def _run_joinings(config: Dict):
-    _take(
-        config, "config", ["experiment", "left", "right"],
-        ["factor", "couplings", "scheme", "sweep", "average_tolerance", "expect"],
-    )
+@_experiment("joinings", ["left", "right"],
+             ["factor", "couplings", "scheme", "sweep", "average_tolerance"],
+             "relative disjointness certificate and coupling orbit averages")
+def _run_joinings(config: Dict) -> _Outcome:
     left = _parse_classical(config["left"], "left")
     right = _parse_classical(config["right"], "right")
     factor = _parse_factor(config["factor"]) if "factor" in config else None
-    try:
+    with _at("factor"):
         polytope = joining_polytope(left, right, factor)
-    except ValueError as exc:
-        raise ConfigError(f"factor: {exc}") from exc
     try:
         report = relative_disjointness(polytope)
     except JoiningInfeasibleError as exc:
@@ -748,21 +762,14 @@ def _run_joinings(config: Dict):
     passed = True
     if "couplings" in config:
         family = []
-        for i, mat in enumerate(config["couplings"]):
-            try:
-                family.append(coupling_of(left, right, mat))
-            except ValueError as exc:
-                raise ConfigError(f"couplings[{i}]: {exc}") from exc
-        scheme = (
-            _parse_scheme(config["scheme"], DISCRETE)
-            if "scheme" in config
-            else averaging.uniform(DISCRETE)
-        )
+        for i, mat in enumerate(_list(config["couplings"], "couplings")):
+            where = f"couplings[{i}]"
+            matrix = _parse_rational_matrix(mat, where)
+            with _at(where):
+                family.append(coupling_of(left, right, matrix))
+        scheme = _parse_scheme(config, DISCRETE)
         sweep = _positive_int(config.get("sweep", 1), "sweep")
-        try:
-            average = weighted_coupling_average(left, right, family, scheme, sweep)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+        average = weighted_coupling_average(left, right, family, scheme, sweep)
         avg = average.as_array()
         rows = [
             [str(x), str(y), _fmt(avg[x, y])]
@@ -771,7 +778,7 @@ def _run_joinings(config: Dict):
         ]
         # a finite average reaches the joining polytope only in the limit;
         # the membership tolerance is therefore configurable
-        avg_tol = float(config.get("average_tolerance", 1e-9))
+        avg_tol = _number(config.get("average_tolerance", 1e-9), "average_tolerance")
         results["average_in_polytope"] = polytope.contains(avg, tol=avg_tol)
         results["average_residual"] = polytope.residual(avg)
         if report.disjoint:
@@ -781,90 +788,19 @@ def _run_joinings(config: Dict):
     return results, ["x", "y", "value"], rows, passed
 
 
-_EXPERIMENTS = {
-    "mean-ergodic": (
-        _run_mean_ergodic,
-        ["flow", "vector", "scheme", "indices"],
-        ["tolerance", "expect"],
-        "weighted flow averages against the fixed-space projection",
-    ),
-    "folner-defect": (
-        _run_folner_defect,
-        ["scheme", "shift", "indices"],
-        ["expect"],
-        "normalized shift defects of a weight family",
-    ),
-    "mixing-decay": (
-        _run_mixing_decay,
-        ["alphabet", "operator", "state", "n_max"],
-        ["expect"],
-        "state decay of a shifted element toward its finite-orbit part",
-    ),
-    "multitime": (
-        _run_multitime,
-        ["alphabet", "state", "operators", "times"],
-        ["permutation", "expect"],
-        "one multitime correlation and its finite-orbit difference",
-    ),
-    "gap-search": (
-        _run_gap_search,
-        ["alphabet", "operators", "states", "scan_window", "gap_max"],
-        ["permutation", "zero_tol", "expect"],
-        "exhaustive gap threshold scan for a correlation difference",
-    ),
-    "furstenberg": (
-        _run_furstenberg,
-        ["alphabet", "factor", "order", "sweep"],
-        ["absolute", "expect"],
-        "diagonal recurrence average of factor * factor-adjoint",
-    ),
-    "bergelson": (
-        _run_bergelson,
-        ["alphabet", "operators", "m_base", "n_base", "count"],
-        ["equality_tolerance", "expect"],
-        "double recurrence average over a square of shift pairs",
-    ),
-    "section4": (
-        _run_section4,
-        ["p", "sweep"],
-        ["family_points", "normalization", "tolerances", "expect"],
-        "the 4-state example: spectrum, both mean checks, invariant mean",
-    ),
-    "tensor": (
-        _run_tensor,
-        ["left", "right", "check", "sweep", "tolerance"],
-        ["scheme", "expect"],
-        "mean checks on a Kronecker product system",
-    ),
-    "thm215": (
-        _run_thm215,
-        ["transition", "sweep"],
-        ["scheme", "law_tolerance", "cauchy_tolerance", "expect"],
-        "weighted power mean certified as the invariant projection",
-    ),
-    "joinings": (
-        _run_joinings,
-        ["left", "right"],
-        ["factor", "couplings", "scheme", "sweep", "average_tolerance", "expect"],
-        "relative disjointness certificate and coupling orbit averages",
-    ),
-}
-
-
 def list_experiments(as_json: bool = False) -> str:
     if as_json:
         schema = {
-            kind: {"required": req, "optional": opt, "description": desc}
-            for kind, (_, req, opt, desc) in _EXPERIMENTS.items()
+            kind: {"required": e.required, "optional": e.optional, "description": e.description}
+            for kind, e in _EXPERIMENTS.items()
         }
         return json.dumps(schema, indent=2, sort_keys=True)
-    lines = []
     width = max(len(k) for k in _EXPERIMENTS)
-    for kind, (_, req, opt, desc) in _EXPERIMENTS.items():
-        lines.append(f"{kind.ljust(width)}  {desc}")
-        lines.append(f"{' ' * width}  required: {', '.join(req)}")
-        if opt:
-            lines.append(f"{' ' * width}  optional: {', '.join(opt)}")
+    lines = []
+    for kind, e in _EXPERIMENTS.items():
+        lines.append(f"{kind.ljust(width)}  {e.description}")
+        lines.append(f"{' ' * width}  required: {', '.join(e.required)}")
+        lines.append(f"{' ' * width}  optional: {', '.join(e.optional)}")
     return "\n".join(lines)
 
 
@@ -872,12 +808,20 @@ def run_experiment(config: Dict, out_dir: Path, quiet: bool = False) -> int:
     if not isinstance(config, dict):
         raise ConfigError("config must be a JSON object")
     kind = config.get("experiment")
-    if kind not in _EXPERIMENTS:
+    experiment = _EXPERIMENTS.get(kind) if isinstance(kind, str) else None
+    if experiment is None:
         raise ConfigError(
             f"unknown experiment {kind!r}; valid kinds: {', '.join(_EXPERIMENTS)}"
         )
-    runner = _EXPERIMENTS[kind][0]
-    results, header, rows, passed = runner(config)
+    _take(config, "config", ("experiment", *experiment.required), experiment.optional)
+    try:
+        results, header, rows, passed = experiment.run(config)
+    except ConfigError:
+        raise
+    except ValueError as exc:
+        # the one boundary for domain errors: scheme, alphabet and word
+        # errors, invalid systems, refused work budgets
+        raise ConfigError(str(exc)) from exc
     passed, results = _apply_expectations(config, results, passed)
 
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -930,7 +874,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 1
     try:
         return run_experiment(config, args.out, quiet=args.quiet)
-    except (ConfigError, SchemeError, AlphabetError, WordParseError) as exc:
+    except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -394,8 +394,3 @@ def tensor_product(left: MarkovSystem, right: MarkovSystem) -> MarkovSystem:
         commutative=left.commutative and right.commutative,
     )
 
-
-def hermitian_decomposition(functional) -> Tuple[np.ndarray, np.ndarray]:
-    """Split a row functional as h1 + i h2 with h1, h2 Hermitian (real rows)."""
-    row = np.asarray(functional, dtype=complex)
-    return row.real.copy(), row.imag.copy()

@@ -1,3 +1,4 @@
+import copy
 import json
 import os
 import subprocess
@@ -114,6 +115,37 @@ def base_configs():
             "expect": {"disjoint": True},
         },
     }
+
+
+# values of the wrong type or range for almost any field
+BAD_VALUES = ["x", "", None, True, 0, -1, 1.5, 5, [], [5], [["a", 1]], {}, {"a": 1}]
+REMOVED = object()
+
+
+def field_paths(obj, path=()):
+    """The path of every dict key and list position inside a JSON value."""
+    if isinstance(obj, dict):
+        items = obj.items()
+    elif isinstance(obj, list):
+        items = enumerate(obj)
+    else:
+        return
+    for key, value in items:
+        yield path + (key,)
+        yield from field_paths(value, path + (key,))
+
+
+def with_field(obj, path, value):
+    """A copy of ``obj`` with the field at ``path`` set to ``value`` or removed."""
+    obj = copy.deepcopy(obj)
+    parent = obj
+    for key in path[:-1]:
+        parent = parent[key]
+    if value is REMOVED:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = value
+    return obj
 
 
 def run_cli(args, cwd):
@@ -267,6 +299,19 @@ class TestErrorPaths:
                     "sweep": 1,
                 },
             ),
+            ("section4", {"tolerances": {"weak_mixing": "x"}}),
+            (
+                "folner-defect",
+                {"scheme": {"family": "power", "exponent": "x", "domain": "continuous"}},
+            ),
+            ("folner-defect", {"scheme": {"family": "custom", "samples": "ab"}}),
+            ("tensor", {"tolerance": "x"}),
+            ("thm215", {"law_tolerance": "x"}),
+            ("mean-ergodic", {"tolerance": None}),
+            ("mean-ergodic", {"vector": [["a", 1], 0]}),
+            ("mean-ergodic", {"vector": 5}),
+            ("gap-search", {"operators": 5}),
+            (None, {"experiment": ["a"]}),
         ],
         ids=[
             "element-re-not-number",
@@ -279,18 +324,80 @@ class TestErrorPaths:
             "absolute-not-boolean",
             "m-base-boolean",
             "furstenberg-over-budget",
+            "tolerances-not-numbers",
+            "exponent-not-number",
+            "samples-not-list",
+            "tensor-tolerance-not-number",
+            "law-tolerance-not-number",
+            "tolerance-null",
+            "vector-cell-not-number",
+            "vector-not-list",
+            "operators-not-list",
+            "experiment-not-string",
         ],
     )
     def test_malformed_fields(self, tmp_path, kind, changes):
-        config = dict(base_configs()[kind], **changes)
+        config = dict(base_configs()[kind] if kind else {}, **changes)
         path = tmp_path / "config.json"
         path.write_text(json.dumps(config))
         proc = run_cli(["run", str(path), "--out", str(tmp_path / "out")], tmp_path)
         assert_cli_error(proc)
 
+    @pytest.mark.parametrize("kind", sorted(base_configs()))
+    def test_no_malformed_field_escapes(self, tmp_path, kind):
+        """Any one field of a base config, at any depth, set to a bad value or
+        removed: the run finishes or raises ConfigError, never anything else."""
+        base = base_configs()[kind]
+        for path in field_paths(base):
+            for bad in BAD_VALUES + [REMOVED]:
+                try:
+                    run_experiment(with_field(base, path, bad), tmp_path, quiet=True)
+                except ConfigError:
+                    pass
+                except Exception as exc:
+                    pytest.fail(f"{path} = {bad!r}: {type(exc).__name__}: {exc}")
+
+    @pytest.mark.parametrize(
+        "left, message",
+        [
+            (
+                {"type": "section4", "projection": "X"},
+                "error: left: projection must be 'EL' or 'Efix'\n",
+            ),
+            (
+                {"type": "matrix", "transition": [[1.0]], "functionals": [[1.0]]},
+                "error: left: matrix system needs idempotent\n",
+            ),
+        ],
+        ids=["projection", "no-idempotent"],
+    )
+    def test_system_error_names_its_side_once(self, tmp_path, left, message):
+        config = dict(base_configs()["tensor"], left=left)
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        proc = run_cli(["run", str(path), "--out", str(tmp_path / "out")], tmp_path)
+        assert_cli_error(proc)
+        assert proc.stderr == message
+
     def test_config_error_in_process(self):
         with pytest.raises(ConfigError):
             run_experiment({"experiment": "mean-ergodic"}, Path("/tmp"))
+
+
+class TestSchema:
+    def test_list_json_is_the_schema_run_checks(self, tmp_path):
+        schema = json.loads(list_experiments(as_json=True))
+        configs = base_configs()
+        assert set(schema) == set(configs)
+        for kind, entry in schema.items():
+            required, config = entry["required"], configs[kind]
+            assert set(config) - {"experiment", "expect"} <= set(required) | set(entry["optional"])
+            assert set(required) <= set(config)
+            for field in required:
+                broken = {k: v for k, v in config.items() if k != field}
+                with pytest.raises(ConfigError) as raised:
+                    run_experiment(broken, tmp_path / kind)
+                assert str(raised.value) == f"config: missing fields {[field]}"
 
 
 class TestContracts:

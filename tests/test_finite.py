@@ -10,7 +10,6 @@ from ergolab import (
     closed_evolution,
     evolve,
     four_state_system,
-    hermitian_decomposition,
     invariant_mean_projection,
     power,
     tensor_product,
@@ -160,13 +159,6 @@ class TestMeanChecks:
         system = sys4.as_markov(sys4.proj_peripheral, np.array(combos))
         report = weak_mixing_check(system, uniform(), 200, 1e-12, vectors=sys4.eigenbasis)
         assert report.passed
-
-    def test_hermitian_decomposition(self):
-        rng = np.random.default_rng(3)
-        row = rng.normal(size=4) + 1j * rng.normal(size=4)
-        h1, h2 = hermitian_decomposition(row)
-        assert np.allclose(h1 + 1j * h2, row)
-        assert np.max(np.abs(h1.imag)) == 0.0 and np.max(np.abs(h2.imag)) == 0.0
 
 
 class TestInvariantMean:
