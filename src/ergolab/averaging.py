@@ -126,6 +126,16 @@ def discrete_weights(scheme: WeightScheme, count: int) -> np.ndarray:
     return w
 
 
+def power_mean(matrix: np.ndarray, start: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """sum_n w_n M^n start / sum w over n = 1..len(w), accumulated in step order."""
+    acc = np.zeros(start.shape, dtype=complex)
+    cur = start
+    for w in weights:
+        cur = matrix @ cur
+        acc += w * cur
+    return acc / weights.sum()
+
+
 def weighted_mean_scalar(values: Sequence[complex], scheme: WeightScheme, count: int) -> complex:
     """Normalized weighted mean of values indexed by n = 1..count."""
     vals = np.asarray(values)
@@ -342,18 +352,6 @@ def _continuous_flow_mean(
     return numerator / denominator
 
 
-def _discrete_flow_mean(
-    flow: PowerContraction, x: np.ndarray, scheme: WeightScheme, count: int
-) -> np.ndarray:
-    w = discrete_weights(scheme, count)
-    acc = np.zeros_like(x, dtype=complex)
-    cur = x.astype(complex)
-    for n in range(1, count + 1):
-        cur = flow.matrix @ cur
-        acc += w[n - 1] * cur
-    return acc / w.sum()
-
-
 def weighted_mean_flow(flow: Flow, x: Sequence[complex], scheme: WeightScheme, index) -> np.ndarray:
     """The normalized weighted average of the flow orbit of x up to index."""
     vec = np.asarray(x, dtype=complex)
@@ -365,7 +363,7 @@ def weighted_mean_flow(flow: Flow, x: Sequence[complex], scheme: WeightScheme, i
         return _continuous_flow_mean(flow, vec, scheme, float(index))
     if scheme.domain != DISCRETE:
         raise SchemeError("a discrete flow needs a discrete scheme")
-    return _discrete_flow_mean(flow, vec, scheme, int(index))
+    return power_mean(flow.matrix, vec, discrete_weights(scheme, int(index)))
 
 
 # -- transformed averages ------------------------------------------------------

@@ -19,7 +19,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .averaging import WeightScheme, discrete_weights
+from .averaging import WeightScheme, discrete_weights, power_mean
 
 TENSOR_DIMENSION_CAP = 4096
 
@@ -35,6 +35,15 @@ def _as_matrix(m, d: Optional[int] = None) -> np.ndarray:
     if d is not None and a.shape[0] != d:
         raise ValueError(f"expected dimension {d}, got {a.shape[0]}")
     return a
+
+
+def _check_markov(t: np.ndarray, commutative: bool) -> None:
+    """Refuse a transition that is not unital, or (commutative) not nonnegative."""
+    ones = np.ones(t.shape[0])
+    if np.max(np.abs(t @ ones - ones)) > 1e-9:
+        raise ValueError("transition matrix must fix the all-ones vector")
+    if commutative and np.min(t.real) < -1e-12:
+        raise ValueError("commutative Markov matrix must be entrywise nonnegative")
 
 
 @dataclass(frozen=True)
@@ -53,11 +62,7 @@ class MarkovSystem:
         f = np.asarray(self.functionals, dtype=complex)
         if f.ndim != 2 or f.shape[1] != d:
             raise ValueError("functionals must be rows of the system dimension")
-        ones = np.ones(d)
-        if np.max(np.abs(t @ ones - ones)) > 1e-9:
-            raise ValueError("transition matrix must fix the all-ones vector")
-        if self.commutative and np.min(t.real) < -1e-12:
-            raise ValueError("commutative Markov matrix must be entrywise nonnegative")
+        _check_markov(t, self.commutative)
         if np.max(np.abs(e @ e - e)) > 1e-10:
             raise ValueError("idempotent must satisfy E^2 = E")
         object.__setattr__(self, "transition", t)
@@ -230,12 +235,7 @@ def unique_ergodicity_check(
     w = discrete_weights(scheme, sweep)
     d = system.dimension
     d0 = (np.eye(d) - system.idempotent) @ cols
-    acc = np.zeros((d, d), dtype=complex)
-    cur = np.eye(d, dtype=complex)
-    for n in range(sweep):
-        cur = system.transition @ cur
-        acc += w[n] * cur
-    mean = acc / w.sum()
+    mean = power_mean(system.transition, np.eye(d, dtype=complex), w)
     defects = np.abs(system.functionals @ mean @ d0)
     fi, vi = np.unravel_index(int(np.argmax(defects)), defects.shape)
     return MeanCheckReport(
@@ -316,17 +316,6 @@ class InvariantMeanReport:
     lawful: bool
 
 
-def _weighted_power_mean(transition: np.ndarray, scheme: WeightScheme, sweep: int) -> np.ndarray:
-    w = discrete_weights(scheme, sweep)
-    d = transition.shape[0]
-    acc = np.zeros((d, d), dtype=complex)
-    cur = np.eye(d, dtype=complex)
-    for n in range(sweep):
-        cur = transition @ cur
-        acc += w[n] * cur
-    return acc / w.sum()
-
-
 def invariant_mean_projection(
     transition,
     scheme: WeightScheme,
@@ -339,11 +328,15 @@ def invariant_mean_projection(
     Compares the means at the index and twice the index (Cauchy check,
     raising on failure), then squares the mean to its idempotent limit; the
     squaring sharpens every sub-unit eigenvalue to zero quadratically, so a
-    convergent mean certifies the unique invariant idempotent.
+    convergent mean certifies the unique invariant idempotent.  Raises
+    ``ValueError`` unless the transition is a Markov matrix: unital and
+    entrywise nonnegative, as ``MarkovSystem`` checks a commutative system.
     """
     t = _as_matrix(transition)
-    mean = _weighted_power_mean(t, scheme, sweep)
-    double = _weighted_power_mean(t, scheme, 2 * sweep)
+    _check_markov(t, commutative=True)
+    start = np.eye(t.shape[0], dtype=complex)
+    mean = power_mean(t, start, discrete_weights(scheme, sweep))
+    double = power_mean(t, start, discrete_weights(scheme, 2 * sweep))
     cauchy = float(np.max(np.abs(mean - double)))
     if cauchy > cauchy_tolerance:
         raise NonConvergenceError(

@@ -11,10 +11,11 @@ time and bounded consecutive gaps is accounted for, and every tuple where
 some state separates the product from its finite-orbit image is recorded.
 Only the candidate tuples are evaluated, those where some term choice can
 land every infinite-orbit letter on the pooled state support or cancel it
-against another factor; on every other tuple each value is exactly zero.  A
-fast path covers the dominant case (single-term operators whose finite-orbit
-image vanishes) by looking words up in the pooled support table of the
-states; the general path multiplies term maps directly.
+against another factor; on every other tuple each value is exactly zero.
+The factors before the last slot are multiplied out as algebra elements;
+the last slot never forms its product, but looks each word (left
+neighbour, shifted operator, right neighbour) up in the pooled support
+table of the states, for the product and its finite-orbit image alike.
 """
 
 from __future__ import annotations
@@ -145,25 +146,15 @@ class GapScanResult:
     evaluated: int
 
 
-def _mul_terms(t1: Dict[tuple, complex], t2: Dict[tuple, complex]) -> Dict[tuple, complex]:
-    acc: Dict[tuple, complex] = {}
-    for ru, cu in t1.items():
-        for rv, cv in t2.items():
-            w = merge_runs(ru, rv)
-            c = acc.get(w, 0.0) + cu * cv
-            acc[w] = c
-    return {w: c for w, c in acc.items() if abs(c) > 1e-14}
-
-
-def _instantiate(factors: list, pos: int, terms: Dict[tuple, complex]) -> list:
+def _instantiate(factors: list, pos: int, element: AlgebraElement) -> list:
     out = list(factors)
     idx = out.index(pos)
-    out[idx] = terms
-    if idx > 0 and isinstance(out[idx - 1], dict):
-        out[idx - 1 : idx + 1] = [_mul_terms(out[idx - 1], out[idx])]
+    out[idx] = element
+    if idx > 0 and isinstance(out[idx - 1], AlgebraElement):
+        out[idx - 1 : idx + 1] = [out[idx - 1] * element]
         idx -= 1
-    if idx + 1 < len(out) and isinstance(out[idx + 1], dict):
-        out[idx : idx + 2] = [_mul_terms(out[idx], out[idx + 1])]
+    if idx + 1 < len(out) and isinstance(out[idx + 1], AlgebraElement):
+        out[idx : idx + 2] = [out[idx] * out[idx + 1]]
     return out
 
 
@@ -196,7 +187,7 @@ def gap_scan(
 
     horizon = scan_window + (k - 1) * gap_max
     shift_tables = [
-        [None] + [op.shifted(n)._terms for n in range(1, horizon + 1)] for op in ops
+        [None] + [op.shifted(n) for n in range(1, horizon + 1)] for op in ops
     ]
     e_parts = [op.finite_orbit_part() for op in ops]
     e_dead = any(not part for part in e_parts)
@@ -204,7 +195,7 @@ def gap_scan(
         None
         if e_dead
         else [
-            [None] + [part.shifted(n)._terms for n in range(1, horizon + 1)]
+            [None] + [part.shifted(n) for n in range(1, horizon + 1)]
             for part in e_parts
         ]
     )
@@ -344,105 +335,66 @@ def gap_scan(
             return range(lo, hi + 1)
         return sorted(n for n in allowed if lo <= n <= hi)
 
-    single = [len(op._terms) == 1 for op in ops]
     violations: List[Violation] = []
     times = [0] * k
-    n_states = len(state_list)
 
-    unit = {(): 1.0 + 0.0j}
-    fast_tables = [None] * k
-    for pos in range(k):
-        if single[pos]:
-            rows = [None]
-            for n in range(1, horizon + 1):
-                ((m_runs, m_c),) = shift_tables[pos][n].items()
-                rows.append(
-                    (
-                        m_runs,
-                        m_c,
-                        m_runs[0][:2] if m_runs else None,
-                        m_runs[-1][:2] if m_runs else None,
-                        len(m_runs),
-                    )
-                )
-            fast_tables[pos] = rows
+    def term_rows(element: AlgebraElement) -> list:
+        """(runs, coefficient, first symbol, last symbol, run count) per term."""
+        return [
+            (runs, c, runs[0][:2] if runs else None, runs[-1][:2] if runs else None, len(runs))
+            for runs, c in element._terms.items()
+        ]
 
-    def leaf_general(domain, pos: int, fq: list, fe) -> None:
-        idx = fq.index(pos)
-        left = fq[idx - 1] if idx > 0 else unit
-        right = fq[idx + 1] if idx + 1 < len(fq) else unit
-        q_dead = not left or not right
+    # one operator ever sits in the last slot: only its shifts get term rows
+    last = slot_pos[k - 1]
+    q_rows = [None] + [term_rows(x) for x in shift_tables[last][1:]]
+    e_rows = None if e_dead else [None] + [term_rows(x) for x in e_tables[last][1:]]
+    unit = [((), 1.0 + 0.0j, None, None, 0)]
+
+    def side(factors: list, pos: int, rows: list, negate: bool):
+        """(left, middle, right) term rows around the last slot."""
+        idx = factors.index(pos)
+        left = term_rows(factors[idx - 1]) if idx > 0 else unit
+        if negate:
+            left = [(runs, -c, *ends) for runs, c, *ends in left]
+        right = term_rows(factors[idx + 1]) if idx + 1 < len(factors) else unit
+        return left, rows, right
+
+    def leaf(domain, pos: int, fq: list, fe) -> None:
+        """Differences at the last slot, summed over (left, middle, right) term triples.
+
+        The E-side runs through the same loop with its left coefficients
+        negated.  A triple whose two junctions cannot reduce is the plain
+        concatenation, skipped unless its run count is a support length.
+        """
+        sides = [side(fq, pos, q_rows, False)]
         if fe is not None:
-            eidx = fe.index(pos)
-            eleft = fe[eidx - 1] if eidx > 0 else unit
-            eright = fe[eidx + 1] if eidx + 1 < len(fe) else unit
-            e_live = bool(eleft) and bool(eright)
-        else:
-            e_live = False
-        table = shift_tables[pos]
-        for n in domain:
-            times[k - 1] = n
-            diff = [0.0 + 0.0j] * n_states
-            if not q_dead:
-                for la, ca in left.items():
-                    for lm, cm in table[n].items():
-                        am = merge_runs(la, lm)
-                        cam = ca * cm
-                        for lb, cb in right.items():
-                            hits = pooled.get(merge_runs(am, lb))
-                            if hits:
-                                c = cam * cb
-                                for si, v in hits:
-                                    diff[si] += c * v
-            if e_live:
-                etable = e_tables[pos]
-                for la, ca in eleft.items():
-                    for lm, cm in etable[n].items():
-                        am = merge_runs(la, lm)
-                        cam = ca * cm
-                        for lb, cb in eright.items():
-                            hits = pooled.get(merge_runs(am, lb))
-                            if hits:
-                                c = cam * cb
-                                for si, v in hits:
-                                    diff[si] -= c * v
-            snapshot = None
-            for si in range(n_states):
-                mag = abs(diff[si])
-                if mag > zero_tol:
-                    if snapshot is None:
-                        snapshot = tuple(times)
-                    violations.append(Violation(snapshot, si, mag))
-
-    def leaf_fast(domain, pos: int, fq: list) -> None:
-        idx = fq.index(pos)
-        left = fq[idx - 1] if idx > 0 else None
-        right = fq[idx + 1] if idx + 1 < len(fq) else None
-        ((a_runs, a_c),) = left.items() if left else (((), 1.0),)
-        ((b_runs, b_c),) = right.items() if right else (((), 1.0),)
-        a_last = a_runs[-1][:2] if a_runs else None
-        b_first = b_runs[0][:2] if b_runs else None
-        len_ab = len(a_runs) + len(b_runs)
-        base_c = a_c * b_c
-        fast = fast_tables[pos]
+            sides.append(side(fe, pos, e_rows, True))
         pooled_get = pooled.get
-        lens = target_lens
-        last = k - 1
         for n in domain:
-            m_runs, m_c, m_first, m_last, m_len = fast[n]
-            if m_len and a_last != m_first and m_last != b_first:
-                if len_ab + m_len not in lens:
-                    continue
-                w = a_runs + m_runs + b_runs
-            else:
-                w = merge_runs(a_runs, m_runs, b_runs)
-            hits = pooled_get(w)
-            if hits:
-                times[last] = n
+            total: Dict[int, complex] = {}
+            for left, rows, right in sides:
+                for a_runs, a_c, _, a_last, a_len in left:
+                    for m_runs, m_c, m_first, m_last, m_len in rows[n]:
+                        am_c = a_c * m_c
+                        open_left = m_len and a_last != m_first
+                        for b_runs, b_c, b_first, _, b_len in right:
+                            if open_left and m_last != b_first:
+                                if a_len + m_len + b_len not in target_lens:
+                                    continue
+                                w = a_runs + m_runs + b_runs
+                            else:
+                                w = merge_runs(a_runs, m_runs, b_runs)
+                            hits = pooled_get(w)
+                            if hits:
+                                c = am_c * b_c
+                                for si, v in hits:
+                                    total[si] = total.get(si, 0.0 + 0.0j) + c * v
+            if total:
+                times[k - 1] = n
                 snapshot = tuple(times)
-                c = base_c * m_c
-                for si, v in hits:
-                    mag = abs(c * v)
+                for si in sorted(total):
+                    mag = abs(total[si])
                     if mag > zero_tol:
                         violations.append(Violation(snapshot, si, mag))
 
@@ -455,17 +407,7 @@ def gap_scan(
         domain = candidate_times(r, n_prev + 1, n_prev + width)
         if r == k - 1:
             evaluated += len(domain)
-            fast_ok = (
-                e_dead
-                and single[pos]
-                and all(
-                    isinstance(f, dict) and len(f) == 1 for f in fq if not isinstance(f, int)
-                )
-            )
-            if fast_ok:
-                leaf_fast(domain, pos, fq)
-            else:
-                leaf_general(domain, pos, fq, fe)
+            leaf(domain, pos, fq, fe)
             return
         table = shift_tables[pos]
         etable = e_tables[pos] if fe is not None else None

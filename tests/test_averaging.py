@@ -25,6 +25,7 @@ from ergolab import (
     weighted_mean_flow,
     weighted_mean_scalar,
 )
+from ergolab.averaging import power_mean
 
 ALL_DISCRETE = lambda: [uniform(), power(1.0), power(-0.5), log_family(), voronoi(1.0)]
 ALL_CONTINUOUS = lambda: [
@@ -194,6 +195,15 @@ class TestFlowMeans:
         for scheme in (uniform(), power(1.0)):
             m = weighted_mean_flow(u, x, scheme, 10**4)
             assert np.linalg.norm(m - np.array([1.0, 0.0])) < 0.02
+
+    def test_power_mean_matches_direct_powers(self):
+        rng = np.random.default_rng(7)
+        m = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+        m /= np.linalg.norm(m, 2)
+        w = discrete_weights(power(1.5), 30)
+        for start in (np.eye(4, dtype=complex), rng.normal(size=4) + 0j):
+            direct = sum(wn * np.linalg.matrix_power(m, n) @ start for n, wn in enumerate(w, 1))
+            assert np.max(np.abs(power_mean(m, start, w) - direct / w.sum())) < 1e-12
 
     def test_domain_mismatch(self):
         flow = UnitaryFlow(np.zeros((2, 2)))

@@ -265,6 +265,19 @@ class TestErrorPaths:
         assert_cli_error(proc)
 
     @pytest.mark.parametrize(
+        "first_row",
+        [[5.0, 0.5, 0.0, 0.0], [-1.0, 0.5, 0.0, 0.0], [1.5, -0.5, 0.0, 0.0]],
+        ids=["overflowing-row", "negative-row-sum", "unital-negative-entry"],
+    )
+    def test_thm215_refuses_non_markov_transition(self, tmp_path, first_row):
+        config = base_configs()["thm215"]
+        config["transition"] = [first_row] + config["transition"][1:]
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        proc = run_cli(["run", str(path), "--out", str(tmp_path / "out")], tmp_path)
+        assert_cli_error(proc)
+
+    @pytest.mark.parametrize(
         "kind, changes",
         [
             ("furstenberg", {"factor": [term("", re="x")]}),

@@ -129,6 +129,8 @@ def test_engineered_cases_match_exhaustive_walk(ab):
     x = L2Vector.basis(ab.word("s[3]")) + L2Vector.basis(ab.word("t[5] c[1]"))
     phi = State.vector_state(x.normalized())
     mix = State.mixture([(0.5, x.normalized()), (0.5, L2Vector.basis(ab.identity()))])
+    y = L2Vector.basis(ab.identity()) + L2Vector.basis(ab.word("c[0]"))
+    psi = State.vector_state(y.normalized())
     s0 = lam(ab.word("s[0]"))
     cases = [
         # a shifted-inverse pair seen by the trace only when the times match
@@ -148,6 +150,19 @@ def test_engineered_cases_match_exhaustive_walk(ab):
         # outer factors 9 apart: the middle one sits from 1 to gap_max = 8
         # before the last
         ([State.trace()], [s0, AlgebraElement.one(ab), lam(ab.word("s[-9]^-1"))], None),
+        # 1 + s[0] in the last slot between multi-term neighbours, with a live
+        # E-side: in one tuple its identity term takes the merge branch (where
+        # s[3]^-1 and s[1] of the neighbours cancel across it) and its s[0]
+        # term the concatenation branch
+        (
+            [phi, State.trace(), psi],
+            [
+                lam(ab.word("c[1]")) + lam(ab.word("s[3]^-1")),
+                AlgebraElement.one(ab) + s0,
+                lam(ab.word("c[2]")) + lam(ab.word("s[1]")),
+            ],
+            (0, 2, 1),
+        ),
     ]
     for states, ops, perm in cases:
         window = WINDOWS[len(ops)]
