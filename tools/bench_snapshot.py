@@ -1,12 +1,13 @@
 """Record one point of the performance trajectory as ``BENCH_<tag>.json``.
 
-    python3 tools/bench_snapshot.py <tag> [--seed 1] [--seconds 30]
+    python3 tools/bench_snapshot.py <tag>
 
 For each workload declared in ``BENCHMARK.json``, runs
-``perfbench/run.py --workload <name> --seed <seed> --seconds <seconds> --trace 1``
+``perfbench/run.py --workload <name> --seed 1 --seconds 30 --trace 1``
 from the checkout this script belongs to, and keeps the run's environment
-line and its result line (correctness and the per-layer metrics).  The file
-is written at the repository root.  Nothing under ``perfbench/`` changes;
+line and its result line (correctness and the per-layer metrics).  The
+command is fixed so that every snapshot compares with every other.  The
+file is written at the repository root.  Nothing under ``perfbench/`` changes;
 a run that fails stops the snapshot with its error.
 """
 
@@ -21,14 +22,12 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 ENVIRONMENT = "environment "
+FLAGS = ["--seed", "1", "--seconds", "30", "--trace", "1"]
 
 
-def traced_run(workload: str, seed: int, seconds: float) -> dict:
+def traced_run(workload: str) -> dict:
     """The environment and result of one traced perfbench run."""
-    command = [
-        sys.executable, str(ROOT / "perfbench" / "run.py"), "--workload", workload,
-        "--seed", str(seed), "--seconds", str(seconds), "--trace", "1",
-    ]
+    command = [sys.executable, str(ROOT / "perfbench" / "run.py"), "--workload", workload, *FLAGS]
     proc = subprocess.run(command, capture_output=True, text=True, cwd=ROOT)
     if proc.returncode != 0:
         raise RuntimeError(f"{workload}: perfbench exited {proc.returncode}: {proc.stderr}")
@@ -43,20 +42,18 @@ def traced_run(workload: str, seed: int, seconds: float) -> dict:
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("tag")
-    parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--seconds", type=float, default=30.0)
     args = parser.parse_args()
     if not re.fullmatch(r"[A-Za-z0-9_.-]+", args.tag):
         parser.error(f"tag {args.tag!r} must be letters, digits, '_', '.' or '-'")
     declared = json.loads((ROOT / "BENCHMARK.json").read_text())
     snapshot = {
         "tag": args.tag,
-        "command": f"perfbench/run.py --seed {args.seed} --seconds {args.seconds:g} --trace 1",
+        "command": " ".join(["perfbench/run.py", *FLAGS]),
         "workloads": {},
     }
     for workload in (w["name"] for w in declared["workloads"]):
         try:
-            snapshot["workloads"][workload] = traced_run(workload, args.seed, args.seconds)
+            snapshot["workloads"][workload] = traced_run(workload)
         except RuntimeError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 1
