@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import zip_longest
 from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -126,14 +127,28 @@ def discrete_weights(scheme: WeightScheme, count: int) -> np.ndarray:
     return w
 
 
+def power_means(
+    matrix: np.ndarray, start: np.ndarray, *weights: np.ndarray
+) -> Tuple[np.ndarray, ...]:
+    """One mean sum_n w_n M^n start / sum w over n = 1..len(w) per weight vector w.
+
+    The powers M^n start are stepped once, to the longest vector, and each
+    mean is accumulated in step order: bit for bit the mean of a pass made
+    for its vector alone.
+    """
+    accs = [np.zeros(start.shape, dtype=complex) for _ in weights]
+    cur = start
+    for step in zip_longest(*(w.tolist() for w in weights)):
+        cur = matrix @ cur
+        for acc, w in zip(accs, step):
+            if w is not None:
+                acc += w * cur
+    return tuple(acc / w.sum() for acc, w in zip(accs, weights))
+
+
 def power_mean(matrix: np.ndarray, start: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """sum_n w_n M^n start / sum w over n = 1..len(w), accumulated in step order."""
-    acc = np.zeros(start.shape, dtype=complex)
-    cur = start
-    for w in weights:
-        cur = matrix @ cur
-        acc += w * cur
-    return acc / weights.sum()
+    return power_means(matrix, start, weights)[0]
 
 
 def weighted_mean_scalar(values: Sequence[complex], scheme: WeightScheme, count: int) -> complex:

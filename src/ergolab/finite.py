@@ -19,7 +19,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .averaging import WeightScheme, discrete_weights, power_mean
+from .averaging import WeightScheme, discrete_weights, power_mean, power_means
 
 TENSOR_DIMENSION_CAP = 4096
 
@@ -38,10 +38,12 @@ def _as_matrix(m, d: Optional[int] = None) -> np.ndarray:
 
 
 def _check_markov(t: np.ndarray, commutative: bool) -> None:
-    """Refuse a transition that is not unital, or (commutative) not nonnegative."""
+    """Refuse a transition that is not unital, or (commutative) not real and nonnegative."""
     ones = np.ones(t.shape[0])
     if np.max(np.abs(t @ ones - ones)) > 1e-9:
         raise ValueError("transition matrix must fix the all-ones vector")
+    if commutative and np.max(np.abs(t.imag)) > 1e-12:
+        raise ValueError("commutative Markov matrix must be real")
     if commutative and np.min(t.real) < -1e-12:
         raise ValueError("commutative Markov matrix must be entrywise nonnegative")
 
@@ -329,14 +331,15 @@ def invariant_mean_projection(
     raising on failure), then squares the mean to its idempotent limit; the
     squaring sharpens every sub-unit eigenvalue to zero quadratically, so a
     convergent mean certifies the unique invariant idempotent.  Raises
-    ``ValueError`` unless the transition is a Markov matrix: unital and
+    ``ValueError`` unless the transition is a Markov matrix: unital, real and
     entrywise nonnegative, as ``MarkovSystem`` checks a commutative system.
     """
     t = _as_matrix(transition)
     _check_markov(t, commutative=True)
     start = np.eye(t.shape[0], dtype=complex)
-    mean = power_mean(t, start, discrete_weights(scheme, sweep))
-    double = power_mean(t, start, discrete_weights(scheme, 2 * sweep))
+    mean, double = power_means(
+        t, start, discrete_weights(scheme, sweep), discrete_weights(scheme, 2 * sweep)
+    )
     cauchy = float(np.max(np.abs(mean - double)))
     if cauchy > cauchy_tolerance:
         raise NonConvergenceError(

@@ -1,12 +1,16 @@
-"""Couplings and joinings of finite permutation systems, with LP certificates.
+"""Couplings and joinings of finite permutation systems, with exact and LP certificates.
 
 A classical system here is a finite set with a permutation and an invariant
 probability vector.  A coupling is a nonnegative matrix with the two measures
 as marginals; a joining is additionally invariant under the product
 permutation, possibly with prescribed masses on an invariant partition (the
 factor).  The joining set is then a polytope cut out by linear equalities,
-so relative disjointness (the polytope being a single point) is certified by
-minimizing and maximizing every coordinate with the simplex solver.
+and relative disjointness is the polytope being a single point.  A joining
+is constant on each orbit of the product permutation, so the question is
+first asked of the orbit quotient -- one unknown per orbit -- and settled by
+exact ``Fraction`` elimination whenever that small system names a single
+nonnegative point.  Otherwise it is certified by minimizing and maximizing
+every coordinate with the simplex solver.
 
 Measures and couplings are kept as exact fractions; weighted orbit averages
 of a coupling stay exact whenever the weights are rational.
@@ -16,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -216,12 +221,19 @@ def factor_cells(
 
 @dataclass(frozen=True)
 class JoiningPolytope:
-    """Equality constraints (with nonnegativity implied) cutting out all joinings."""
+    """Equality constraints (with nonnegativity implied) cutting out all joinings.
+
+    ``cells`` and ``cell_masses`` are the factor's partition (flat index
+    tuples, canonically ordered) and its exact masses, both empty without a
+    factor; ``a_eq`` and ``b_eq`` hold the same constraints as floats.
+    """
 
     left: PermutationSystem
     right: PermutationSystem
     a_eq: np.ndarray
     b_eq: np.ndarray
+    cells: Tuple[Tuple[int, ...], ...]
+    cell_masses: Tuple[Fraction, ...]
 
     @property
     def variables(self) -> int:
@@ -276,18 +288,21 @@ def joining_polytope(
             row[dst] += 1.0
             row[src] -= 1.0
             push(row, 0.0)
+    cells: Tuple[Tuple[int, ...], ...] = ()
+    masses: Tuple[Fraction, ...] = ()
     if factor is not None:
-        cells = factor_cells(factor, left, right)
-        for cell, mass in zip(cells, factor.cell_masses):
+        cells = tuple(tuple(cell) for cell in factor_cells(factor, left, right))
+        masses = factor.cell_masses
+        for cell, mass in zip(cells, masses):
             row = np.zeros(nvar)
-            row[cell] = 1.0
+            row[list(cell)] = 1.0
             push(row, float(mass))
-    return JoiningPolytope(left, right, np.array(rows), np.array(rhs))
+    return JoiningPolytope(left, right, np.array(rows), np.array(rhs), cells, masses)
 
 
 @dataclass(frozen=True)
 class DisjointnessReport:
-    """Coordinatewise LP certificate for uniqueness of the joining."""
+    """Exact or coordinatewise LP certificate for uniqueness of the joining."""
 
     disjoint: bool
     spread: float
@@ -295,15 +310,80 @@ class DisjointnessReport:
     witnesses: Optional[Tuple[np.ndarray, np.ndarray]]
 
 
+def _orbit_point(polytope: JoiningPolytope) -> Optional[np.ndarray]:
+    """The only joining, when the orbit quotient's equations name it exactly.
+
+    The invariance equalities make a joining constant on each orbit of the
+    product permutation.  With one unknown per orbit, the marginal and factor
+    equalities become integer orbit-count rows whose right-hand sides are the
+    exact measures and cell masses.  If that system is consistent with full
+    column rank, its solution is the only candidate, and if the solution is
+    also nonnegative the polytope is exactly that point.  Returns the point
+    expanded to an na x nb matrix of correctly rounded floats, or None when
+    the quotient does not name one.
+    """
+    left, right = polytope.left, polytope.right
+    na, nb = left.size, right.size
+    orbit_of = [-1] * (na * nb)
+    orbits = 0
+    for start in range(na * nb):
+        if orbit_of[start] >= 0:
+            continue
+        flat = start
+        while orbit_of[flat] < 0:
+            orbit_of[flat] = orbits
+            flat = left.permutation[flat // nb] * nb + right.permutation[flat % nb]
+        orbits += 1
+    if orbits > na + nb + len(polytope.cells):
+        return None  # more unknowns than equations leave a free direction
+    # one row per marginal point and per factor cell: orbit counts | mass
+    rows = [
+        [Fraction(0)] * orbits + [mass]
+        for mass in left.measure + right.measure + polytope.cell_masses
+    ]
+    for flat, orbit in enumerate(orbit_of):
+        rows[flat // nb][orbit] += 1
+        rows[na + flat % nb][orbit] += 1
+    for c, cell in enumerate(polytope.cells):
+        for flat in cell:
+            rows[na + nb + c][orbit_of[flat]] += 1
+    # Gauss-Jordan elimination; a column without a pivot leaves a free direction
+    for col in range(orbits):
+        pivot = next((i for i in range(col, len(rows)) if rows[i][col]), None)
+        if pivot is None:
+            return None
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        lead = rows[col]
+        lead[:] = [v / lead[col] for v in lead]
+        for i, row in enumerate(rows):
+            if i != col and row[col]:
+                factor = row[col]
+                row[:] = [a - factor * b for a, b in zip(row, lead)]
+    if any(row[orbits] for row in rows[orbits:]):
+        return None
+    values = [rows[orbit][orbits] for orbit in range(orbits)]
+    if min(values) < 0:
+        return None
+    return np.array([float(values[orbit]) for orbit in orbit_of]).reshape(na, nb)
+
+
 def relative_disjointness(
     polytope: JoiningPolytope, tol: float = FEASIBILITY_TOL
 ) -> DisjointnessReport:
     """Decide whether the joining polytope is a single point.
 
-    Minimizes and maximizes every coordinate; the polytope is a point exactly
-    when every spread is within tolerance.  Otherwise two joinings witnessing
-    the first wide coordinate are returned, reshaped as matrices.
+    When the orbit quotient names one nonnegative point exactly, that point
+    is the unique joining and the spread is 0.  Otherwise (a rank-deficient,
+    inconsistent or sign-violating quotient) every coordinate is minimized
+    and maximized; the polytope is a point exactly when every spread is
+    within tolerance.  Otherwise two joinings witnessing the first wide
+    coordinate are returned, reshaped as matrices.
     """
+    exact = _orbit_point(polytope)
+    if exact is not None:
+        return DisjointnessReport(
+            disjoint=True, spread=0.0, unique_joining=exact, witnesses=None
+        )
     na, nb = polytope.left.size, polytope.right.size
     point = None
     worst = 0.0
@@ -357,8 +437,24 @@ def _rational_weights(scheme: WeightScheme, count: int) -> Optional[List[Fractio
     if scheme.family == "log":
         return [Fraction(1, n) for n in range(1, count + 1)]
     if scheme.family == "custom":
+        if len(scheme.samples) < count:
+            raise ValueError(f"custom scheme has {len(scheme.samples)} samples, needs {count}")
         return [_fraction(w) for w in scheme.samples[:count]]
     return None
+
+
+def _order(permutation: Sequence[int]) -> int:
+    """The order of a permutation: the lcm of its cycle lengths."""
+    order, seen = 1, set()
+    for start in range(len(permutation)):
+        length, i = 0, start
+        while i not in seen:
+            seen.add(i)
+            i = permutation[i]
+            length += 1
+        if length:
+            order = lcm(order, length)
+    return order
 
 
 def weighted_coupling_average(
@@ -371,8 +467,11 @@ def weighted_coupling_average(
     """Weighted mean of couplings transported along the product orbit.
 
     Step n transports the coupling by the n-th power of the product
-    permutation (an indexed family of couplings is cycled through).  With
-    rational weights the average is exact.
+    permutation (an indexed family of couplings is cycled through).  Step n
+    therefore depends on n only modulo L = lcm(order of each permutation,
+    family length), so the weights are summed per residue class and at most
+    L transported matrices are combined.  With rational weights the average
+    is exact.
     """
     if scheme.domain != DISCRETE:
         raise ValueError("coupling averages use a discrete scheme")
@@ -384,18 +483,19 @@ def weighted_coupling_average(
     weights = _rational_weights(scheme, count)
     if weights is None:
         raise ValueError("coupling averages need exact rational weights")
+    period = lcm(_order(left.permutation), _order(right.permutation), len(family))
     na, nb = left.size, right.size
     inv_a = left.inverse_permutation
     inv_b = right.inverse_permutation
-    # back_a[u] = sigma_A^{-n}(u), updated one step per n
+    # back_a[u] = sigma_A^{-r}(u), updated one step per residue r
     back_a = list(range(na))
     back_b = list(range(nb))
     acc = [[Fraction(0)] * nb for _ in range(na)]
-    for n in range(1, count + 1):
+    for r in range(1, min(period, count) + 1):
         back_a = [back_a[inv_a[u]] for u in range(na)]
         back_b = [back_b[inv_b[v]] for v in range(nb)]
-        mat = family[(n - 1) % len(family)].matrix
-        w = weights[n - 1]
+        mat = family[(r - 1) % len(family)].matrix
+        w = sum(weights[r - 1 :: period])
         for u in range(na):
             row = acc[u]
             src = mat[back_a[u]]

@@ -277,6 +277,30 @@ class TestErrorPaths:
         proc = run_cli(["run", str(path), "--out", str(tmp_path / "out")], tmp_path)
         assert_cli_error(proc)
 
+    def test_thm215_refuses_complex_transition(self, tmp_path):
+        # unital, with nonnegative real parts, but (0.5 + 0.5i, 0.5 - 0.5i)
+        # is no row of a Markov matrix
+        config = {
+            "experiment": "thm215",
+            "transition": [[[0.5, 0.5], [0.5, -0.5]], [0.0, 1.0]],
+            "sweep": 500,
+        }
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        proc = run_cli(["run", str(path), "--out", str(tmp_path / "out")], tmp_path)
+        assert_cli_error(proc)
+
+    def test_joinings_refuses_short_custom_scheme(self, tmp_path):
+        # two samples cannot weigh a sweep of five steps
+        config = dict(
+            base_configs()["joinings"], scheme={"family": "custom", "samples": [1, 1]}, sweep=5
+        )
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        proc = run_cli(["run", str(path), "--out", str(tmp_path / "out")], tmp_path)
+        assert_cli_error(proc)
+        assert "custom scheme has 2 samples, needs 5" in proc.stderr
+
     @pytest.mark.parametrize(
         "kind, changes",
         [

@@ -8,17 +8,31 @@ from ergolab import (
     MarkovSystem,
     NonConvergenceError,
     closed_evolution,
+    custom,
     evolve,
     four_state_system,
     invariant_mean_projection,
+    log_family,
     power,
     tensor_product,
     uniform,
     unique_ergodicity_check,
+    voronoi,
     weak_mixing_check,
 )
+from ergolab.averaging import discrete_weights, power_means
 
 P_GRID = (0.0, 0.3, 0.5, 0.9)
+
+
+def stepped_power_mean(matrix, start, weights):
+    """Oracle: sum_n w_n M^n start / sum w, one pass for one weight vector."""
+    acc = np.zeros(start.shape, dtype=complex)
+    cur = start
+    for w in weights:
+        cur = matrix @ cur
+        acc += w * cur
+    return acc / weights.sum()
 
 
 class TestFourStateSystem:
@@ -186,6 +200,41 @@ class TestInvariantMean:
         report = invariant_mean_projection(sys4.transition, power(1.0), 4000)
         assert np.max(np.abs(report.mean - sys4.proj_fixed)) < 1e-2
         assert report.lawful
+
+    @pytest.mark.parametrize(
+        "scheme",
+        [uniform(), voronoi(1.0), power(1.0), log_family(), custom([1.0, 0.5] * 200)],
+        ids=["uniform", "voronoi", "power", "log", "custom"],
+    )
+    def test_means_match_two_separate_passes(self, scheme):
+        # one pass to 2N accumulates both means; the bits are those of two
+        # passes, also for voronoi, whose 2N weights do not extend its N weights
+        t = four_state_system(0.4).transition
+        start = np.eye(4, dtype=complex)
+        sweep = 150
+        mean = stepped_power_mean(t, start, discrete_weights(scheme, sweep))
+        double = stepped_power_mean(t, start, discrete_weights(scheme, 2 * sweep))
+        report = invariant_mean_projection(t, scheme, sweep)
+        assert np.array_equal(report.mean, mean)
+        assert report.cauchy_residual == float(np.max(np.abs(mean - double)))
+
+    def test_power_means_are_separate_power_means(self):
+        t = four_state_system(0.7).transition
+        start = np.eye(4, dtype=complex)
+        weights = (
+            discrete_weights(power(1.0), 90),
+            discrete_weights(voronoi(2.0), 40),
+            discrete_weights(uniform(), 1),
+        )
+        means = power_means(t, start, *weights)
+        assert len(means) == 3
+        for mean, w in zip(means, weights):
+            assert np.array_equal(mean, stepped_power_mean(t, start, w))
+
+    def test_complex_transition_refused(self):
+        t = np.array([[0.5 + 0.5j, 0.5 - 0.5j], [0.0, 1.0]])
+        with pytest.raises(ValueError, match="real"):
+            invariant_mean_projection(t, uniform(), 10)
 
     def test_cauchy_failure_raises(self):
         sys4 = four_state_system(0.5)

@@ -1,4 +1,6 @@
+import random
 from fractions import Fraction as F
+from math import gcd
 
 import numpy as np
 import pytest
@@ -9,8 +11,10 @@ from ergolab import (
     JoiningInfeasibleError,
     PermutationSystem,
     coupling_of,
+    custom,
     joining_polytope,
     joining_vertices,
+    log_family,
     power,
     product_coupling,
     relative_disjointness,
@@ -18,6 +22,111 @@ from ergolab import (
     uniform,
     weighted_coupling_average,
 )
+from ergolab import lp
+from ergolab.joinings import _orbit_point, _rational_weights
+
+
+def stepping_coupling_average(left, right, couplings, scheme, count):
+    """Oracle: the weighted coupling average stepped one n at a time."""
+    family = [couplings] if isinstance(couplings, Coupling) else list(couplings)
+    weights = _rational_weights(scheme, count)
+    na, nb = left.size, right.size
+    inv_a = left.inverse_permutation
+    inv_b = right.inverse_permutation
+    # back_a[u] = sigma_A^{-n}(u), updated one step per n
+    back_a = list(range(na))
+    back_b = list(range(nb))
+    acc = [[F(0)] * nb for _ in range(na)]
+    for n in range(1, count + 1):
+        back_a = [back_a[inv_a[u]] for u in range(na)]
+        back_b = [back_b[inv_b[v]] for v in range(nb)]
+        mat = family[(n - 1) % len(family)].matrix
+        w = weights[n - 1]
+        for u in range(na):
+            for v in range(nb):
+                acc[u][v] += w * mat[back_a[u]][back_b[v]]
+    total = sum(weights)
+    return tuple(tuple(entry / total for entry in row) for row in acc)
+
+
+def random_system(rng, size):
+    """A random permutation of 0..size-1 in a few cycles, with an invariant
+    measure that puts zero mass on some cycles."""
+    points = rng.sample(range(size), size)
+    cuts = sorted(rng.sample(range(1, size), rng.randint(0, size - 1)))
+    cycles = [points[i:j] for i, j in zip([0] + cuts, cuts + [size])]
+    permutation = [0] * size
+    for cycle in cycles:
+        for i, p in enumerate(cycle):
+            permutation[p] = cycle[(i + 1) % len(cycle)]
+    weights = [rng.choice([0, 0, 1, 2, 3]) for _ in cycles]
+    if not any(weights):
+        weights[0] = 1
+    total = sum(w * len(c) for w, c in zip(weights, cycles))
+    measure = [F(0)] * size
+    for w, cycle in zip(weights, cycles):
+        for p in cycle:
+            measure[p] = F(w, total)
+    return PermutationSystem(tuple(permutation), tuple(measure))
+
+
+def orbit_factor(rng, left, right):
+    """A factor whose cells are unions of product orbits, with random masses."""
+    na, nb = left.size, right.size
+    label = {}
+    for start in range(na * nb):
+        flat = start
+        while flat not in label:
+            label[flat] = start
+            flat = left.permutation[flat // nb] * nb + right.permutation[flat % nb]
+    modulus = rng.randint(1, 3)
+    gen = tuple(
+        tuple(F(label[x * nb + y] % modulus) for y in range(nb)) for x in range(na)
+    )
+    cells = len({v for row in gen for v in row})
+    weights = [rng.choice([0, 1, 2, 5]) for _ in range(cells)]
+    if not any(weights):
+        weights[-1] = 1
+    return FactorSpec((gen,), tuple(F(w, sum(weights)) for w in weights))
+
+
+def certificate_corpus():
+    """(label, polytope) pairs: random permutation pairs with and without an
+    orbit factor, and rotation pairs with and without the (x - y) mod g factor."""
+    rng = random.Random(20121)
+    corpus = []
+    for i in range(40):
+        left = random_system(rng, rng.randint(1, 4))
+        right = random_system(rng, rng.randint(1, 4))
+        factor = orbit_factor(rng, left, right) if i % 2 else None
+        corpus.append((f"random-{i}", joining_polytope(left, right, factor)))
+    for a in range(2, 6):
+        for b in range(2, 6):
+            corpus.append((f"rotation-{a}x{b}", joining_polytope(rotation(a), rotation(b))))
+            g = gcd(a, b)
+            if g > 1:
+                weights = [rng.randint(1, 5) for _ in range(g)]
+                factor = FactorSpec(
+                    ([[F((x - y) % g) for y in range(b)] for x in range(a)],),
+                    tuple(F(w, sum(weights)) for w in weights),
+                )
+                pol = joining_polytope(rotation(a), rotation(b), factor)
+                corpus.append((f"rotation-{a}x{b}-factor", pol))
+    return corpus
+
+
+@pytest.fixture
+def simplex_calls(monkeypatch):
+    """Counts the float simplex solves made while the test runs."""
+    calls = []
+    solve = lp.simplex_minimize
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(lp, "simplex_minimize", counted)
+    return calls
 
 
 class TestClassicalSystems:
@@ -110,6 +219,49 @@ class TestJoiningPolytope:
                 for y in range(2):
                     pushed[two.permutation[x], two.permutation[y]] = v[x, y]
             assert pol.residual(pushed) < 1e-12
+
+
+class TestQuotientCertificate:
+    def test_agrees_with_vertex_enumeration(self):
+        # the independent oracle decides every case: one vertex iff disjoint,
+        # and no vertex iff the prescription is infeasible
+        paths = set()
+        for label, pol in certificate_corpus():
+            vertices = joining_vertices(pol)
+            exact = _orbit_point(pol) is not None
+            if not vertices:
+                with pytest.raises(JoiningInfeasibleError):
+                    relative_disjointness(pol)
+                paths.add("infeasible")
+                continue
+            rep = relative_disjointness(pol)
+            assert rep.disjoint == (len(vertices) == 1), label
+            if rep.disjoint:
+                assert np.max(np.abs(rep.unique_joining - vertices[0])) < 1e-12, label
+                assert rep.spread == 0.0 or not exact, label
+            paths.add(("exact" if exact else "lp", rep.disjoint))
+        assert paths == {("exact", True), ("lp", True), ("lp", False), "infeasible"}
+
+    def test_exact_point_is_correctly_rounded(self):
+        rep = relative_disjointness(joining_polytope(rotation(9), rotation(10)))
+        assert rep.disjoint and rep.spread == 0.0 and rep.witnesses is None
+        assert np.all(rep.unique_joining == float(F(1, 90)))
+
+    def test_coprime_pair_makes_no_simplex_solve(self, simplex_calls):
+        rep = relative_disjointness(joining_polytope(rotation(7), rotation(8)))
+        assert rep.disjoint
+        assert simplex_calls == []
+
+    def test_rank_deficient_single_point_falls_back(self, simplex_calls):
+        # a zero-mass 2-cycle leaves the quotient two orbits it cannot tell
+        # apart, yet nonnegativity pins both to 0: the LP certifies the point
+        left = PermutationSystem((0, 2, 1), (1, 0, 0))
+        pol = joining_polytope(left, rotation(2))
+        assert _orbit_point(pol) is None
+        rep = relative_disjointness(pol)
+        assert rep.disjoint
+        assert simplex_calls
+        assert np.allclose(rep.unique_joining, [[0.5, 0.5], [0.0, 0.0], [0.0, 0.0]])
 
 
 class TestFactors:
@@ -226,6 +378,36 @@ class TestCouplingAverages:
         avg = weighted_coupling_average(two, still, kappa, uniform(), 4)
         assert avg.matrix == tuple((F(1, 4), F(1, 4)) for _ in range(2))
         assert np.max(np.abs(avg.as_array() - rep.unique_joining)) < 1e-9
+
+    @pytest.mark.parametrize(
+        "scheme",
+        [uniform(), power(1.0), log_family(), custom([0.25, 2.0, 0.3, 0.0, 1.0] * 8)],
+        ids=["uniform", "power", "log", "custom"],
+    )
+    def test_residue_sums_equal_stepping_oracle(self, scheme):
+        a = PermutationSystem((1, 0, 3, 4, 2), (F(1, 4), F(1, 4), F(1, 6), F(1, 6), F(1, 6)))
+        b = rotation(4)
+        k1 = product_coupling(a, b)
+        k2 = coupling_of(a, b, [
+            ["1/4", "0", "0", "0"],
+            ["0", "1/4", "0", "0"],
+            ["0", "0", "1/12", "1/12"],
+            ["0", "0", "1/6", "0"],
+            ["0", "0", "0", "1/6"],
+        ])
+        for family, count in (([k2], 37), ([k1, k2], 40), ([k2, k1, k2], 7), ([k2], 1)):
+            avg = weighted_coupling_average(a, b, family, scheme, count)
+            assert avg.matrix == stepping_coupling_average(a, b, family, scheme, count)
+
+    def test_short_custom_scheme_refused(self):
+        # the stepping loop ran out of weights; summing residues must not
+        # quietly average fewer steps than asked
+        a, b = rotation(2), rotation(3)
+        k = product_coupling(a, b)
+        with pytest.raises(ValueError, match="custom scheme has 2 samples, needs 5"):
+            weighted_coupling_average(a, b, k, custom([1.0, 1.0]), 5)
+        avg = weighted_coupling_average(a, b, k, custom([1.0, 1.0]), 2)
+        assert avg.matrix == stepping_coupling_average(a, b, k, custom([1.0, 1.0]), 2)
 
     def test_cycled_family(self):
         a, b = rotation(2), rotation(3)
