@@ -43,7 +43,6 @@ from .finite import (
     MeanCheckReport,
     NonConvergenceError,
     closed_evolution,
-    evolve,
     four_state_system,
     invariant_mean_projection,
     tensor_product,

@@ -24,6 +24,7 @@ import numpy as np
 
 _CHUNK = 1 << 17
 _SUBSTEP = 0.01
+_NULL_THRESHOLD = 1e-10  # fixed_space_projection: spectrum at most this counts as zero
 
 DISCRETE = "discrete"
 CONTINUOUS = "continuous"
@@ -199,7 +200,7 @@ def _weight_values(scheme: WeightScheme, index: float, ts: np.ndarray) -> np.nda
     raise SchemeError(f"family {scheme.family!r} has no continuous form")
 
 
-def _plan(scheme: WeightScheme, index: float, substep: float, cell: Optional[float] = None):
+def _plan(scheme: WeightScheme, index: float, cell: Optional[float] = None):
     """Quadrature plan: grid window, closed-form head/tail mass, head/tail times.
 
     Power and voronoi weights with negative exponent have an integrable
@@ -209,7 +210,7 @@ def _plan(scheme: WeightScheme, index: float, substep: float, cell: Optional[flo
     a, b = window(scheme, index)
     head = tail = 0.0
     s = scheme.exponent
-    width = substep if cell is None else min(cell, (b - a) / 4.0)
+    width = _SUBSTEP if cell is None else min(cell, (b - a) / 4.0)
     if scheme.family == "power" and s is not None and s < 0:
         head = width ** (s + 1.0) / (s + 1.0)
         a += width
@@ -221,7 +222,7 @@ def _plan(scheme: WeightScheme, index: float, substep: float, cell: Optional[flo
     return a, b, head, tail
 
 
-def normalizer(scheme: WeightScheme, index: float, substep: float = _SUBSTEP) -> float:
+def normalizer(scheme: WeightScheme, index: float) -> float:
     """Quadrature value of the weight integral over the window.
 
     The singular head cell is exact here (the integrand is the bare weight),
@@ -229,8 +230,8 @@ def normalizer(scheme: WeightScheme, index: float, substep: float = _SUBSTEP) ->
     """
     if scheme.domain != CONTINUOUS:
         return float(discrete_weights(scheme, int(index)).sum())
-    a, b, head, tail = _plan(scheme, index, substep, cell=0.5)
-    ts, coeff = _simpson_grid(a, b, substep)
+    a, b, head, tail = _plan(scheme, index, cell=0.5)
+    ts, coeff = _simpson_grid(a, b, _SUBSTEP)
     return float((coeff * _weight_values(scheme, index, ts)).sum() + head + tail)
 
 
@@ -274,18 +275,23 @@ class UnitaryFlow:
         return out
 
 
-def _coefficient_total(coeff: np.ndarray) -> float:
-    """Chunked total of quadrature coefficients.
+def _spectral_sum(
+    flow: UnitaryFlow, x: np.ndarray, ts: np.ndarray, weights: np.ndarray
+) -> Tuple[np.ndarray, float]:
+    """Numerator sum_t w_t U_t x and denominator sum_t w_t of a quadrature mean.
 
-    Mirrors the reduction in ``phase_sums`` exactly, so a zero eigenvalue's
-    phase sum equals the plain coefficient total bit for bit and constant
-    flows average to their input with no rounding residue.
+    The numerator is formed on the eigenbasis, V (phase sums * V* x).  The
+    denominator is chunked exactly as ``phase_sums`` reduces, so a zero
+    eigenvalue's phase sum equals it bit for bit and constant flows average
+    to their input with no rounding residue.
     """
-    total = 0.0
-    for start in range(0, coeff.shape[0], _CHUNK):
-        c_chunk = coeff[start : start + _CHUNK]
-        total += c_chunk @ np.ones_like(c_chunk)
-    return total
+    v = flow.eigenvectors
+    numerator = v @ (flow.phase_sums(ts, weights) * (v.conj().T @ x))
+    denominator = 0.0
+    for start in range(0, weights.shape[0], _CHUNK):
+        w_chunk = weights[start : start + _CHUNK]
+        denominator += w_chunk @ np.ones_like(w_chunk)
+    return numerator, denominator
 
 
 class PowerContraction:
@@ -308,7 +314,7 @@ class PowerContraction:
 Flow = Union[UnitaryFlow, PowerContraction]
 
 
-def fixed_space_projection(flow: Flow, threshold: float = 1e-10) -> np.ndarray:
+def fixed_space_projection(flow: Flow) -> np.ndarray:
     """Orthogonal projection onto the common fixed space of the flow.
 
     Continuous: the kernel of the generator.  Discrete: the kernel of U - I,
@@ -317,45 +323,37 @@ def fixed_space_projection(flow: Flow, threshold: float = 1e-10) -> np.ndarray:
     """
     if isinstance(flow, UnitaryFlow):
         lam = np.abs(flow.eigenvalues)
-        if np.any((lam > threshold) & (lam < 100 * threshold)):
+        if np.any((lam > _NULL_THRESHOLD) & (lam < 100 * _NULL_THRESHOLD)):
             raise IllConditionedError(
-                f"generator eigenvalues within (1, 100) x {threshold} of zero: "
+                f"generator eigenvalues within (1, 100) x {_NULL_THRESHOLD} of zero: "
                 f"{sorted(lam)}"
             )
-        cols = flow.eigenvectors[:, lam <= threshold]
+        cols = flow.eigenvectors[:, lam <= _NULL_THRESHOLD]
         return cols @ cols.conj().T
     m = flow.matrix - np.eye(flow.dimension)
     _, svals, vh = np.linalg.svd(m)
     scale = max(1.0, float(svals[0]) if svals.size else 1.0)
-    if np.any((svals > threshold * scale) & (svals < 100 * threshold * scale)):
+    if np.any((svals > _NULL_THRESHOLD * scale) & (svals < 100 * _NULL_THRESHOLD * scale)):
         raise IllConditionedError(
             f"singular values of U - I crowd the null threshold: {svals}"
         )
-    null = vh[svals <= threshold * scale].conj().T
+    null = vh[svals <= _NULL_THRESHOLD * scale].conj().T
     return null @ null.conj().T
 
 
 def _continuous_flow_mean(
     flow: UnitaryFlow, x: np.ndarray, scheme: WeightScheme, index: float
 ) -> np.ndarray:
+    a, b, head, tail = _plan(scheme, index)
     if scheme.family == "log":
         # geometric grid: integrate in u = log t, where the weight is flat
-        top = math.log(index)
         substep = min(_SUBSTEP, 0.2 / (1.0 + flow.max_frequency * index))
-        us, coeff = _simpson_grid(0.0, top, substep)
+        us, weights = _simpson_grid(0.0, math.log(b), substep)
         ts = np.exp(us)
-        y = flow.eigenvectors.conj().T @ x
-        sums = flow.phase_sums(ts, coeff)
-        numerator = flow.eigenvectors @ (sums * y)
-        denominator = _coefficient_total(coeff)
-        return numerator / denominator
-    a, b, head, tail = _plan(scheme, index, _SUBSTEP)
-    ts, coeff = _simpson_grid(a, b, _SUBSTEP)
-    weights = coeff * _weight_values(scheme, index, ts)
-    y = flow.eigenvectors.conj().T @ x
-    sums = flow.phase_sums(ts, weights)
-    numerator = flow.eigenvectors @ (sums * y)
-    denominator = _coefficient_total(weights)
+    else:
+        ts, coeff = _simpson_grid(a, b, _SUBSTEP)
+        weights = coeff * _weight_values(scheme, index, ts)
+    numerator, denominator = _spectral_sum(flow, x, ts, weights)
     if head:
         numerator = numerator + head * x
         denominator += head
@@ -411,7 +409,6 @@ def transformed_average_check(
     of variable, so they must agree within quadrature error.
     """
     vec = np.asarray(x, dtype=complex)
-    y = flow.eigenvectors.conj().T @ vec
     if isinstance(variant, PowerSubstitution):
         s = variant.exponent
         if not -1.0 < s <= 4.0:
@@ -420,16 +417,14 @@ def transformed_average_check(
             flow, vec, power(s, CONTINUOUS), index ** (1.0 / (s + 1.0))
         )
         ts, coeff = _simpson_grid(0.0, float(index), _SUBSTEP)
-        sums = flow.phase_sums(ts ** (1.0 / (s + 1.0)), coeff)
-        substituted = flow.eigenvectors @ (sums * y) / _coefficient_total(coeff)
-        return weighted, substituted
+        numerator, denominator = _spectral_sum(flow, vec, ts ** (1.0 / (s + 1.0)), coeff)
+        return weighted, numerator / denominator
     top = float(index)
     weighted = weighted_mean_flow(flow, vec, log_family(CONTINUOUS), math.exp(top))
     substep = min(_SUBSTEP, 0.4 / (1.0 + flow.max_frequency * math.exp(top)))
     ts, coeff = _simpson_grid(0.0, top, substep)
-    sums = flow.phase_sums(np.exp(ts), coeff)
-    substituted = flow.eigenvectors @ (sums * y) / _coefficient_total(coeff)
-    return weighted, substituted
+    numerator, denominator = _spectral_sum(flow, vec, np.exp(ts), coeff)
+    return weighted, numerator / denominator
 
 
 # -- averaging-net defects ---------------------------------------------------------

@@ -138,10 +138,14 @@ def _integer(value: Any, where: str) -> int:
 
 
 def _number(value: Any, where: str) -> float:
+    """A finite float; booleans, NaN and the infinities are refused."""
     try:
-        return float(value)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{where}: expected a number, got {value!r}") from None
+        number = float(value)
+    except (TypeError, ValueError, OverflowError):
+        number = math.nan
+    if isinstance(value, bool) or not math.isfinite(number):
+        raise ConfigError(f"{where}: expected a finite number, got {value!r}")
+    return number
 
 
 def _rational(value: Any, where: str) -> Any:
@@ -164,7 +168,7 @@ def _parse_indices(value: Any) -> List[float]:
         raise ConfigError("indices: expected a nonempty list")
     out = []
     for entry in value:
-        if not isinstance(entry, (int, float)) or isinstance(entry, bool) or entry <= 0:
+        if not isinstance(entry, (int, float)) or _number(entry, "indices[]") <= 0:
             raise ConfigError("indices: entries must be positive numbers")
         out.append(entry)
     return out
@@ -273,7 +277,7 @@ def _parse_scheme(config: Dict, default_domain: str) -> WeightScheme:
 
 def _parse_complex_cell(value: Any, where: str) -> complex:
     if isinstance(value, (int, float)):
-        return complex(value)
+        return complex(_number(value, where))
     if isinstance(value, list) and len(value) == 2:
         return complex(_number(value[0], where), _number(value[1], where))
     raise ConfigError(f"{where}: matrix entries are numbers or [re, im] pairs")
@@ -462,7 +466,7 @@ def _run_mean_ergodic(config: Dict) -> _Outcome:
 def _run_folner_defect(config: Dict) -> _Outcome:
     scheme = _parse_scheme(config, CONTINUOUS)
     shift = config["shift"]
-    if not isinstance(shift, (int, float)) or isinstance(shift, bool) or shift <= 0:
+    if not isinstance(shift, (int, float)) or _number(shift, "shift") <= 0:
         raise ConfigError("shift must be positive")
     indices = _parse_indices(config["indices"])
     defects = [folner_defect(scheme, shift, index) for index in indices]

@@ -20,16 +20,72 @@ from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
 from .words import Alphabet, AlphabetError, Word, invert_runs, merge_runs, shift_runs
 
 PRUNE_TOL = 1e-14
+CLOSE_TOL = 1e-12  # is_close: largest coefficient distance
+UNIT_TOL = 1e-9  # states: largest deviation of a norm, or of a weight total, from 1
 
 
 def _pruned(terms: Dict[tuple, complex]) -> Dict[tuple, complex]:
     return {runs: c for runs, c in terms.items() if abs(c) > PRUNE_TOL}
 
 
-class AlgebraElement:
-    """Finite sum of coefficients times group unitaries, keyed by reduced runs."""
+def _convolve(left: Dict[tuple, complex], right: Dict[tuple, complex]) -> Dict[tuple, complex]:
+    """Pruned term table of sum_u sum_v left[u] right[v] [u v]: products and the action."""
+    acc: Dict[tuple, complex] = {}
+    for ru, cu in left.items():
+        for rv, cv in right.items():
+            w = merge_runs(ru, rv)
+            acc[w] = acc.get(w, 0.0) + cu * cv
+    return _pruned(acc)
+
+
+class _TermTable:
+    """Finite complex combination of group elements keyed by reduced runs.
+
+    The linear structure shared by algebra elements and l2 vectors; each
+    subclass keeps its own ``__init__``.
+    """
 
     __slots__ = ("alphabet", "_terms")
+
+    @classmethod
+    def from_terms(cls, alphabet: Alphabet, pairs: Iterable[Tuple[Word, complex]]):
+        acc: Dict[tuple, complex] = {}
+        for word, c in pairs:
+            acc[word.runs] = acc.get(word.runs, 0.0) + complex(c)
+        return cls(alphabet, acc)
+
+    def __len__(self) -> int:
+        return len(self._terms)
+
+    def items(self) -> Iterator[Tuple[Word, complex]]:
+        for runs, c in self._terms.items():
+            yield Word(self.alphabet, runs), c
+
+    def _check_compatible(self, other: "_TermTable") -> None:
+        if self.alphabet is not other.alphabet and self.alphabet != other.alphabet:
+            raise AlphabetError("operands come from different alphabets")
+
+    def __add__(self, other):
+        self._check_compatible(other)
+        acc = dict(self._terms)
+        for runs, c in other._terms.items():
+            acc[runs] = acc.get(runs, 0.0) + c
+        return type(self)(self.alphabet, _pruned(acc), _trusted=True)
+
+    def __sub__(self, other):
+        return self + (-1.0) * other
+
+    def __rmul__(self, scalar):
+        s = complex(scalar)
+        return type(self)(
+            self.alphabet, _pruned({r: s * c for r, c in self._terms.items()}), _trusted=True
+        )
+
+
+class AlgebraElement(_TermTable):
+    """Finite sum of coefficients times group unitaries, keyed by reduced runs."""
+
+    __slots__ = ()
 
     def __init__(self, alphabet: Alphabet, terms: Dict[tuple, complex], *, _trusted=False):
         self.alphabet = alphabet
@@ -50,24 +106,10 @@ class AlgebraElement:
         """The group unitary of ``word`` (scaled), a single-term element."""
         return cls(word.alphabet, {word.runs: complex(coefficient)})
 
-    @classmethod
-    def from_terms(cls, alphabet: Alphabet, pairs: Iterable[Tuple[Word, complex]]) -> "AlgebraElement":
-        acc: Dict[tuple, complex] = {}
-        for word, c in pairs:
-            acc[word.runs] = acc.get(word.runs, 0.0) + complex(c)
-        return cls(alphabet, acc)
-
     # -- inspection ----------------------------------------------------------
-
-    def __len__(self) -> int:
-        return len(self._terms)
 
     def __bool__(self) -> bool:
         return bool(self._terms)
-
-    def items(self) -> Iterator[Tuple[Word, complex]]:
-        for runs, c in self._terms.items():
-            yield Word(self.alphabet, runs), c
 
     def coefficient(self, word: Word) -> complex:
         return self._terms.get(word.runs, 0.0 + 0.0j)
@@ -86,8 +128,8 @@ class AlgebraElement:
             return 0.0
         return max(abs(self._terms.get(k, 0.0) - other._terms.get(k, 0.0)) for k in keys)
 
-    def is_close(self, other: "AlgebraElement", tol: float = 1e-12) -> bool:
-        return self.distance(other) <= tol
+    def is_close(self, other: "AlgebraElement") -> bool:
+        return self.distance(other) <= CLOSE_TOL
 
     def __repr__(self) -> str:
         shown = []
@@ -99,39 +141,15 @@ class AlgebraElement:
 
     # -- ring structure --------------------------------------------------------
 
-    def _check_compatible(self, other: "AlgebraElement") -> None:
-        if self.alphabet is not other.alphabet and self.alphabet != other.alphabet:
-            raise AlphabetError("elements come from different alphabets")
-
-    def __add__(self, other: "AlgebraElement") -> "AlgebraElement":
-        self._check_compatible(other)
-        acc = dict(self._terms)
-        for runs, c in other._terms.items():
-            acc[runs] = acc.get(runs, 0.0) + c
-        return AlgebraElement(self.alphabet, _pruned(acc), _trusted=True)
-
-    def __sub__(self, other: "AlgebraElement") -> "AlgebraElement":
-        return self + (-1.0) * other
-
     def __neg__(self) -> "AlgebraElement":
         return (-1.0) * self
 
     def __mul__(self, other) -> "AlgebraElement":
         if isinstance(other, AlgebraElement):
             self._check_compatible(other)
-            acc: Dict[tuple, complex] = {}
-            for ru, cu in self._terms.items():
-                for rv, cv in other._terms.items():
-                    w = merge_runs(ru, rv)
-                    acc[w] = acc.get(w, 0.0) + cu * cv
-            return AlgebraElement(self.alphabet, _pruned(acc), _trusted=True)
+            terms = _convolve(self._terms, other._terms)
+            return AlgebraElement(self.alphabet, terms, _trusted=True)
         return self.__rmul__(other)
-
-    def __rmul__(self, scalar) -> "AlgebraElement":
-        s = complex(scalar)
-        return AlgebraElement(
-            self.alphabet, _pruned({r: s * c for r, c in self._terms.items()}), _trusted=True
-        )
 
     def adjoint(self) -> "AlgebraElement":
         """Conjugate coefficients on inverted words."""
@@ -168,14 +186,8 @@ class AlgebraElement:
 
     def apply(self, vec: "L2Vector") -> "L2Vector":
         """Left action extending unitary(g) delta_h = delta_{g h}."""
-        if self.alphabet != vec.alphabet:
-            raise AlphabetError("element and vector come from different alphabets")
-        acc: Dict[tuple, complex] = {}
-        for rg, cg in self._terms.items():
-            for rh, xh in vec._amp.items():
-                w = merge_runs(rg, rh)
-                acc[w] = acc.get(w, 0.0) + cg * xh
-        return L2Vector(self.alphabet, _pruned(acc), _trusted=True)
+        self._check_compatible(vec)
+        return L2Vector(self.alphabet, _convolve(self._terms, vec._terms), _trusted=True)
 
     # -- serialization ------------------------------------------------------------
 
@@ -187,22 +199,21 @@ class AlgebraElement:
 
     @classmethod
     def from_json(cls, alphabet: Alphabet, data: Sequence[dict]) -> "AlgebraElement":
-        acc: Dict[tuple, complex] = {}
-        for entry in data:
-            word = alphabet.word(entry["word"])
-            c = complex(float(entry.get("re", 0.0)), float(entry.get("im", 0.0)))
-            acc[word.runs] = acc.get(word.runs, 0.0) + c
-        return cls(alphabet, acc)
+        pairs = (
+            (alphabet.word(e["word"]), complex(float(e.get("re", 0.0)), float(e.get("im", 0.0))))
+            for e in data
+        )
+        return cls.from_terms(alphabet, pairs)
 
 
-class L2Vector:
+class L2Vector(_TermTable):
     """Finitely supported vector in l2 of the group, keyed by reduced runs."""
 
-    __slots__ = ("alphabet", "_amp")
+    __slots__ = ()
 
     def __init__(self, alphabet: Alphabet, amplitudes: Dict[tuple, complex], *, _trusted=False):
         self.alphabet = alphabet
-        self._amp = (
+        self._terms = (
             amplitudes
             if _trusted
             else _pruned({r: complex(c) for r, c in amplitudes.items()})
@@ -213,44 +224,15 @@ class L2Vector:
         """The standard basis vector supported on one group element."""
         return cls(word.alphabet, {word.runs: 1.0 + 0.0j}, _trusted=True)
 
-    @classmethod
-    def from_terms(cls, alphabet: Alphabet, pairs: Iterable[Tuple[Word, complex]]) -> "L2Vector":
-        acc: Dict[tuple, complex] = {}
-        for word, c in pairs:
-            acc[word.runs] = acc.get(word.runs, 0.0) + complex(c)
-        return cls(alphabet, acc)
-
-    def items(self) -> Iterator[Tuple[Word, complex]]:
-        for runs, c in self._amp.items():
-            yield Word(self.alphabet, runs), c
-
     def amplitude(self, word: Word) -> complex:
-        return self._amp.get(word.runs, 0.0 + 0.0j)
-
-    def __len__(self) -> int:
-        return len(self._amp)
-
-    def __add__(self, other: "L2Vector") -> "L2Vector":
-        acc = dict(self._amp)
-        for r, c in other._amp.items():
-            acc[r] = acc.get(r, 0.0) + c
-        return L2Vector(self.alphabet, _pruned(acc), _trusted=True)
-
-    def __sub__(self, other: "L2Vector") -> "L2Vector":
-        return self + (-1.0) * other
-
-    def __rmul__(self, scalar) -> "L2Vector":
-        s = complex(scalar)
-        return L2Vector(
-            self.alphabet, _pruned({r: s * c for r, c in self._amp.items()}), _trusted=True
-        )
+        return self._terms.get(word.runs, 0.0 + 0.0j)
 
     def inner(self, other: "L2Vector") -> complex:
         """Inner product, conjugate-linear in the first argument."""
         small, big, conj_first = (
-            (self._amp, other._amp, True)
-            if len(self._amp) <= len(other._amp)
-            else (other._amp, self._amp, False)
+            (self._terms, other._terms, True)
+            if len(self._terms) <= len(other._terms)
+            else (other._terms, self._terms, False)
         )
         total = 0.0 + 0.0j
         for r, c in small.items():
@@ -260,7 +242,7 @@ class L2Vector:
         return total
 
     def norm(self) -> float:
-        return math.sqrt(sum(abs(c) ** 2 for c in self._amp.values()))
+        return math.sqrt(sum(abs(c) ** 2 for c in self._terms.values()))
 
     def normalized(self) -> "L2Vector":
         n = self.norm()
@@ -270,9 +252,9 @@ class L2Vector:
 
     def __repr__(self) -> str:
         shown = ", ".join(
-            f"[{Word(self.alphabet, r)}]: {c:.3g}" for r, c in list(self._amp.items())[:4]
+            f"[{Word(self.alphabet, r)}]: {c:.3g}" for r, c in list(self._terms.items())[:4]
         )
-        tail = ", ..." if len(self._amp) > 4 else ""
+        tail = ", ..." if len(self._terms) > 4 else ""
         return f"L2Vector({shown}{tail})"
 
 
@@ -309,22 +291,22 @@ class State:
         return cls(cls._TRACE)
 
     @classmethod
-    def vector_state(cls, x: L2Vector, *, tol: float = 1e-9) -> "State":
-        if abs(x.norm() - 1.0) > tol:
+    def vector_state(cls, x: L2Vector) -> "State":
+        if abs(x.norm() - 1.0) > UNIT_TOL:
             raise ValueError(f"vector state needs a unit vector, got norm {x.norm()!r}")
         return cls(cls._VECTOR, vector=x)
 
     @classmethod
-    def mixture(cls, pairs: Sequence[Tuple[float, L2Vector]], *, tol: float = 1e-9) -> "State":
+    def mixture(cls, pairs: Sequence[Tuple[float, L2Vector]]) -> "State":
         pairs = [(float(p), x) for p, x in pairs]
         if not pairs:
             raise ValueError("mixture needs at least one component")
         if any(p <= 0 for p, _ in pairs):
             raise ValueError("mixture weights must be positive")
-        if abs(sum(p for p, _ in pairs) - 1.0) > tol:
+        if abs(sum(p for p, _ in pairs) - 1.0) > UNIT_TOL:
             raise ValueError("mixture weights must sum to 1")
         for _, x in pairs:
-            if abs(x.norm() - 1.0) > tol:
+            if abs(x.norm() - 1.0) > UNIT_TOL:
                 raise ValueError("mixture components must be unit vectors")
         return cls(cls._MIXTURE, components=tuple(pairs))
 
@@ -375,8 +357,8 @@ class State:
             pairs = list(self.components)
         acc: Dict[tuple, complex] = {}
         for p, x in pairs:
-            for rf, cf in x._amp.items():
-                for rh, ch in x._amp.items():
+            for rf, cf in x._terms.items():
+                for rh, ch in x._terms.items():
                     w = merge_runs(rf, invert_runs(rh))
                     acc[w] = acc.get(w, 0.0) + p * cf.conjugate() * ch
         return _pruned(acc)

@@ -76,12 +76,6 @@ class MarkovSystem:
         return self.transition.shape[0]
 
 
-def evolve(transition, x, n: int) -> np.ndarray:
-    """n-th power of the transition applied to a vector, by repeated squaring."""
-    t = _as_matrix(transition)
-    return np.linalg.matrix_power(t, n) @ np.asarray(x, dtype=complex)
-
-
 # -- the 4-state example ------------------------------------------------------
 
 

@@ -30,6 +30,9 @@ from .lp import FEASIBILITY_TOL, coordinate_range, polytope_vertices
 
 Rational = Union[int, str, Fraction, float]
 
+# coupling_of: largest exact deviation of a marginal from the system's measure
+MARGINAL_TOL = Fraction(1, 10**9)
+
 
 class JoiningInfeasibleError(RuntimeError):
     """The prescribed factor masses admit no joining at all."""
@@ -124,17 +127,16 @@ def coupling_of(
     left: PermutationSystem,
     right: PermutationSystem,
     matrix: Sequence[Sequence[Rational]],
-    tol: Fraction = Fraction(1, 10**9),
 ) -> Coupling:
     """Validate a matrix as a coupling of the two systems' measures."""
     c = Coupling(tuple(tuple(_fraction(v) for v in row) for row in matrix))
     if c.shape != (left.size, right.size):
         raise ValueError(f"coupling must be {left.size} x {right.size}")
     for i, s in enumerate(c.row_sums()):
-        if abs(s - left.measure[i]) > tol:
+        if abs(s - left.measure[i]) > MARGINAL_TOL:
             raise ValueError(f"row {i} sums to {s}, expected {left.measure[i]}")
     for j, s in enumerate(c.column_sums()):
-        if abs(s - right.measure[j]) > tol:
+        if abs(s - right.measure[j]) > MARGINAL_TOL:
             raise ValueError(f"column {j} sums to {s}, expected {right.measure[j]}")
     return c
 
@@ -146,6 +148,15 @@ def product_coupling(left: PermutationSystem, right: PermutationSystem) -> Coupl
             for i in range(left.size)
         )
     )
+
+
+def _product_map(left: PermutationSystem, right: PermutationSystem) -> List[int]:
+    """sigma_A x sigma_B on flat (row-major) indices of the product set."""
+    nb = right.size
+    return [
+        left.permutation[flat // nb] * nb + right.permutation[flat % nb]
+        for flat in range(left.size * nb)
+    ]
 
 
 # -- factors ---------------------------------------------------------------------
@@ -198,12 +209,9 @@ def factor_cells(
     for ci, cell in enumerate(cells):
         for flat in cell:
             cell_of[flat] = ci
-    for ci, cell in enumerate(cells):
-        images = {
-            cell_of[left.permutation[flat // nb] * nb + right.permutation[flat % nb]]
-            for flat in cell
-        }
-        if len(images) != 1:
+    image = _product_map(left, right)
+    for cell in cells:
+        if len({cell_of[image[flat]] for flat in cell}) != 1:
             raise ValueError(
                 "factor partition is not invariant under the product permutation"
             )
@@ -278,16 +286,13 @@ def joining_polytope(
         row = np.zeros(nvar)
         row[y::nb] = 1.0
         push(row, float(right.measure[y]))
-    for x in range(na):
-        for y in range(nb):
+    # invariance rows e_dst - e_src: each has its own -1, so none repeats another row
+    for src, dst in enumerate(_product_map(left, right)):
+        if src != dst:
             row = np.zeros(nvar)
-            src = x * nb + y
-            dst = left.permutation[x] * nb + right.permutation[y]
-            if src == dst:
-                continue
-            row[dst] += 1.0
-            row[src] -= 1.0
-            push(row, 0.0)
+            row[dst], row[src] = 1.0, -1.0
+            rows.append(row)
+            rhs.append(0.0)
     cells: Tuple[Tuple[int, ...], ...] = ()
     masses: Tuple[Fraction, ...] = ()
     if factor is not None:
@@ -324,6 +329,7 @@ def _orbit_point(polytope: JoiningPolytope) -> Optional[np.ndarray]:
     """
     left, right = polytope.left, polytope.right
     na, nb = left.size, right.size
+    image = _product_map(left, right)
     orbit_of = [-1] * (na * nb)
     orbits = 0
     for start in range(na * nb):
@@ -332,7 +338,7 @@ def _orbit_point(polytope: JoiningPolytope) -> Optional[np.ndarray]:
         flat = start
         while orbit_of[flat] < 0:
             orbit_of[flat] = orbits
-            flat = left.permutation[flat // nb] * nb + right.permutation[flat % nb]
+            flat = image[flat]
         orbits += 1
     if orbits > na + nb + len(polytope.cells):
         return None  # more unknowns than equations leave a free direction
@@ -367,17 +373,15 @@ def _orbit_point(polytope: JoiningPolytope) -> Optional[np.ndarray]:
     return np.array([float(values[orbit]) for orbit in orbit_of]).reshape(na, nb)
 
 
-def relative_disjointness(
-    polytope: JoiningPolytope, tol: float = FEASIBILITY_TOL
-) -> DisjointnessReport:
+def relative_disjointness(polytope: JoiningPolytope) -> DisjointnessReport:
     """Decide whether the joining polytope is a single point.
 
     When the orbit quotient names one nonnegative point exactly, that point
     is the unique joining and the spread is 0.  Otherwise (a rank-deficient,
     inconsistent or sign-violating quotient) every coordinate is minimized
     and maximized; the polytope is a point exactly when every spread is
-    within tolerance.  Otherwise two joinings witnessing the first wide
-    coordinate are returned, reshaped as matrices.
+    within ``FEASIBILITY_TOL``.  Otherwise two joinings witnessing the first
+    wide coordinate are returned, reshaped as matrices.
     """
     exact = _orbit_point(polytope)
     if exact is not None:
@@ -388,7 +392,7 @@ def relative_disjointness(
     point = None
     worst = 0.0
     for c in range(polytope.variables):
-        low, high = coordinate_range(polytope.a_eq, polytope.b_eq, c, tol=tol)
+        low, high = coordinate_range(polytope.a_eq, polytope.b_eq, c)
         if not low.ok or not high.ok:
             raise JoiningInfeasibleError(
                 "no coupling satisfies the constraints (the factor masses "
@@ -398,7 +402,7 @@ def relative_disjointness(
         worst = max(worst, float(spread))
         if point is None:
             point = low.x
-        if spread > tol:
+        if spread > FEASIBILITY_TOL:
             return DisjointnessReport(
                 disjoint=False,
                 spread=float(spread),
@@ -413,13 +417,10 @@ def relative_disjointness(
     )
 
 
-def joining_vertices(polytope: JoiningPolytope, max_bases: int = 200000) -> List[np.ndarray]:
+def joining_vertices(polytope: JoiningPolytope) -> List[np.ndarray]:
     """Brute-force vertex list of the joining polytope (independent of the LP)."""
     na, nb = polytope.left.size, polytope.right.size
-    return [
-        v.reshape(na, nb)
-        for v in polytope_vertices(polytope.a_eq, polytope.b_eq, max_bases=max_bases)
-    ]
+    return [v.reshape(na, nb) for v in polytope_vertices(polytope.a_eq, polytope.b_eq)]
 
 
 # -- orbit averages of couplings -------------------------------------------------------

@@ -21,6 +21,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 FEASIBILITY_TOL = 1e-9
+MAX_ITER = 20000  # iterations per phase; Bland's rule terminates, so reaching it is a bug
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -55,18 +56,16 @@ def _bland_iterate(
     basis: List[int],
     cost: np.ndarray,
     ncols: int,
-    tol: float,
-    max_iter: int,
 ) -> str:
     """Run simplex iterations on the m x (ncols+1) tableau for the given cost.
 
     ``cost`` is the reduced-cost row (updated in place); the last tableau
     column is the right-hand side.
     """
-    for _ in range(max_iter):
+    for _ in range(MAX_ITER):
         entering = -1
         for j in range(ncols):
-            if cost[j] < -tol:
+            if cost[j] < -FEASIBILITY_TOL:
                 entering = j
                 break
         if entering < 0:
@@ -75,7 +74,7 @@ def _bland_iterate(
         best = np.inf
         for i in range(tableau.shape[0]):
             a = tableau[i, entering]
-            if a > tol:
+            if a > FEASIBILITY_TOL:
                 ratio = tableau[i, -1] / a
                 if (
                     leaving < 0
@@ -91,14 +90,8 @@ def _bland_iterate(
     raise SimplexError("iteration cap exceeded")
 
 
-def simplex_minimize(
-    objective,
-    a_eq,
-    b_eq,
-    tol: float = FEASIBILITY_TOL,
-    max_iter: int = 20000,
-) -> LPResult:
-    """Minimize objective . x over {A x = b, x >= 0}."""
+def simplex_minimize(objective, a_eq, b_eq) -> LPResult:
+    """Minimize objective . x over {A x = b, x >= 0}, to within ``FEASIBILITY_TOL``."""
     a = np.asarray(a_eq, dtype=float).copy()
     b = np.asarray(b_eq, dtype=float).copy()
     c = np.asarray(objective, dtype=float)
@@ -119,10 +112,10 @@ def simplex_minimize(
     phase1_value = -b.sum()
     # track the objective value alongside the cost row
     full = np.hstack([cost, [phase1_value]])
-    status = _bland_iterate(tableau, basis, full, n + m, tol, max_iter)
+    status = _bland_iterate(tableau, basis, full, n + m)
     if status != OPTIMAL:
         raise SimplexError("phase one cannot be unbounded")
-    if -full[-1] > tol:
+    if -full[-1] > FEASIBILITY_TOL:
         return LPResult(INFEASIBLE, None, None)
 
     # drive artificial variables out of the basis; drop redundant rows
@@ -133,7 +126,7 @@ def simplex_minimize(
             continue
         pivot_col = -1
         for j in range(n):
-            if abs(tableau[i, j]) > tol:
+            if abs(tableau[i, j]) > FEASIBILITY_TOL:
                 pivot_col = j
                 break
         if pivot_col >= 0:
@@ -148,35 +141,28 @@ def simplex_minimize(
     for i, var in enumerate(basis):
         if cost_row[var] != 0.0:
             cost_row -= cost_row[var] * tableau[i]
-    status = _bland_iterate(tableau, basis, cost_row, n, tol, max_iter)
+    status = _bland_iterate(tableau, basis, cost_row, n)
     if status == UNBOUNDED:
         return LPResult(UNBOUNDED, None, None)
     x = np.zeros(n)
     for i, var in enumerate(basis):
         x[var] = tableau[i, -1]
-    x[np.abs(x) < tol] = 0.0
+    x[np.abs(x) < FEASIBILITY_TOL] = 0.0
     return LPResult(OPTIMAL, x, float(c @ x))
 
 
-def coordinate_range(
-    a_eq, b_eq, coordinate: int, tol: float = FEASIBILITY_TOL
-) -> Tuple[LPResult, LPResult]:
+def coordinate_range(a_eq, b_eq, coordinate: int) -> Tuple[LPResult, LPResult]:
     """Minimize and maximize one coordinate over the feasible polytope."""
     a = np.asarray(a_eq, dtype=float)
     n = a.shape[1]
     c = np.zeros(n)
     c[coordinate] = 1.0
-    low = simplex_minimize(c, a_eq, b_eq, tol=tol)
-    high = simplex_minimize(-c, a_eq, b_eq, tol=tol)
+    low = simplex_minimize(c, a_eq, b_eq)
+    high = simplex_minimize(-c, a_eq, b_eq)
     return low, high
 
 
-def polytope_vertices(
-    a_eq,
-    b_eq,
-    tol: float = FEASIBILITY_TOL,
-    max_bases: int = 200000,
-) -> List[np.ndarray]:
+def polytope_vertices(a_eq, b_eq, max_bases: int = 200000) -> List[np.ndarray]:
     """All vertices of {A x = b, x >= 0} by brute-force basis enumeration.
 
     Enumerates every column subset of size rank(A), solves the square
@@ -190,7 +176,7 @@ def polytope_vertices(
     scale = svals[0] if svals.size and svals[0] > 0 else 1.0
     rank = int(np.sum(svals > 1e-11 * scale))
     if rank == 0:
-        return [np.zeros(n)] if np.max(np.abs(b)) <= tol else []
+        return [np.zeros(n)] if np.max(np.abs(b)) <= FEASIBILITY_TOL else []
     if comb(n, rank) > max_bases:
         raise ValueError(
             f"vertex enumeration over C({n},{rank}) bases exceeds the budget"
@@ -201,12 +187,12 @@ def polytope_vertices(
         x_sub, _, rk, _ = np.linalg.lstsq(sub, b, rcond=None)
         if rk < rank:
             continue
-        if np.max(np.abs(sub @ x_sub - b)) > tol:
+        if np.max(np.abs(sub @ x_sub - b)) > FEASIBILITY_TOL:
             continue
-        if np.min(x_sub) < -tol:
+        if np.min(x_sub) < -FEASIBILITY_TOL:
             continue
         x = np.zeros(n)
         x[list(cols)] = np.clip(x_sub, 0.0, None)
-        key = tuple(np.round(x / max(tol, 1e-12)).astype(np.int64))
+        key = tuple(np.round(x / FEASIBILITY_TOL).astype(np.int64))
         seen.setdefault(key, x)
     return list(seen.values())

@@ -97,14 +97,11 @@ def correlation_difference(
 ) -> complex:
     """Correlation minus the same correlation of the finite-orbit images."""
     ops = list(operators)
-    if len(ops) != len(times):
-        raise ValueError("operators and times must have equal length")
-    perm = _check_permutation(permutation, len(ops))
-    plain = state(_ordered_product(ops, list(times), perm))
+    plain = correlation(state, ops, times, permutation)
     parts = [op.finite_orbit_part() for op in ops]
     if any(not part for part in parts):
         return plain
-    return plain - state(_ordered_product(parts, list(times), perm))
+    return plain - correlation(state, parts, times, permutation)
 
 
 # -- gap scan -------------------------------------------------------------------

@@ -149,9 +149,6 @@ class Alphabet:
         )
         return f"Alphabet({inner})"
 
-    def is_cycle(self, family: str) -> bool:
-        return self._lengths[family] is not None
-
     def check_symbol(self, family: str, index: int) -> None:
         m = self._lengths.get(family)
         if family not in self._lengths:

@@ -218,6 +218,13 @@ class TestFlowMeans:
         with pytest.raises(ValueError):
             weighted_mean_flow(flow, np.ones(3), uniform(CONTINUOUS), 10)
 
+    @pytest.mark.parametrize("index", [1.0, 0.5])
+    def test_log_mean_needs_index_above_one(self, index):
+        # the window [1, N] is empty or reversed
+        flow = UnitaryFlow(np.diag([0.0, 1.0]))
+        with pytest.raises(SchemeError):
+            weighted_mean_flow(flow, np.ones(2), log_family(CONTINUOUS), index)
+
 
 class TestSubstitutions:
     def test_zero_generator(self):

@@ -1,5 +1,6 @@
 import copy
 import json
+import math
 import os
 import subprocess
 import sys
@@ -349,6 +350,19 @@ class TestErrorPaths:
             ("mean-ergodic", {"vector": 5}),
             ("gap-search", {"operators": 5}),
             (None, {"experiment": ["a"]}),
+            ("thm215", {"transition": [[math.nan, 1.0], [0.0, 1.0]]}),
+            (
+                "thm215",
+                {
+                    "scheme": {"family": "custom", "samples": [1.0, math.inf] + [1.0] * 4},
+                    "sweep": 3,
+                },
+            ),
+            ("folner-defect", {"shift": math.inf}),
+            ("mean-ergodic", {"tolerance": math.nan}),
+            ("mean-ergodic", {"tolerance": True}),
+            ("mean-ergodic", {"indices": [math.inf]}),
+            ("mean-ergodic", {"scheme": {"family": "log"}, "indices": [1]}),
         ],
         ids=[
             "element-re-not-number",
@@ -371,6 +385,13 @@ class TestErrorPaths:
             "vector-not-list",
             "operators-not-list",
             "experiment-not-string",
+            "transition-nan",
+            "samples-infinite",
+            "shift-infinite",
+            "tolerance-nan",
+            "tolerance-boolean",
+            "index-infinite",
+            "log-index-one",
         ],
     )
     def test_malformed_fields(self, tmp_path, kind, changes):

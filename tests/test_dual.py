@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from ergolab import AlgebraElement, Alphabet, L2Vector, State, matrix_element
+from ergolab import AlgebraElement, Alphabet, AlphabetError, L2Vector, State, matrix_element
 from conftest import random_element, random_vector_state, random_word
 
 
@@ -167,6 +167,14 @@ class TestVectors:
     def test_normalize_zero_raises(self, ab):
         with pytest.raises(ValueError):
             L2Vector(ab, {}).normalized()
+
+    def test_sum_refuses_mixed_alphabets(self, ab):
+        other = Alphabet({"s": None, "c": 4})
+        x, y = L2Vector.basis(ab.word("s[1]")), L2Vector.basis(other.word("s[1]"))
+        with pytest.raises(AlphabetError):
+            x + y
+        with pytest.raises(AlphabetError):
+            x - y
 
 
 class TestStates:

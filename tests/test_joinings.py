@@ -210,6 +210,30 @@ class TestJoiningPolytope:
         assert rep.disjoint
         assert np.allclose(rep.unique_joining.ravel(), [0.25] * 4)
 
+    @pytest.mark.parametrize(
+        "left, right",
+        [
+            (rotation(2), rotation(2)),
+            (rotation(3), rotation(4)),
+            (PermutationSystem((0, 2, 1), (F(1, 2), F(1, 4), F(1, 4))), rotation(2)),
+            (
+                PermutationSystem((0,), (F(1),)),
+                PermutationSystem((1, 0, 2), ("1/4", "1/4", "1/2")),
+            ),
+        ],
+    )
+    def test_rows_distinct_one_per_moved_point(self, left, right):
+        pol = joining_polytope(left, right)
+        assert len({tuple(row) for row in pol.a_eq}) == pol.a_eq.shape[0]
+        na, nb = left.size, right.size
+        fixed = sum(
+            left.permutation[x] == x and right.permutation[y] == y
+            for x in range(na)
+            for y in range(nb)
+        )
+        invariance = sum(bool(np.any(row < 0)) for row in pol.a_eq)
+        assert invariance == na * nb - fixed
+
     def test_vertices_closed_under_product_shift(self):
         two = rotation(2)
         pol = joining_polytope(two, two)

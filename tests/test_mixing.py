@@ -117,6 +117,12 @@ class TestCorrelation:
         with pytest.raises(ValueError):
             correlation(State.trace(), [one(ab), one(ab)], [1, 2], [0, 0])
 
+    def test_difference_checks_like_correlation(self, ab):
+        with pytest.raises(ValueError, match="need at least one operator"):
+            correlation_difference(State.trace(), [], [])
+        with pytest.raises(ValueError, match="equal length"):
+            correlation_difference(State.trace(), [one(ab)], [1, 2])
+
 
 class TestGapScan:
     def test_finite_orbit_tuple_trivial(self, ab):
