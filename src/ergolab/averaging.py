@@ -5,7 +5,9 @@ window of the half line: uniform weights, the power family t^s (s > -1), the
 logarithmic family 1/t on [1, N], the reversed-power family (N - t)^s, and
 user-supplied sampled weights on the discrete side.
 
-Continuous integrals use composite Simpson quadrature with a sub-step of at
+The continuous uniform mean of a unitary flow is exact: each eigenvalue's
+mean of e^(i lambda t) over the window has a closed form.  The other
+continuous integrals use composite Simpson quadrature with a sub-step of at
 most 0.01; the logarithmic family integrates on a geometric grid (uniform in
 log t), and power weights with negative exponent get a closed-form head cell
 so the integrable endpoint singularity never meets the grid.  Quadrature
@@ -161,6 +163,13 @@ def weighted_mean_scalar(values: Sequence[complex], scheme: WeightScheme, count:
     return complex((w * vals).sum() / w.sum())
 
 
+def _whole(value: float, what: str) -> int:
+    """A discrete index or shift, refused rather than truncated when fractional."""
+    if value != int(value):
+        raise SchemeError(f"a discrete {what} must be an integer, got {value:g}")
+    return int(value)
+
+
 # -- continuous quadrature ------------------------------------------------------
 
 
@@ -229,7 +238,7 @@ def normalizer(scheme: WeightScheme, index: float) -> float:
     so it is taken wide.
     """
     if scheme.domain != CONTINUOUS:
-        return float(discrete_weights(scheme, int(index)).sum())
+        return float(discrete_weights(scheme, _whole(index, "index")).sum())
     a, b, head, tail = _plan(scheme, index, cell=0.5)
     ts, coeff = _simpson_grid(a, b, _SUBSTEP)
     return float((coeff * _weight_values(scheme, index, ts)).sum() + head + tail)
@@ -344,6 +353,14 @@ def fixed_space_projection(flow: Flow) -> np.ndarray:
 def _continuous_flow_mean(
     flow: UnitaryFlow, x: np.ndarray, scheme: WeightScheme, index: float
 ) -> np.ndarray:
+    if scheme.family == "uniform":
+        # (e^(i lambda b) - e^(i lambda a)) / (i lambda (b - a)) in the form that
+        # is exactly 1 at lambda = 0 and does not cancel for small lambda (b - a)
+        a, b = window(scheme, index)
+        lam = flow.eigenvalues
+        means = np.exp(0.5j * lam * (a + b)) * np.sinc(lam * (b - a) / (2.0 * math.pi))
+        v = flow.eigenvectors
+        return v @ (means * (v.conj().T @ x))
     a, b, head, tail = _plan(scheme, index)
     if scheme.family == "log":
         # geometric grid: integrate in u = log t, where the weight is flat
@@ -376,7 +393,7 @@ def weighted_mean_flow(flow: Flow, x: Sequence[complex], scheme: WeightScheme, i
         return _continuous_flow_mean(flow, vec, scheme, float(index))
     if scheme.domain != DISCRETE:
         raise SchemeError("a discrete flow needs a discrete scheme")
-    return power_mean(flow.matrix, vec, discrete_weights(scheme, int(index)))
+    return power_mean(flow.matrix, vec, discrete_weights(scheme, _whole(index, "index")))
 
 
 # -- transformed averages ------------------------------------------------------
@@ -445,8 +462,8 @@ def folner_defect(scheme: WeightScheme, shift: float, index) -> float:
         a, b = window(scheme, float(index))
         return min(float(shift), b - a) / (b - a)
     if scheme.domain == DISCRETE:
-        count = int(index)
-        h = int(shift)
+        count = _whole(index, "index")
+        h = _whole(shift, "shift")
         w = discrete_weights(scheme, count)
         if h >= count:
             return 1.0

@@ -254,29 +254,35 @@ def weak_mixing_check(
 
     On failure the report carries the witnessing pair and the smallest
     running mean over the tail of the sweep, to show the defect is not a
-    transient.
+    transient.  A real system (functionals, transition and (1 - E)x all with
+    zero imaginary part) is swept in real arithmetic.
     """
     cols = _check_inputs(system, vectors)
     w = discrete_weights(scheme, sweep)
     d = system.dimension
     d0 = (np.eye(d) - system.idempotent) @ cols
-    rows = system.functionals.copy()
+    functionals, transition = system.functionals, system.transition
+    if not (functionals.imag.any() or transition.imag.any() or d0.imag.any()):
+        functionals, transition, d0 = (
+            np.ascontiguousarray(m.real) for m in (functionals, transition, d0)
+        )
+    rows = functionals
     acc = np.zeros((rows.shape[0], d0.shape[1]))
     for n in range(sweep):
-        rows = rows @ system.transition
+        rows = rows @ transition
         acc += w[n] * np.abs(rows @ d0)
     defects = acc / w.sum()
     fi, vi = np.unravel_index(int(np.argmax(defects)), defects.shape)
     passed = bool(defects[fi, vi] <= tolerance)
     tail_min = None
     if not passed:
-        row = system.functionals[fi].copy()
+        row = functionals[fi]
         col = d0[:, vi]
         running = np.empty(sweep)
         total_w = 0.0
         total = 0.0
         for n in range(sweep):
-            row = row @ system.transition
+            row = row @ transition
             total += w[n] * abs(row @ col)
             total_w += w[n]
             running[n] = total / total_w

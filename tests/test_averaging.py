@@ -25,7 +25,7 @@ from ergolab import (
     weighted_mean_flow,
     weighted_mean_scalar,
 )
-from ergolab.averaging import power_mean
+from ergolab.averaging import _SUBSTEP, _simpson_grid, _spectral_sum, power_mean
 
 ALL_DISCRETE = lambda: [uniform(), power(1.0), power(-0.5), log_family(), voronoi(1.0)]
 ALL_CONTINUOUS = lambda: [
@@ -125,6 +125,11 @@ class TestFolnerDefect:
         d3 = folner_defect(power(1.0), 1, 1000)
         assert d3 < d2
 
+    @pytest.mark.parametrize("shift, index", [(0.5, 10), (1.5, 10), (1, 10.5)])
+    def test_discrete_refuses_fractions(self, shift, index):
+        with pytest.raises(SchemeError, match="must be an integer"):
+            folner_defect(uniform(), shift, index)
+
     def test_oversized_shift(self):
         assert folner_defect(uniform(CONTINUOUS), 20.0, 10) == 1.0
         with pytest.raises(SchemeError):
@@ -183,6 +188,35 @@ class TestFlowMeans:
         assert np.max(np.abs(m - closed)) < 1e-8
         assert np.linalg.norm(m - np.array([1.0, 0.0])) < 0.02
 
+    @pytest.mark.parametrize("n", [10.0, 1e3, 1e5])
+    def test_uniform_closed_form_against_simpson(self, n):
+        # Simpson's rule integrates e^(i lambda t) to (1 + (lambda h)^4 / 180 + ...)
+        # times the exact value, so per eigencomponent the closed-form mean and
+        # the quadrature oracle differ by at most that relative error
+        rng = np.random.default_rng(int(n))
+        ts, coeff = _simpson_grid(0.0, n, _SUBSTEP)
+        h = ts[1] - ts[0]
+        for _ in range(2):
+            r, s = rng.uniform(-3.0, 3.0, size=2)
+            # a zero eigenvalue, |lambda| N = 1e-9, and a repeated pair
+            spectrum = np.array([0.0, 1e-9 / n, r, r, s])
+            m = rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5))
+            q, _ = np.linalg.qr(m)
+            h_mat = q @ np.diag(spectrum) @ q.conj().T
+            flow = UnitaryFlow((h_mat + h_mat.conj().T) / 2)
+            v = flow.eigenvectors
+            x = v @ np.ones(5)
+            numerator, denominator = _spectral_sum(flow, x, ts, coeff)
+            oracle = v.conj().T @ numerator / denominator
+            closed = v.conj().T @ weighted_mean_flow(flow, x, uniform(CONTINUOUS), n)
+            bound = (flow.eigenvalues * h) ** 4 / 180.0 + 1e-13
+            assert np.all(np.abs(closed - oracle) <= bound)
+
+    def test_uniform_zero_eigenvalue_mean_is_exactly_one(self):
+        flow = UnitaryFlow(np.diag([0.0, 2.0]))
+        m = weighted_mean_flow(flow, np.array([0.25 - 1j, 0.0]), uniform(CONTINUOUS), 1e7)
+        assert m[0] == 0.25 - 1j and m[1] == 0.0
+
     def test_reversed_linear_converges(self):
         flow = UnitaryFlow(np.diag([0.0, 1.0]))
         x = np.array([1.0, 1.0])
@@ -212,6 +246,15 @@ class TestFlowMeans:
         u = PowerContraction(np.eye(2))
         with pytest.raises(SchemeError):
             weighted_mean_flow(u, np.ones(2), uniform(CONTINUOUS), 10)
+
+    def test_discrete_flow_refuses_fractional_index(self):
+        u = PowerContraction(np.diag([1.0, -1.0]))
+        with pytest.raises(SchemeError, match="index must be an integer"):
+            weighted_mean_flow(u, np.ones(2), uniform(), 2.5)
+        assert np.array_equal(
+            weighted_mean_flow(u, np.ones(2), uniform(), 3.0),
+            weighted_mean_flow(u, np.ones(2), uniform(), 3),
+        )
 
     def test_dimension_mismatch(self):
         flow = UnitaryFlow(np.zeros((2, 2)))

@@ -149,7 +149,7 @@ def with_field(obj, path, value):
     return obj
 
 
-def run_cli(args, cwd):
+def run_cli(args, cwd, timeout=None):
     inherited = os.environ.get("PYTHONPATH")
     env = dict(os.environ)
     env["PYTHONPATH"] = PACKAGE_ROOT + (os.pathsep + inherited if inherited else "")
@@ -159,6 +159,7 @@ def run_cli(args, cwd):
         text=True,
         cwd=cwd,
         env=env,
+        timeout=timeout,
     )
 
 
@@ -290,6 +291,33 @@ class TestErrorPaths:
         path.write_text(json.dumps(config))
         proc = run_cli(["run", str(path), "--out", str(tmp_path / "out")], tmp_path)
         assert_cli_error(proc)
+
+    def test_discrete_mean_refuses_fractional_index(self, tmp_path):
+        # averaged at int(2.5) = 2, the row would read "2.5,uniform,0"
+        config = dict(
+            base_configs()["mean-ergodic"],
+            flow={"kind": "discrete", "matrix": [[1.0, 0.0], [0.0, -1.0]]},
+            indices=[2.5, 3],
+        )
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        proc = run_cli(["run", str(path), "--out", str(tmp_path / "out")], tmp_path)
+        assert_cli_error(proc)
+        assert proc.stderr == "error: a discrete index must be an integer, got 2.5\n"
+
+    @pytest.mark.parametrize("shift", [0.5, 1.5])
+    def test_discrete_folner_refuses_fractional_shift(self, tmp_path, shift):
+        config = dict(
+            base_configs()["folner-defect"],
+            scheme={"family": "uniform", "domain": "discrete"},
+            shift=shift,
+            indices=[10, 20],
+        )
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        proc = run_cli(["run", str(path), "--out", str(tmp_path / "out")], tmp_path)
+        assert_cli_error(proc)
+        assert proc.stderr == f"error: a discrete shift must be an integer, got {shift:g}\n"
 
     def test_joinings_refuses_short_custom_scheme(self, tmp_path):
         # two samples cannot weigh a sweep of five steps
@@ -497,6 +525,33 @@ class TestContracts:
         rows = (out / "mean-ergodic.csv").read_text().splitlines()
         assert rows[0] == "N,scheme,error"
         assert all(row.split(",")[2] == "0" for row in rows[1:])
+
+    def test_continuous_uniform_mean_at_ten_million(self, tmp_path):
+        # exact per eigenvalue, so N = 1e7 costs what N = 10 does; the mean of
+        # e^(i lambda t) over [0, N] has modulus |sin(lambda N / 2) / (lambda N / 2)|
+        freqs = [0.0, 0.7, -1.9]
+        vector = [1.0, 2.0, -0.5]
+        n = 1e7
+        config = {
+            "experiment": "mean-ergodic",
+            "flow": {
+                "kind": "continuous",
+                "generator": [[f if i == j else 0.0 for j in range(3)] for i, f in enumerate(freqs)],
+            },
+            "vector": vector,
+            "scheme": {"family": "uniform"},
+            "indices": [n],
+        }
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        out = tmp_path / "out"
+        proc = run_cli(["run", str(path), "--out", str(out), "--quiet"], tmp_path, timeout=60)
+        assert proc.returncode == 0, proc.stderr + proc.stdout
+        error = json.loads((out / "mean-ergodic.json").read_text())["results"]["final_error"]
+        expected = math.sqrt(
+            sum((x * math.sin(f * n / 2) / (f * n / 2)) ** 2 for f, x in zip(freqs[1:], vector[1:]))
+        )
+        assert error == pytest.approx(expected, rel=1e-9, abs=1e-15)
 
     def test_csv_uses_crlf(self, tmp_path):
         config = base_configs()["folner-defect"]

@@ -34,6 +34,48 @@ def stepped_power_mean(matrix, start, weights):
     return acc / weights.sum()
 
 
+def complex_weak_mixing(system, weights, tolerance):
+    """Oracle: the absolute-mean sweep over the standard basis in complex arithmetic.
+
+    Returns (passed, witness, witness_tail_min, max_defect).
+    """
+    d0 = (np.eye(system.dimension) - system.idempotent).astype(complex)
+    t = system.transition.astype(complex)
+    rows = system.functionals.astype(complex)
+    acc = np.zeros((rows.shape[0], d0.shape[1]))
+    for w in weights:
+        rows = rows @ t
+        acc += w * np.abs(rows @ d0)
+    defects = acc / weights.sum()
+    fi, vi = np.unravel_index(int(np.argmax(defects)), defects.shape)
+    passed = bool(defects[fi, vi] <= tolerance)
+    tail_min = None
+    if not passed:
+        row, col = system.functionals[fi].astype(complex), d0[:, vi]
+        running, total, total_w = [], 0.0, 0.0
+        for w in weights:
+            row = row @ t
+            total += w * abs(row @ col)
+            total_w += w
+            running.append(total / total_w)
+        tail_min = min(running[len(weights) // 2 :])
+    return passed, (int(fi), int(vi)), tail_min, float(defects[fi, vi])
+
+
+def random_real_system(rng, d, functionals):
+    """A random real Markov system: a stochastic matrix mixed with a cycle,
+    either the zero idempotent or the stationary projection, Gaussian functionals."""
+    stochastic = rng.random((d, d))
+    stochastic /= stochastic.sum(axis=1, keepdims=True)
+    cycle = np.roll(np.eye(d), 1, axis=1)
+    t = 0.5 * stochastic + 0.5 * cycle
+    if rng.random() < 0.5:
+        e = np.zeros((d, d))
+    else:
+        e = np.outer(np.ones(d), np.linalg.matrix_power(t, 4000)[0])
+    return MarkovSystem(t, e, rng.normal(size=(functionals, d)))
+
+
 class TestFourStateSystem:
     def test_spectrum(self):
         for p in P_GRID:
@@ -172,6 +214,51 @@ class TestMeanChecks:
         system = sys4.as_markov(sys4.proj_peripheral, np.array(combos))
         report = weak_mixing_check(system, uniform(), 200, 1e-12, vectors=sys4.eigenbasis)
         assert report.passed
+
+
+class TestWeakMixingArithmetic:
+    """A real system is swept in real arithmetic; any non-real part keeps it complex."""
+
+    def test_real_systems_match_complex_oracle(self):
+        rng = np.random.default_rng(11)
+        outcomes = set()
+        for _ in range(40):
+            d = int(rng.integers(2, 17))
+            system = random_real_system(rng, d, int(rng.integers(1, 6)))
+            sweep = int(rng.integers(5, 120))
+            scheme = uniform() if rng.random() < 0.5 else power(1.0)
+            report = weak_mixing_check(system, scheme, sweep, 1e-2)
+            passed, witness, tail_min, max_defect = complex_weak_mixing(
+                system, discrete_weights(scheme, sweep), 1e-2
+            )
+            outcomes.add(passed)
+            assert report.passed == passed
+            assert report.witness == witness
+            assert abs(report.max_defect - max_defect) <= 1e-12
+            if passed:
+                assert report.witness_tail_min is None
+            else:
+                assert abs(report.witness_tail_min - tail_min) <= 1e-12
+        assert outcomes == {True, False}
+
+    def test_one_non_real_functional_keeps_complex_arithmetic(self):
+        rng = np.random.default_rng(5)
+        real = random_real_system(rng, 6, 3)
+        functionals = real.functionals.astype(complex)
+        functionals[1] += 1j * rng.normal(size=6)
+        system = MarkovSystem(real.transition, np.zeros((6, 6)), functionals)
+        weights = discrete_weights(uniform(), 50)
+        report = weak_mixing_check(system, uniform(), 50, 1e-2)
+        passed, witness, tail_min, max_defect = complex_weak_mixing(system, weights, 1e-2)
+        # the same complex loop as the oracle, so the same bits
+        assert (report.passed, report.witness) == (passed, witness)
+        assert report.witness_tail_min == tail_min
+        assert report.max_defect == max_defect
+        # and the imaginary part does count: it makes row 1 the witness, and
+        # dropping it changes the defect
+        assert witness[0] == 1
+        dropped = MarkovSystem(real.transition, np.zeros((6, 6)), functionals.real)
+        assert abs(complex_weak_mixing(dropped, weights, 1e-2)[3] - max_defect) > 1e-3
 
 
 class TestInvariantMean:
