@@ -42,7 +42,6 @@ from .finite import (
     MarkovSystem,
     MeanCheckReport,
     NonConvergenceError,
-    closed_evolution,
     four_state_system,
     invariant_mean_projection,
     tensor_product,

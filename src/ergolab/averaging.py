@@ -28,6 +28,11 @@ _CHUNK = 1 << 17
 _SUBSTEP = 0.01
 _NULL_THRESHOLD = 1e-10  # fixed_space_projection: spectrum at most this counts as zero
 
+# the largest count of discrete weights: 10**7 float64 weights are 80 MB, and
+# a loop over them takes seconds per weight vector; beyond it a config is
+# refused before anything is allocated
+WEIGHT_COUNT_CAP = 10**7
+
 DISCRETE = "discrete"
 CONTINUOUS = "continuous"
 
@@ -109,6 +114,10 @@ def discrete_weights(scheme: WeightScheme, count: int) -> np.ndarray:
         raise SchemeError("discrete weights need a discrete scheme")
     if count < 1:
         raise SchemeError("index must be a positive integer")
+    if count > WEIGHT_COUNT_CAP:
+        raise SchemeError(
+            f"{count} discrete weights exceed the cap {WEIGHT_COUNT_CAP}"
+        )
     n = np.arange(1, count + 1, dtype=float)
     if scheme.family == "uniform":
         w = np.ones(count)

@@ -40,10 +40,14 @@ from .averaging import (
 )
 from .dual import AlgebraElement, L2Vector, State
 from .finite import (
+    FIXED,
+    PERIPHERAL,
     FourStateSystem,
     MarkovSystem,
     NonConvergenceError,
+    four_state_invariant_mean,
     four_state_system,
+    four_state_weak_mixing,
     invariant_mean_projection,
     tensor_product,
     unique_ergodicity_check,
@@ -624,22 +628,16 @@ def _run_section4(config: Dict) -> _Outcome:
     eig = np.sort_complex(np.linalg.eigvals(sys4.transition))
     expected = np.sort_complex(np.array([sys4.p, 1.0, -1.0, 1.0], dtype=complex))
     eigen_ok = bool(np.max(np.abs(eig - expected)) <= 1e-10)
-    basis = sys4.eigenbasis
-
-    wm_el = weak_mixing_check(
-        sys4.as_markov(sys4.proj_peripheral, sys4.family),
-        scheme, sweep, tol_weak, vectors=basis,
-    )
-    wm_fix = weak_mixing_check(
-        sys4.as_markov(sys4.proj_fixed, np.eye(4)),
-        scheme, sweep, tol_weak, vectors=basis,
-    )
+    identity = np.eye(4)
+    wm_el = four_state_weak_mixing(sys4, PERIPHERAL, sys4.family, sweep, tol_weak)
+    wm_fix = four_state_weak_mixing(sys4, FIXED, identity, sweep, tol_weak)
+    # the plain check stays on the loop: see the ``finite`` module docstring
     erg_fix = unique_ergodicity_check(
-        sys4.as_markov(sys4.proj_fixed, np.eye(4)),
-        scheme, sweep, tol_erg, vectors=basis,
+        sys4.as_markov(sys4.proj_fixed, identity),
+        scheme, sweep, tol_erg, vectors=sys4.eigenbasis,
     )
     try:
-        report = invariant_mean_projection(sys4.transition, scheme, sweep)
+        report = four_state_invariant_mean(sys4, sweep)
     except NonConvergenceError as exc:
         return {"converged": False, "error": str(exc)}, ["row", "col", "mean_re", "mean_im"], [], False
     limit_error = float(np.max(np.abs(report.mean - sys4.proj_fixed)))

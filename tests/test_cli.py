@@ -319,6 +319,16 @@ class TestErrorPaths:
         assert_cli_error(proc)
         assert proc.stderr == f"error: a discrete shift must be an integer, got {shift:g}\n"
 
+    @pytest.mark.parametrize("kind", ["section4", "thm215", "tensor"])
+    def test_sweep_over_weight_cap(self, tmp_path, kind):
+        # 10**12 weights would be 8 TB; the count is refused before any allocation
+        config = dict(base_configs()[kind], sweep=10**12)
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        proc = run_cli(["run", str(path), "--out", str(tmp_path / "out")], tmp_path, timeout=60)
+        assert_cli_error(proc)
+        assert "discrete weights exceed the cap" in proc.stderr
+
     def test_joinings_refuses_short_custom_scheme(self, tmp_path):
         # two samples cannot weigh a sweep of five steps
         config = dict(

@@ -7,7 +7,6 @@ import pytest
 from ergolab import (
     MarkovSystem,
     NonConvergenceError,
-    closed_evolution,
     custom,
     four_state_system,
     invariant_mean_projection,
@@ -20,6 +19,12 @@ from ergolab import (
     weak_mixing_check,
 )
 from ergolab.averaging import discrete_weights, power_means
+from ergolab.finite import (
+    FIXED,
+    PERIPHERAL,
+    four_state_invariant_mean,
+    four_state_weak_mixing,
+)
 
 P_GRID = (0.0, 0.3, 0.5, 0.9)
 
@@ -144,8 +149,15 @@ class TestEvolution:
                 x = rng.normal(size=4) + 1j * rng.normal(size=4)
                 for n in (0, 1, 2, 17, 100):
                     a = np.linalg.matrix_power(sys4.transition, n) @ x
-                    b = closed_evolution(sys4, x, n)
+                    b = sys4.spectral(sys4.eigenvalues**n) @ x
                     assert np.max(np.abs(a - b)) < 1e-10
+
+    def test_spectral_projections(self):
+        # the idempotents are the spectral form of their eigenbasis diagonals
+        for p in P_GRID:
+            sys4 = four_state_system(p)
+            assert np.array_equal(sys4.spectral(PERIPHERAL), sys4.proj_peripheral)
+            assert np.array_equal(sys4.spectral(FIXED), sys4.proj_fixed)
 
 
 class TestMarkovSystem:
@@ -328,6 +340,81 @@ class TestInvariantMean:
             invariant_mean_projection(
                 sys4.transition, uniform(), 3, cauchy_tolerance=1e-12
             )
+
+
+class TestFourStateClosedForms:
+    """The closed forms against the loops they replace for the 4-state example."""
+
+    SWEEPS = (1, 2, 3, 599, 600)
+
+    @pytest.mark.parametrize("normalization", ["as-written", "unital"])
+    @pytest.mark.parametrize("tolerance", [1e-12, 2.0], ids=["strict", "loose"])
+    def test_weak_mixing_matches_loop(self, normalization, tolerance):
+        outcomes = set()
+        for k in range(16):
+            sys4 = four_state_system(k / 16, normalization=normalization)
+            cases = (
+                (PERIPHERAL, sys4.proj_peripheral, sys4.family),
+                (FIXED, sys4.proj_fixed, np.eye(4)),
+            )
+            for sweep in self.SWEEPS:
+                for kept, idempotent, functionals in cases:
+                    loop = weak_mixing_check(
+                        sys4.as_markov(idempotent, functionals), uniform(), sweep,
+                        tolerance, vectors=sys4.eigenbasis,
+                    )
+                    closed = four_state_weak_mixing(sys4, kept, functionals, sweep, tolerance)
+                    outcomes.add(closed.passed)
+                    assert closed.passed == loop.passed
+                    assert closed.witness == loop.witness
+                    assert closed.tolerance == loop.tolerance
+                    assert abs(closed.max_defect - loop.max_defect) <= 1e-12
+                    if loop.witness_tail_min is None:
+                        assert closed.witness_tail_min is None
+                    else:
+                        assert abs(closed.witness_tail_min - loop.witness_tail_min) <= 1e-12
+        # strict: E_L passes and E_fix fails; loose: both pass, with no tail
+        assert outcomes == ({True, False} if tolerance < 1 else {True})
+
+    @pytest.mark.parametrize("normalization", ["as-written", "unital"])
+    def test_invariant_mean_matches_loop(self, normalization):
+        outcomes = set()
+        for k in range(16):
+            sys4 = four_state_system(k / 16, normalization=normalization)
+            for sweep in self.SWEEPS:
+                try:
+                    loop, loop_error = invariant_mean_projection(
+                        sys4.transition, uniform(), sweep
+                    ), None
+                except NonConvergenceError as exc:
+                    loop, loop_error = None, str(exc)
+                try:
+                    closed, closed_error = four_state_invariant_mean(sys4, sweep), None
+                except NonConvergenceError as exc:
+                    closed, closed_error = None, str(exc)
+                assert closed_error == loop_error
+                outcomes.add(loop_error is None)
+                if loop is None:
+                    continue
+                assert closed.lawful == loop.lawful
+                for name in ("mean", "projector"):
+                    assert np.max(np.abs(getattr(closed, name) - getattr(loop, name))) <= 1e-12
+                for name in (
+                    "idempotency_residual", "commutation_residual",
+                    "cauchy_residual", "refinement_distance",
+                ):
+                    assert abs(getattr(closed, name) - getattr(loop, name)) <= 1e-12
+        # sweep 1 does not converge (the flip pair), 599 and 600 do
+        assert outcomes == {True, False}
+
+    def test_huge_sweep_costs_nothing(self):
+        # the closed forms take any N; the loops would need N steps
+        sys4 = four_state_system(0.375)
+        report = four_state_weak_mixing(sys4, FIXED, np.eye(4), 10**12, 1e-12)
+        assert report.witness == (1, 2) and report.max_defect == 1.0
+        limit = four_state_invariant_mean(sys4, 10**12)
+        assert np.max(np.abs(limit.mean - sys4.proj_fixed)) < 1e-11
+        assert limit.lawful
 
 
 class TestTensor:
