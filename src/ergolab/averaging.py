@@ -5,14 +5,15 @@ window of the half line: uniform weights, the power family t^s (s > -1), the
 logarithmic family 1/t on [1, N], the reversed-power family (N - t)^s, and
 user-supplied sampled weights on the discrete side.
 
-The continuous uniform mean of a unitary flow is exact: each eigenvalue's
-mean of e^(i lambda t) over the window has a closed form.  The other
-continuous integrals use composite Simpson quadrature with a sub-step of at
-most 0.01; the logarithmic family integrates on a geometric grid (uniform in
-log t), and power weights with negative exponent get a closed-form head cell
-so the integrable endpoint singularity never meets the grid.  Quadrature
-accumulates over fixed-size chunks in index order, so results are
-reproducible bit for bit.
+Continuous shift defects (``folner_defect``) are closed-form mass ratios,
+and the continuous uniform mean of a unitary flow is exact: each
+eigenvalue's mean of e^(i lambda t) over the window has a closed form.  The
+other continuous flow means use composite Simpson quadrature with a sub-step
+of at most 0.01; the logarithmic family integrates on a geometric grid
+(uniform in log t), and power weights with negative exponent get a
+closed-form head cell so the integrable endpoint singularity never meets the
+grid.  Quadrature accumulates over fixed-size chunks in index order, so
+results are reproducible bit for bit.
 """
 
 from __future__ import annotations
@@ -218,39 +219,25 @@ def _weight_values(scheme: WeightScheme, index: float, ts: np.ndarray) -> np.nda
     raise SchemeError(f"family {scheme.family!r} has no continuous form")
 
 
-def _plan(scheme: WeightScheme, index: float, cell: Optional[float] = None):
+def _plan(scheme: WeightScheme, index: float):
     """Quadrature plan: grid window, closed-form head/tail mass, head/tail times.
 
     Power and voronoi weights with negative exponent have an integrable
-    singularity at one window endpoint; a cell of width ``cell`` (default one
-    sub-step) is integrated there in closed form, the rest goes on the grid.
+    singularity at one window endpoint; a cell of one sub-step is integrated
+    there in closed form, the rest goes on the grid.
     """
     a, b = window(scheme, index)
     head = tail = 0.0
     s = scheme.exponent
-    width = _SUBSTEP if cell is None else min(cell, (b - a) / 4.0)
     if scheme.family == "power" and s is not None and s < 0:
-        head = width ** (s + 1.0) / (s + 1.0)
-        a += width
+        head = _SUBSTEP ** (s + 1.0) / (s + 1.0)
+        a += _SUBSTEP
     elif scheme.family == "voronoi" and s is not None and s < 0:
-        tail = width ** (s + 1.0) / (s + 1.0)
-        b -= width
+        tail = _SUBSTEP ** (s + 1.0) / (s + 1.0)
+        b -= _SUBSTEP
     if b <= a:
         raise SchemeError("window too small for the quadrature sub-step")
     return a, b, head, tail
-
-
-def normalizer(scheme: WeightScheme, index: float) -> float:
-    """Quadrature value of the weight integral over the window.
-
-    The singular head cell is exact here (the integrand is the bare weight),
-    so it is taken wide.
-    """
-    if scheme.domain != CONTINUOUS:
-        return float(discrete_weights(scheme, _whole(index, "index")).sum())
-    a, b, head, tail = _plan(scheme, index, cell=0.5)
-    ts, coeff = _simpson_grid(a, b, _SUBSTEP)
-    return float((coeff * _weight_values(scheme, index, ts)).sum() + head + tail)
 
 
 # -- matrix flows -------------------------------------------------------------
@@ -463,13 +450,14 @@ def folner_defect(scheme: WeightScheme, shift: float, index) -> float:
     Second: total variation between the weights and their shifted copy on the
     overlap.  Both are normalized by the full weight mass; an averaging
     family must send both to zero as the index grows.
+
+    Every continuous family is monotone on its window, so the variation is a
+    difference of antiderivatives and each defect is a ratio of masses in
+    closed form.  It depends on the index only through h / N (log N for the
+    log family), so nothing cancels or overflows at any finite index.
     """
     if shift <= 0:
         raise SchemeError("shift must be positive")
-    if scheme.family == "uniform" and scheme.domain == CONTINUOUS:
-        # indicator weights: the defect is the exact one-sided set-difference ratio
-        a, b = window(scheme, float(index))
-        return min(float(shift), b - a) / (b - a)
     if scheme.domain == DISCRETE:
         count = _whole(index, "index")
         h = _whole(shift, "shift")
@@ -480,44 +468,22 @@ def folner_defect(scheme: WeightScheme, shift: float, index) -> float:
         lost = w[:h].sum()
         varied = np.abs(w[h:] - w[:-h]).sum()
         return float(max(lost, varied) / total)
-    index = float(index)
-    a, b = window(scheme, index)
+    a, b = window(scheme, float(index))
     if shift >= b - a:
         return 1.0
-    s = scheme.exponent
-    singular = scheme.family in ("power", "voronoi") and s is not None and s < 0
-    lost_head = 0.0
-    lost_a, lost_b = a, a + shift
-    if singular and scheme.family == "power":
-        # exact antiderivative over a head cell at the singular left edge
-        w = min(0.5, shift / 2.0)
-        lost_head = w ** (s + 1.0) / (s + 1.0)
-        lost_a += w
-    ts, coeff = _simpson_grid(lost_a, lost_b, _SUBSTEP)
-    lost = float((coeff * _weight_values(scheme, index, ts)).sum()) + lost_head
-
-    var_head = 0.0
-    var_a, var_b = a + shift, b
-    if singular:
-        # the shifted-copy difference behaves like u^s near the singular edge;
-        # both antiderivatives are elementary, so the head cell is exact
-        w = min(0.5, (var_b - var_a) / 8.0)
-        var_head = (
-            w ** (s + 1.0) - (shift + w) ** (s + 1.0) + shift ** (s + 1.0)
-        ) / (s + 1.0)
-        if scheme.family == "power":
-            var_a += w
-        else:
-            var_b -= w
-    ts, coeff = _simpson_grid(var_a, var_b, _SUBSTEP)
-    cur = _weight_values(scheme, index, ts)
-    if scheme.family == "voronoi":
-        prev = (index - ts + shift) ** s
-    elif scheme.family == "power":
-        prev = (ts - shift) ** s
-    elif scheme.family == "log":
-        prev = 1.0 / (ts - shift)
-    else:
-        prev = np.ones_like(ts)
-    varied = float((coeff * np.abs(cur - prev)).sum()) + var_head
-    return max(lost, varied) / normalizer(scheme, index)
+    if scheme.family == "uniform":
+        return shift / (b - a)
+    if scheme.family == "log":
+        # log(1 + h) is lost at the leading edge; the copy shifted past N
+        # carries log(N / (N - h)); the variation is their difference
+        lost = math.log1p(shift)
+        last = -math.log1p(-shift / b)
+        return max(lost, abs(lost - last)) / math.log(b)
+    # over the mass N^p / p: the head [0, h] carries x^p and the tail [N - h, N]
+    # carries 1 - (1 - x)^p, x = h / N; the variation is their difference
+    p = scheme.exponent + 1.0
+    x = shift / b
+    head = x**p
+    tail = -math.expm1(p * math.log1p(-x))
+    lost = head if scheme.family == "power" else tail
+    return max(lost, abs(tail - head))

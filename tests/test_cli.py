@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -562,6 +563,21 @@ class TestContracts:
             sum((x * math.sin(f * n / 2) / (f * n / 2)) ** 2 for f, x in zip(freqs[1:], vector[1:]))
         )
         assert error == pytest.approx(expected, rel=1e-9, abs=1e-15)
+
+    def test_continuous_folner_defect_at_a_trillion(self, tmp_path):
+        # each continuous defect is a closed-form mass ratio, so N = 1e12 costs
+        # what N = 10 does; a quadrature grid there would hold 1e14 nodes
+        config = dict(base_configs()["folner-defect"], indices=[10, 1e12])
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        out = tmp_path / "out"
+        proc = run_cli(["run", str(path), "--out", str(out), "--quiet"], tmp_path, timeout=60)
+        assert proc.returncode == 0, proc.stderr + proc.stdout
+        defects = json.loads((out / "folner-defect.json").read_text())["results"]["defects"]
+        assert len(defects) == 2 and all(math.isfinite(d) and d > 0 for d in defects)
+        start = time.perf_counter()
+        assert run_experiment(config, tmp_path / "again", quiet=True) == 0
+        assert time.perf_counter() - start < 0.25
 
     def test_csv_uses_crlf(self, tmp_path):
         config = base_configs()["folner-defect"]

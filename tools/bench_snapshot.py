@@ -4,11 +4,16 @@
 
 For each workload declared in ``BENCHMARK.json``, runs
 ``perfbench/run.py --workload <name> --seed 1 --seconds 30 --trace 1``
-from the checkout this script belongs to, and keeps the run's environment
-line and its result line (correctness and the per-layer metrics).  The
-command is fixed so that every snapshot compares with every other.  The
-file is written at the repository root.  Nothing under ``perfbench/`` changes;
-a run that fails stops the snapshot with its error.
+three times from the checkout this script belongs to, and keeps the
+environment line and one result line (correctness and the per-layer
+metrics).  Counts (units ``count``, ``byte`` and ``flop-computed``) repeat
+exactly for a seed, so the runs must agree on them, and on correctness and
+the item tally; every other metric (seconds and the rates and ratios taken
+from them) is the median of the three runs, which keeps single-run noise out
+of per-layer deltas.  The command is fixed so that every snapshot compares
+with every other.  The file is written at the repository root.  Nothing
+under ``perfbench/`` changes; a run that fails, or runs that disagree on a
+count, stop the snapshot with an error.
 """
 
 from __future__ import annotations
@@ -16,6 +21,7 @@ from __future__ import annotations
 import argparse
 import json
 import re
+import statistics
 import subprocess
 import sys
 from pathlib import Path
@@ -23,6 +29,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 ENVIRONMENT = "environment "
 FLAGS = ["--seed", "1", "--seconds", "30", "--trace", "1"]
+RUNS = 3
+COUNT_UNITS = ("count", "byte", "flop-computed")
 
 
 def traced_run(workload: str) -> dict:
@@ -39,6 +47,26 @@ def traced_run(workload: str) -> dict:
     }
 
 
+def combine(workload: str, runs: list) -> dict:
+    """One record from repeated runs: counts checked equal, the rest medians."""
+    first = runs[0]["result"]
+    for run in runs[1:]:
+        for key in ("correct", "attempted", "failed"):
+            if run["result"][key] != first[key]:
+                raise RuntimeError(f"{workload}: runs disagree on {key}")
+    metrics = {}
+    for name, metric in first["metrics"].items():
+        values = [run["result"]["metrics"][name]["value"] for run in runs]
+        if metric["unit"] in COUNT_UNITS:
+            if len(set(values)) != 1:
+                raise RuntimeError(f"{workload}: runs disagree on {name}: {values}")
+            value = values[0]
+        else:
+            value = statistics.median(values)
+        metrics[name] = {"value": value, "unit": metric["unit"]}
+    return {"environment": runs[0]["environment"], "result": {**first, "metrics": metrics}}
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("tag")
@@ -49,11 +77,14 @@ def main() -> int:
     snapshot = {
         "tag": args.tag,
         "command": " ".join(["perfbench/run.py", *FLAGS]),
+        "runs": RUNS,
         "workloads": {},
     }
     for workload in (w["name"] for w in declared["workloads"]):
         try:
-            snapshot["workloads"][workload] = traced_run(workload)
+            snapshot["workloads"][workload] = combine(
+                workload, [traced_run(workload) for _ in range(RUNS)]
+            )
         except RuntimeError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 1
