@@ -57,7 +57,6 @@ from .joinings import (
     PermutationSystem,
     coupling_of,
     joining_polytope,
-    joining_vertices,
     product_coupling,
     relative_disjointness,
     rotation,

@@ -13,7 +13,8 @@ of at most 0.01; the logarithmic family integrates on a geometric grid
 (uniform in log t), and power weights with negative exponent get a
 closed-form head cell so the integrable endpoint singularity never meets the
 grid.  Quadrature accumulates over fixed-size chunks in index order, so
-results are reproducible bit for bit.
+results are reproducible bit for bit, and a grid of more than
+``QUAD_NODE_CAP`` nodes is refused before any node is allocated.
 """
 
 from __future__ import annotations
@@ -34,6 +35,11 @@ _NULL_THRESHOLD = 1e-10  # fixed_space_projection: spectrum at most this counts 
 # refused before anything is allocated
 WEIGHT_COUNT_CAP = 10**7
 
+# the largest Simpson grid: 2 * 10**7 nodes hold 160 MB per float64 array, and
+# a flow mean keeps a few such arrays; a larger grid is refused before any
+# node is allocated
+QUAD_NODE_CAP = 2 * 10**7
+
 DISCRETE = "discrete"
 CONTINUOUS = "continuous"
 
@@ -51,7 +57,9 @@ class WeightScheme:
     """A weight family together with its domain.
 
     ``exponent`` is used by the power and voronoi families and must satisfy
-    -1 < s <= 4 (beyond that the normalizer is useless at double precision).
+    -1 < s <= 4: above -1 the weights are integrable at the window's singular
+    endpoint, and 4 is the largest exponent the closed forms and the
+    quadrature are tested to.
     ``samples`` backs the custom family, which is discrete-only.
     """
 
@@ -197,7 +205,12 @@ def window(scheme: WeightScheme, index: float) -> Tuple[float, float]:
 def _simpson_grid(a: float, b: float, substep: float) -> Tuple[np.ndarray, np.ndarray]:
     """Nodes and Simpson coefficients on [a, b] with sub-step <= substep."""
     span = b - a
-    panels = max(1, int(math.ceil(span / (2.0 * substep))))
+    panels = span / (2.0 * substep)
+    if not panels <= (QUAD_NODE_CAP - 1) // 2:
+        raise SchemeError(
+            f"Simpson quadrature on [{a:g}, {b:g}] needs more than {QUAD_NODE_CAP} nodes"
+        )
+    panels = max(1, math.ceil(panels))
     nsub = 2 * panels
     h = span / nsub
     ts = a + h * np.arange(nsub + 1)

@@ -1,4 +1,4 @@
-"""Couplings and joinings of finite permutation systems, with exact and LP certificates.
+"""Couplings and joinings of finite permutation systems, with exact certificates.
 
 A classical system here is a finite set with a permutation and an invariant
 probability vector.  A coupling is a nonnegative matrix with the two measures
@@ -7,10 +7,9 @@ permutation, possibly with prescribed masses on an invariant partition (the
 factor).  The joining set is then a polytope cut out by linear equalities,
 and relative disjointness is the polytope being a single point.  A joining
 is constant on each orbit of the product permutation, so the question is
-first asked of the orbit quotient -- one unknown per orbit -- and settled by
-exact ``Fraction`` elimination whenever that small system names a single
-nonnegative point.  Otherwise it is certified by minimizing and maximizing
-every coordinate with the simplex solver.
+asked of the orbit quotient -- one unknown per orbit -- and settled by the
+exact ``Fraction`` simplex of ``lp``: every certificate, witnesses and
+infeasibility included, is exact.
 
 Measures and couplings are kept as exact fractions; weighted orbit averages
 of a coupling stay exact whenever the weights are rational.
@@ -26,7 +25,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from .averaging import DISCRETE, WeightScheme
-from .lp import FEASIBILITY_TOL, coordinate_range, polytope_vertices
+from .lp import feasible_tableau, simplex_minimize
 
 Rational = Union[int, str, Fraction, float]
 
@@ -159,6 +158,21 @@ def _product_map(left: PermutationSystem, right: PermutationSystem) -> List[int]
     ]
 
 
+def _cycles(permutation: Sequence[int]) -> List[List[int]]:
+    """The cycles of a permutation, in order of their smallest point."""
+    cycles: List[List[int]] = []
+    seen = [False] * len(permutation)
+    for start in range(len(permutation)):
+        point, cycle = start, []
+        while not seen[point]:
+            seen[point] = True
+            cycle.append(point)
+            point = permutation[point]
+        if cycle:
+            cycles.append(cycle)
+    return cycles
+
+
 # -- factors ---------------------------------------------------------------------
 
 
@@ -233,7 +247,8 @@ class JoiningPolytope:
 
     ``cells`` and ``cell_masses`` are the factor's partition (flat index
     tuples, canonically ordered) and its exact masses, both empty without a
-    factor; ``a_eq`` and ``b_eq`` hold the same constraints as floats.
+    factor; ``a_eq`` and ``b_eq`` hold the same constraints as floats, for
+    the membership checks ``contains`` and ``residual``.
     """
 
     left: PermutationSystem
@@ -242,10 +257,6 @@ class JoiningPolytope:
     b_eq: np.ndarray
     cells: Tuple[Tuple[int, ...], ...]
     cell_masses: Tuple[Fraction, ...]
-
-    @property
-    def variables(self) -> int:
-        return self.a_eq.shape[1]
 
     def contains(self, matrix: np.ndarray, tol: float = 1e-9) -> bool:
         x = np.asarray(matrix, dtype=float).reshape(-1)
@@ -307,7 +318,13 @@ def joining_polytope(
 
 @dataclass(frozen=True)
 class DisjointnessReport:
-    """Exact or coordinatewise LP certificate for uniqueness of the joining."""
+    """Exact certificate for uniqueness of the joining.
+
+    ``spread`` is the range of the first orbit value that is not pinned
+    (0.0 when every one is); ``unique_joining`` is the only joining, or
+    ``witnesses`` two joinings whose values on that orbit differ by the
+    spread, as na x nb matrices of correctly rounded floats.
+    """
 
     disjoint: bool
     spread: float
@@ -315,112 +332,62 @@ class DisjointnessReport:
     witnesses: Optional[Tuple[np.ndarray, np.ndarray]]
 
 
-def _orbit_point(polytope: JoiningPolytope) -> Optional[np.ndarray]:
-    """The only joining, when the orbit quotient's equations name it exactly.
+def relative_disjointness(polytope: JoiningPolytope) -> DisjointnessReport:
+    """Decide exactly whether the joining polytope is a single point.
 
-    The invariance equalities make a joining constant on each orbit of the
-    product permutation.  With one unknown per orbit, the marginal and factor
-    equalities become integer orbit-count rows whose right-hand sides are the
-    exact measures and cell masses.  If that system is consistent with full
-    column rank, its solution is the only candidate, and if the solution is
-    also nonnegative the polytope is exactly that point.  Returns the point
-    expanded to an na x nb matrix of correctly rounded floats, or None when
-    the quotient does not name one.
+    A joining is constant on each orbit of the product permutation, so the
+    polytope is solved on the orbit quotient: one unknown per orbit, and one
+    row of orbit counts per marginal point and per factor cell, with the
+    exact measures and cell masses on the right (exactly repeated rows are
+    dropped).  One phase one proves the quotient feasible, or raises
+    ``JoiningInfeasibleError``; from its basis every orbit, in order of its
+    smallest flat index, is minimized and maximized over ``Fraction``.  The
+    first orbit whose range is not a single value gives two witness joinings
+    and the spread.  When every range is a single value, that point is the
+    unique joining, reported as correctly rounded floats.
     """
     left, right = polytope.left, polytope.right
     na, nb = left.size, right.size
-    image = _product_map(left, right)
-    orbit_of = [-1] * (na * nb)
-    orbits = 0
-    for start in range(na * nb):
-        if orbit_of[start] >= 0:
-            continue
-        flat = start
-        while orbit_of[flat] < 0:
-            orbit_of[flat] = orbits
-            flat = image[flat]
-        orbits += 1
-    if orbits > na + nb + len(polytope.cells):
-        return None  # more unknowns than equations leave a free direction
+    orbit_of = [0] * (na * nb)
+    orbits = _cycles(_product_map(left, right))
+    for orbit, points in enumerate(orbits):
+        for flat in points:
+            orbit_of[flat] = orbit
     # one row per marginal point and per factor cell: orbit counts | mass
-    rows = [
-        [Fraction(0)] * orbits + [mass]
-        for mass in left.measure + right.measure + polytope.cell_masses
-    ]
+    masses = left.measure + right.measure + polytope.cell_masses
+    rows = [[0] * len(orbits) + [mass] for mass in masses]
     for flat, orbit in enumerate(orbit_of):
         rows[flat // nb][orbit] += 1
         rows[na + flat % nb][orbit] += 1
     for c, cell in enumerate(polytope.cells):
         for flat in cell:
             rows[na + nb + c][orbit_of[flat]] += 1
-    # Gauss-Jordan elimination; a column without a pivot leaves a free direction
-    for col in range(orbits):
-        pivot = next((i for i in range(col, len(rows)) if rows[i][col]), None)
-        if pivot is None:
-            return None
-        rows[col], rows[pivot] = rows[pivot], rows[col]
-        lead = rows[col]
-        lead[:] = [v / lead[col] for v in lead]
-        for i, row in enumerate(rows):
-            if i != col and row[col]:
-                factor = row[col]
-                row[:] = [a - factor * b for a, b in zip(row, lead)]
-    if any(row[orbits] for row in rows[orbits:]):
-        return None
-    values = [rows[orbit][orbits] for orbit in range(orbits)]
-    if min(values) < 0:
-        return None
-    return np.array([float(values[orbit]) for orbit in orbit_of]).reshape(na, nb)
-
-
-def relative_disjointness(polytope: JoiningPolytope) -> DisjointnessReport:
-    """Decide whether the joining polytope is a single point.
-
-    When the orbit quotient names one nonnegative point exactly, that point
-    is the unique joining and the spread is 0.  Otherwise (a rank-deficient,
-    inconsistent or sign-violating quotient) every coordinate is minimized
-    and maximized; the polytope is a point exactly when every spread is
-    within ``FEASIBILITY_TOL``.  Otherwise two joinings witnessing the first
-    wide coordinate are returned, reshaped as matrices.
-    """
-    exact = _orbit_point(polytope)
-    if exact is not None:
-        return DisjointnessReport(
-            disjoint=True, spread=0.0, unique_joining=exact, witnesses=None
+    rows = list(dict.fromkeys(map(tuple, rows)))
+    start = feasible_tableau([row[:-1] for row in rows], [row[-1] for row in rows])
+    if start is None:
+        raise JoiningInfeasibleError(
+            "no coupling satisfies the constraints (the factor masses "
+            "admit no extension to a joining)"
         )
-    na, nb = polytope.left.size, polytope.right.size
-    point = None
-    worst = 0.0
-    for c in range(polytope.variables):
-        low, high = coordinate_range(polytope.a_eq, polytope.b_eq, c)
-        if not low.ok or not high.ok:
-            raise JoiningInfeasibleError(
-                "no coupling satisfies the constraints (the factor masses "
-                "admit no extension to a joining)"
-            )
-        spread = high.x[c] - low.x[c]
-        worst = max(worst, float(spread))
-        if point is None:
-            point = low.x
-        if spread > FEASIBILITY_TOL:
+
+    def joining(values) -> np.ndarray:
+        return np.array([float(values[orbit]) for orbit in orbit_of]).reshape(na, nb)
+
+    for orbit in range(len(orbits)):
+        unit = [0] * len(orbits)
+        unit[orbit] = 1
+        low = simplex_minimize(unit, start).x
+        high = simplex_minimize([-u for u in unit], start).x
+        if high[orbit] != low[orbit]:
             return DisjointnessReport(
                 disjoint=False,
-                spread=float(spread),
+                spread=float(high[orbit] - low[orbit]),
                 unique_joining=None,
-                witnesses=(low.x.reshape(na, nb), high.x.reshape(na, nb)),
+                witnesses=(joining(low), joining(high)),
             )
     return DisjointnessReport(
-        disjoint=True,
-        spread=worst,
-        unique_joining=point.reshape(na, nb),
-        witnesses=None,
+        disjoint=True, spread=0.0, unique_joining=joining(low), witnesses=None
     )
-
-
-def joining_vertices(polytope: JoiningPolytope) -> List[np.ndarray]:
-    """Brute-force vertex list of the joining polytope (independent of the LP)."""
-    na, nb = polytope.left.size, polytope.right.size
-    return [v.reshape(na, nb) for v in polytope_vertices(polytope.a_eq, polytope.b_eq)]
 
 
 # -- orbit averages of couplings -------------------------------------------------------
@@ -442,20 +409,6 @@ def _rational_weights(scheme: WeightScheme, count: int) -> Optional[List[Fractio
             raise ValueError(f"custom scheme has {len(scheme.samples)} samples, needs {count}")
         return [_fraction(w) for w in scheme.samples[:count]]
     return None
-
-
-def _order(permutation: Sequence[int]) -> int:
-    """The order of a permutation: the lcm of its cycle lengths."""
-    order, seen = 1, set()
-    for start in range(len(permutation)):
-        length, i = 0, start
-        while i not in seen:
-            seen.add(i)
-            i = permutation[i]
-            length += 1
-        if length:
-            order = lcm(order, length)
-    return order
 
 
 def weighted_coupling_average(
@@ -484,7 +437,8 @@ def weighted_coupling_average(
     weights = _rational_weights(scheme, count)
     if weights is None:
         raise ValueError("coupling averages need exact rational weights")
-    period = lcm(_order(left.permutation), _order(right.permutation), len(family))
+    cycles = _cycles(left.permutation) + _cycles(right.permutation)
+    period = lcm(*(len(cycle) for cycle in cycles), len(family))
     na, nb = left.size, right.size
     inv_a = left.inverse_permutation
     inv_b = right.inverse_permutation

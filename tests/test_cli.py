@@ -330,6 +330,19 @@ class TestErrorPaths:
         assert_cli_error(proc)
         assert "discrete weights exceed the cap" in proc.stderr
 
+    def test_flow_mean_over_quadrature_node_cap(self, tmp_path):
+        # 1e17 Simpson nodes would be 800 PB; the grid is refused before any allocation
+        config = dict(
+            base_configs()["mean-ergodic"],
+            scheme={"family": "power", "exponent": 1.0},
+            indices=[1e15],
+        )
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        proc = run_cli(["run", str(path), "--out", str(tmp_path / "out")], tmp_path, timeout=60)
+        assert_cli_error(proc)
+        assert "Simpson quadrature on [0, 1e+15] needs more than 20000000 nodes" in proc.stderr
+
     def test_joinings_refuses_short_custom_scheme(self, tmp_path):
         # two samples cannot weigh a sweep of five steps
         config = dict(

@@ -13,7 +13,6 @@ from ergolab import (
     coupling_of,
     custom,
     joining_polytope,
-    joining_vertices,
     log_family,
     power,
     product_coupling,
@@ -22,8 +21,9 @@ from ergolab import (
     uniform,
     weighted_coupling_average,
 )
-from ergolab import lp
-from ergolab.joinings import _orbit_point, _rational_weights
+from ergolab import joinings
+from ergolab.joinings import _rational_weights
+from vertex_oracle import joining_vertices
 
 
 def stepping_coupling_average(left, right, couplings, scheme, count):
@@ -117,15 +117,15 @@ def certificate_corpus():
 
 @pytest.fixture
 def simplex_calls(monkeypatch):
-    """Counts the float simplex solves made while the test runs."""
+    """Counts the simplex solves that certificates make while the test runs."""
     calls = []
-    solve = lp.simplex_minimize
+    solve = joinings.simplex_minimize
 
     def counted(*args, **kwargs):
         calls.append(1)
         return solve(*args, **kwargs)
 
-    monkeypatch.setattr(lp, "simplex_minimize", counted)
+    monkeypatch.setattr(joinings, "simplex_minimize", counted)
     return calls
 
 
@@ -248,44 +248,53 @@ class TestJoiningPolytope:
 class TestQuotientCertificate:
     def test_agrees_with_vertex_enumeration(self):
         # the independent oracle decides every case: one vertex iff disjoint,
-        # and no vertex iff the prescription is infeasible
-        paths = set()
+        # and no vertex iff the prescription is infeasible; a witness pair is
+        # two vertices spanning the oracle's range of the first cell where
+        # they differ (the smallest flat index of the first unpinned orbit)
+        cases = set()
         for label, pol in certificate_corpus():
             vertices = joining_vertices(pol)
-            exact = _orbit_point(pol) is not None
             if not vertices:
                 with pytest.raises(JoiningInfeasibleError):
                     relative_disjointness(pol)
-                paths.add("infeasible")
+                cases.add("infeasible")
                 continue
             rep = relative_disjointness(pol)
             assert rep.disjoint == (len(vertices) == 1), label
+            cases.add(rep.disjoint)
             if rep.disjoint:
+                assert rep.spread == 0.0 and rep.witnesses is None, label
                 assert np.max(np.abs(rep.unique_joining - vertices[0])) < 1e-12, label
-                assert rep.spread == 0.0 or not exact, label
-            paths.add(("exact" if exact else "lp", rep.disjoint))
-        assert paths == {("exact", True), ("lp", True), ("lp", False), "infeasible"}
+                continue
+            low, high = rep.witnesses
+            for w in (low, high):
+                assert min(np.max(np.abs(w - v)) for v in vertices) < 1e-12, label
+            cell = np.unravel_index(np.flatnonzero(low != high)[0], low.shape)
+            values = [v[cell] for v in vertices]
+            assert abs(low[cell] - min(values)) < 1e-12, label
+            assert abs(high[cell] - max(values)) < 1e-12, label
+            assert abs(rep.spread - (max(values) - min(values))) < 1e-12, label
+        assert cases == {True, False, "infeasible"}
 
     def test_exact_point_is_correctly_rounded(self):
         rep = relative_disjointness(joining_polytope(rotation(9), rotation(10)))
         assert rep.disjoint and rep.spread == 0.0 and rep.witnesses is None
         assert np.all(rep.unique_joining == float(F(1, 90)))
 
-    def test_coprime_pair_makes_no_simplex_solve(self, simplex_calls):
+    def test_coprime_pair_ranges_its_one_orbit(self, simplex_calls):
+        # one orbit, one unknown: a minimization and a maximization certify it
         rep = relative_disjointness(joining_polytope(rotation(7), rotation(8)))
         assert rep.disjoint
-        assert simplex_calls == []
+        assert len(simplex_calls) == 2
 
-    def test_rank_deficient_single_point_falls_back(self, simplex_calls):
-        # a zero-mass 2-cycle leaves the quotient two orbits it cannot tell
-        # apart, yet nonnegativity pins both to 0: the LP certifies the point
+    def test_rank_deficient_single_point_is_exact(self, simplex_calls):
+        # a zero-mass 2-cycle leaves the quotient three orbits and rank two,
+        # yet nonnegativity pins the two orbits it cannot tell apart to 0
         left = PermutationSystem((0, 2, 1), (1, 0, 0))
-        pol = joining_polytope(left, rotation(2))
-        assert _orbit_point(pol) is None
-        rep = relative_disjointness(pol)
-        assert rep.disjoint
-        assert simplex_calls
-        assert np.allclose(rep.unique_joining, [[0.5, 0.5], [0.0, 0.0], [0.0, 0.0]])
+        rep = relative_disjointness(joining_polytope(left, rotation(2)))
+        assert rep.disjoint and rep.spread == 0.0 and rep.witnesses is None
+        assert len(simplex_calls) == 6
+        assert np.array_equal(rep.unique_joining, [[0.5, 0.5], [0.0, 0.0], [0.0, 0.0]])
 
 
 class TestFactors:
