@@ -20,8 +20,9 @@ table of the states, for the product and its finite-orbit image alike.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from .dual import AlgebraElement, State
 from .words import merge_runs
@@ -31,6 +32,11 @@ StateOrStates = Union[State, Sequence[State]]
 # Refuse a Furstenberg average whose half product can hold more terms than
 # this: the bound len(a)**h on P_h is checked before any product is built.
 HALF_PRODUCT_TERM_CAP = 100_000
+
+# Refuse a Furstenberg sweep or a decay n_max longer than this before any value
+# is computed.  Past its separation horizon a sequence is filled by copying, so
+# its length, not its products, is what a huge config would exhaust.
+SEQUENCE_LENGTH_CAP = 1_000_000
 
 
 def _as_states(states: StateOrStates) -> List[State]:
@@ -42,10 +48,57 @@ def _as_states(states: StateOrStates) -> List[State]:
     return out
 
 
+def _check_length(count: int, name: str) -> None:
+    if count < 1:
+        raise ValueError(f"{name} must be at least 1")
+    if count > SEQUENCE_LENGTH_CAP:
+        raise ValueError(f"{name} {count} exceeds the cap {SEQUENCE_LENGTH_CAP}")
+
+
+def _shift_spans(tables: Iterable[dict], lengths: dict) -> Dict[str, Tuple[int, int]]:
+    """Least and largest index of each shift family over the words of term tables."""
+    spans: Dict[str, Tuple[int, int]] = {}
+    for terms in tables:
+        for runs in terms:
+            for fam, idx, _ in runs:
+                if lengths[fam] is None:
+                    lo, hi = spans.get(fam, (idx, idx))
+                    spans[fam] = (min(lo, idx), max(hi, idx))
+    return spans
+
+
 def decay_sequence(state: State, element: AlgebraElement, n_max: int) -> List[complex]:
-    """Values of the state on shifts of (element - finite-orbit part), n = 1..n_max."""
+    """Values of the state on shifts of (element - finite-orbit part), n = 1..n_max.
+
+    Every word of the deficiency has a shift-family letter f[i], which the
+    n-th shift moves to f[i + n].  A vector state sees a word w only through
+    products w h = g with g, h in its vector supports, so f[i + n] must occur
+    in a support word.  Let H be the largest (support max - deficiency min)
+    index over the shift families present on both sides (0 for the trace or
+    when no family is shared).  For n > H no product word meets a support,
+    so the value is the exact ``0j`` the state returns then, and only
+    n <= H is evaluated.  Raises ``ValueError`` when n_max is below 1 or
+    above ``SEQUENCE_LENGTH_CAP``.
+    """
+    _check_length(n_max, "n_max")
     deficiency = element - element.finite_orbit_part()
-    return [state(deficiency.shifted(n)) for n in range(1, n_max + 1)]
+    lengths = element.alphabet._lengths
+    if state.kind == State._VECTOR:
+        vectors = [state.vector]
+    else:
+        vectors = [x for _, x in state.components or ()]
+    support = _shift_spans((x._terms for x in vectors), lengths)
+    horizon = max(
+        (
+            support[fam][1] - lo
+            for fam, (lo, _) in _shift_spans([deficiency._terms], lengths).items()
+            if fam in support
+        ),
+        default=0,
+    )
+    computed = min(n_max, max(horizon, 0))
+    values = [state(deficiency.shifted(n)) for n in range(1, computed + 1)]
+    return values + [0j] * (n_max - computed)
 
 
 def _ordered_product(
@@ -466,12 +519,24 @@ def furstenberg_average(
     prefixes P_1 = a, P_j = P_{j-1} shift^{(j-1)n}(a), each value is the trace
     on P_h times shift^{hn}(P_{order+1-h}), a shift of a prefix already built
     since the shift is an automorphism.  Raises ``ValueError`` before the
-    sweep when len(a)**h exceeds ``HALF_PRODUCT_TERM_CAP``.
+    sweep when len(a)**h exceeds ``HALF_PRODUCT_TERM_CAP`` or the sweep
+    exceeds ``SEQUENCE_LENGTH_CAP``.
+
+    Only n <= R + L is computed, where R is the largest (max - min) index of
+    one shift family over all words of a, and L the lcm of the cycle lengths
+    occurring in them (1 if none); every later value is v_{n-L}.  In a
+    product of reduced words a cancelled or merged letter always pairs with
+    a letter of a different factor, and factors j != j' put the letters
+    f[i], f[i'] of one shift family at i + jn and i' + j'n, which differ once
+    n > R.  So for n > R every comparison of two symbols, in every word
+    table of the loop, comes out as it does at n + L: shift letters are
+    equal only within one factor, where n cancels, and cycle letters depend
+    on n mod L alone.  The tables' keys, collisions, pruning and insertion
+    order, and hence the float sums, repeat bit for bit with period L.
     """
     if order < 1:
         raise ValueError("order must be at least 1")
-    if sweep < 1:
-        raise ValueError("sweep must be at least 1")
+    _check_length(sweep, "sweep")
     a = factor * factor.adjoint()
     half = (order + 2) // 2
     # len(a) >= 2 already exceeds the cap at this exponent, so clamping it
@@ -481,15 +546,22 @@ def furstenberg_average(
             f"half product bound {len(a)}^{half} terms exceeds the cap "
             f"{HALF_PRODUCT_TERM_CAP}"
         )
+    lengths = a.alphabet._lengths
+    spread = max((hi - lo for lo, hi in _shift_spans([a._terms], lengths).values()), default=0)
+    period = math.lcm(
+        *{lengths[fam] for runs in a._terms for fam, _, _ in runs if lengths[fam] is not None}
+    )
     trace = State.trace()
     values: List[complex] = []
-    for n in range(1, sweep + 1):
+    for n in range(1, min(sweep, spread + period) + 1):
         previous, left = None, a
         for j in range(1, half):
             previous, left = left, left * a.shifted(j * n)
         # order + 1 - h is h for odd orders and h - 1 for even ones
         right = (left if order % 2 else previous).shifted(half * n)
         values.append(trace.on_product(left, right))
+    for i in range(len(values), sweep):
+        values.append(values[i - period])
     if absolute:
         avg = sum(abs(v) for v in values) / sweep
     else:

@@ -1,16 +1,21 @@
-"""The product-forming recurrence averages, kept as an oracle.
+"""The recurrence sequences computed for every n, kept as oracles.
 
-These are ``furstenberg_average`` and ``bergelson_average`` as they were
-before the trace was read off a split product: every n multiplies out the
-whole product and reads its identity coefficient.  The split kernels must
-reproduce their values to roundoff and their exact zeros exactly.
+``furstenberg_average`` and ``bergelson_average`` are the averages as they
+were before the trace was read off a split product: every n multiplies out
+the whole product and reads its identity coefficient.  The split kernels
+must reproduce their values to roundoff and their exact zeros exactly.
+
+``split_furstenberg_average`` and ``decay_sequence`` are the split average
+and the decay sequence as they were before they stopped at their separation
+horizon: every n of the sweep is evaluated.  The library must reproduce
+their values bit for bit.
 """
 
 from __future__ import annotations
 
 from typing import List
 
-from ergolab.dual import AlgebraElement
+from ergolab.dual import AlgebraElement, State
 from ergolab.mixing import DoubleAverage, RecurrenceAverage
 
 
@@ -37,6 +42,39 @@ def furstenberg_average(
     for _ in range(order):
         power = power * ea
     return RecurrenceAverage(avg, power.trace.real, tuple(values))
+
+
+def split_furstenberg_average(
+    factor: AlgebraElement, order: int, sweep: int, absolute: bool = True
+) -> RecurrenceAverage:
+    if order < 1:
+        raise ValueError("order must be at least 1")
+    if sweep < 1:
+        raise ValueError("sweep must be at least 1")
+    a = factor * factor.adjoint()
+    half = (order + 2) // 2
+    trace = State.trace()
+    values: List[complex] = []
+    for n in range(1, sweep + 1):
+        previous, left = None, a
+        for j in range(1, half):
+            previous, left = left, left * a.shifted(j * n)
+        right = (left if order % 2 else previous).shifted(half * n)
+        values.append(trace.on_product(left, right))
+    if absolute:
+        avg = sum(abs(v) for v in values) / sweep
+    else:
+        avg = sum(values) / sweep
+    ea = a.finite_orbit_part()
+    power = ea
+    for _ in range(order):
+        power = power * ea
+    return RecurrenceAverage(avg, power.trace.real, tuple(values))
+
+
+def decay_sequence(state: State, element: AlgebraElement, n_max: int) -> List[complex]:
+    deficiency = element - element.finite_orbit_part()
+    return [state(deficiency.shifted(n)) for n in range(1, n_max + 1)]
 
 
 def bergelson_average(

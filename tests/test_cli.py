@@ -330,6 +330,16 @@ class TestErrorPaths:
         assert_cli_error(proc)
         assert "discrete weights exceed the cap" in proc.stderr
 
+    @pytest.mark.parametrize("kind, field", [("furstenberg", "sweep"), ("mixing-decay", "n_max")])
+    def test_sequence_over_length_cap(self, tmp_path, kind, field):
+        # 10**12 values would be 16 TB; the length is refused before any value
+        config = dict(base_configs()[kind], **{field: 10**12})
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        proc = run_cli(["run", str(path), "--out", str(tmp_path / "out")], tmp_path, timeout=60)
+        assert_cli_error(proc)
+        assert proc.stderr == f"error: {field} 1000000000000 exceeds the cap 1000000\n"
+
     def test_flow_mean_over_quadrature_node_cap(self, tmp_path):
         # 1e17 Simpson nodes would be 800 PB; the grid is refused before any allocation
         config = dict(

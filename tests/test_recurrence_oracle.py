@@ -1,17 +1,23 @@
-"""The split-product recurrence averages against the product-forming oracle.
+"""The recurrence sequences against their oracles.
 
 ``furstenberg_average`` and ``bergelson_average`` read the trace off two
 halves of the product with ``State.on_product``;
 ``recurrence_oracle`` multiplies the whole product out.  Values must agree
 within 1e-12 relative, exact zeros must stay exact, and the summaries must
 agree.  A merge count pins the work of the split.
+
+``furstenberg_average`` and ``decay_sequence`` stop evaluating at their
+separation horizon; past it they must equal the oracles that evaluate every
+n, bit for bit, on sweeps well past the horizon.
 """
 
+import math
 import random
 
 import pytest
 
 import ergolab.dual
+import ergolab.mixing
 from ergolab import (
     AlgebraElement,
     Alphabet,
@@ -19,6 +25,7 @@ from ergolab import (
     L2Vector,
     State,
     bergelson_average,
+    decay_sequence,
     furstenberg_average,
 )
 from conftest import random_element, random_vector_state, random_word
@@ -166,11 +173,13 @@ def test_on_product_rejects_mixed_alphabets(ab):
 
 def test_order3_merge_count_is_one_half_product_per_n(ab, monkeypatch):
     factor = lam(ab.word("s[0]")) + lam(ab.word("s[1]")) + lam(ab.word("c[0]"))
-    order, sweep = 3, 40
+    order = 3
     a = factor * factor.adjoint()
     ea = a.finite_orbit_part()
     setup = len(factor) ** 2 + sum(len(ea) ** (j + 1) for j in range(1, order + 1))
-    bound = sweep * len(a) ** 2 + setup
+    # s[0] and s[1] span R = 1 and the cycle c has L = 3: only n <= R + L
+    # is multiplied out, one half product of len(a)**2 merges each
+    assert separation(a) == (1, 3)
 
     calls = [0]
     merge_runs = ergolab.dual.merge_runs
@@ -180,10 +189,156 @@ def test_order3_merge_count_is_one_half_product_per_n(ab, monkeypatch):
         return merge_runs(*parts)
 
     monkeypatch.setattr(ergolab.dual, "merge_runs", counted)
-    furstenberg_average(factor, order, sweep)
     assert len(a) == 7
-    assert 0 < calls[0] <= bound
-    split = calls[0]
+    counts = []
+    for sweep in (40, 400):
+        calls[0] = 0
+        furstenberg_average(factor, order, sweep)
+        assert 0 < calls[0] <= min(sweep, 1 + 3) * len(a) ** 2 + setup
+        counts.append(calls[0])
+    # past the horizon values are copied: a longer sweep adds no merge
+    assert counts[0] == counts[1]
     calls[0] = 0
-    recurrence_oracle.furstenberg_average(factor, order, sweep)
-    assert calls[0] > 10 * split
+    recurrence_oracle.furstenberg_average(factor, order, 40)
+    assert calls[0] > 10 * counts[0]
+
+
+# -- separation horizons ------------------------------------------------------------
+
+
+@pytest.fixture
+def ab5():
+    return Alphabet({"s": None, "t": None, "c": 3, "d": 2, "e": 5})
+
+
+def shift_indices(words):
+    """Family -> indices of its shift-family letters over the given words."""
+    out = {}
+    for word in words:
+        for fam, idx, _ in word.runs:
+            if word.alphabet.lengths[fam] is None:
+                out.setdefault(fam, []).append(idx)
+    return out
+
+
+def separation(a):
+    """(R, L): the largest index spread of one shift family over the words of a,
+    and the lcm of the cycle lengths occurring in them."""
+    words = [w for w, _ in a.items()]
+    spread = max((max(ix) - min(ix) for ix in shift_indices(words).values()), default=0)
+    lengths = a.alphabet.lengths
+    cycles = {lengths[fam] for w in words for fam, _, _ in w.runs if lengths[fam]}
+    return spread, math.lcm(*cycles)
+
+
+def decay_horizon(state, element):
+    """H: the largest support max minus deficiency min over shared shift families."""
+    if state.kind == "vector":
+        vectors = [state.vector]
+    elif state.kind == "mixture":
+        vectors = [x for _, x in state.components]
+    else:
+        vectors = []
+    support = shift_indices([w for x in vectors for w, _ in x.items()])
+    deficiency = element - element.finite_orbit_part()
+    spans = shift_indices([w for w, _ in deficiency.items()])
+    return max((max(support[f]) - min(ix) for f, ix in spans.items() if f in support), default=0)
+
+
+def assert_identical(got, want):
+    assert len(got) == len(want)
+    for v, w in zip(got, want):
+        assert v == w and repr(v) == repr(w), (v, w)
+
+
+def test_furstenberg_equals_unbounded_split_past_horizon(ab5):
+    rng = random.Random(20261019)
+    periods = set()
+    past = 0
+    for order in (1, 2, 3, 4):
+        for _ in range(14 if order < 3 else 8):
+            factor = random_element(rng, ab5, rng.randint(1, 3 if order < 4 else 2), 3)
+            spread, period = separation(factor * factor.adjoint())
+            periods.add(period)
+            sweep = spread + 4 * period + rng.randint(0, 4)
+            for absolute in (True, False):
+                got = furstenberg_average(factor, order, sweep, absolute=absolute)
+                want = recurrence_oracle.split_furstenberg_average(
+                    factor, order, sweep, absolute=absolute
+                )
+                assert_identical(got.values, want.values)
+                assert_identical([got.average], [want.average])
+                assert got.comparison == want.comparison
+            past += any(v != 0 for v in want.values[spread + period :])
+    # cycles of length 2, 3 and 5 all occur, and values past the horizon live
+    assert any(p % 2 == 0 for p in periods) and any(p % 3 == 0 for p in periods)
+    assert any(p % 5 == 0 for p in periods)
+    assert past > 0
+
+
+def test_decay_equals_unbounded_sequence_past_horizon(ab5):
+    rng = random.Random(20261021)
+    hits_at_horizon = 0
+    for case in range(120):
+        element = random_element(rng, ab5, rng.randint(1, 4), 4)
+        kind = case % 3
+        if kind == 0:
+            state = random_vector_state(rng, ab5, support=rng.randint(1, 4), idx_span=6)
+        elif kind == 1:
+            state = State.mixture(
+                [
+                    (0.4, random_vector_state(rng, ab5, support=2, idx_span=6).vector),
+                    (0.6, random_vector_state(rng, ab5, support=3, idx_span=6).vector),
+                ]
+            )
+        else:
+            state = State.trace()
+        horizon = max(decay_horizon(state, element), 0)
+        n_max = horizon + 3 + rng.randint(0, 5)
+        got = decay_sequence(state, element, n_max)
+        want = recurrence_oracle.decay_sequence(state, element, n_max)
+        assert_identical(got, want)
+        assert all(v == 0 for v in want[horizon:])
+        hits_at_horizon += horizon > 0 and want[horizon - 1] != 0
+    assert hits_at_horizon > 0
+
+
+def test_furstenberg_value_changes_at_the_horizon(ab5):
+    # a s[0] from one factor cancels the s[4]^-1 of the next exactly at n = R,
+    # a term that no later n repeats
+    factor = AlgebraElement.one(ab5) + lam(ab5.word("s[0]")) + lam(ab5.word("s[4]"))
+    factor = factor + lam(ab5.word("c[0]"))
+    spread, period = separation(factor * factor.adjoint())
+    assert (spread, period) == (4, 3)
+    for order in (1, 2):
+        sweep = spread + 3 * period
+        want = recurrence_oracle.split_furstenberg_average(factor, order, sweep).values
+        assert want[spread - 1] != want[spread + period - 1]
+        assert_identical(furstenberg_average(factor, order, sweep).values, want)
+
+
+def test_decay_value_lives_at_the_horizon(ab5):
+    # the vector (delta_e + delta_s[6]) / sqrt 2 sees s[0] shifted by exactly 6
+    x = L2Vector.from_terms(ab5, [(ab5.identity(), 1.0), (ab5.word("s[6]"), 1.0)]).normalized()
+    element = lam(ab5.word("s[0]")) + lam(ab5.word("c[1]"))
+    for state in (State.vector_state(x), State.mixture([(0.5, x), (0.5, x)])):
+        assert decay_horizon(state, element) == 6
+        got = decay_sequence(state, element, 9)
+        assert_identical(got, recurrence_oracle.decay_sequence(state, element, 9))
+        assert got[5] != 0 and all(v == 0 for i, v in enumerate(got) if i != 5)
+
+
+def test_decay_validation(ab):
+    with pytest.raises(ValueError, match="n_max must be at least 1"):
+        decay_sequence(State.trace(), lam(ab.word("s[0]")), 0)
+
+
+def test_sequence_length_cap(ab):
+    factor = lam(ab.word("s[0]"))
+    cap = ergolab.mixing.SEQUENCE_LENGTH_CAP
+    with pytest.raises(ValueError, match="exceeds the cap"):
+        furstenberg_average(factor, 1, cap + 1)
+    with pytest.raises(ValueError, match="exceeds the cap"):
+        decay_sequence(State.trace(), factor, cap + 1)
+    # a sweep at the cap is filled past its horizon without a product
+    assert len(furstenberg_average(factor, 1, cap).values) == cap
