@@ -353,6 +353,17 @@ class TestErrorPaths:
         assert_cli_error(proc)
         assert "Simpson quadrature on [0, 1e+15] needs more than 20000000 nodes" in proc.stderr
 
+    def test_tensor_over_grid_cap(self, tmp_path):
+        # 10**10 pairs of 4-state rows would be 2.6 TB of tensor functionals;
+        # the grid is refused before any allocation
+        side = {"type": "section4", "p": 0.5, "projection": "EL", "family_points": 10**5}
+        config = dict(base_configs()["tensor"], left=side, right=side)
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        proc = run_cli(["run", str(path), "--out", str(tmp_path / "out")], tmp_path, timeout=60)
+        assert_cli_error(proc)
+        assert proc.stderr == "error: tensor functional grid 160000000000 exceeds the cap 4194304\n"
+
     def test_joinings_refuses_short_custom_scheme(self, tmp_path):
         # two samples cannot weigh a sweep of five steps
         config = dict(

@@ -22,6 +22,8 @@ from ergolab.averaging import discrete_weights, power_means
 from ergolab.finite import (
     FIXED,
     PERIPHERAL,
+    TENSOR_CHUNK_ELEMENTS,
+    TENSOR_GRID_CAP,
     four_state_invariant_mean,
     four_state_weak_mixing,
 )
@@ -464,3 +466,134 @@ class TestTensor:
         big = MarkovSystem(np.eye(70), np.eye(70), np.ones((1, 70)))
         with pytest.raises(ValueError):
             tensor_product(big, big)
+
+    def test_grid_guard(self):
+        # 3000·3000 one-dimensional rows: a grid of 9e6 entries
+        wide = MarkovSystem(np.eye(1), np.eye(1), np.ones((3000, 1)))
+        assert 3000 * 3000 > TENSOR_GRID_CAP
+        with pytest.raises(ValueError, match="tensor functional grid 9000000 exceeds"):
+            tensor_product(wide, wide)
+
+    def test_functional_rows_are_pairwise_krons(self):
+        rng = np.random.default_rng(3)
+        left = random_complex_system(rng, 5, 4)
+        right = random_complex_system(rng, 3, 6)
+        tens = tensor_product(left, right)
+        rows = np.array(
+            [np.kron(phi, psi) for phi in left.functionals for psi in right.functionals]
+        )
+        assert tens.functionals.tobytes() == rows.tobytes()
+        assert tens.factors[0] is left and tens.factors[1] is right
+        assert as_plain(tens).factors is None
+
+
+def random_complex_system(rng, d, functionals):
+    """``random_real_system`` with complex functionals and, half the time, a
+    complex idempotent 1·π with Σπ = 1."""
+    real = random_real_system(rng, d, functionals)
+    e = real.idempotent
+    if rng.random() < 0.5:
+        pi = rng.normal(size=d) + 1j * rng.normal(size=d)
+        e = np.outer(np.ones(d), pi / pi.sum())
+    f = real.functionals + 1j * rng.normal(size=real.functionals.shape)
+    return MarkovSystem(real.transition, e, f)
+
+
+def as_plain(system):
+    """The same matrices without recorded factors: the Kronecker-matrix loop."""
+    return MarkovSystem(system.transition, system.idempotent, system.functionals)
+
+
+def benchmark_shaped_tensor(rng):
+    """A 16-state system (two 4-state examples, written out, 30 of the 100
+    product family rows) tensored with a 4-state example: d = 64, |F| = 300."""
+    a, b, c = (four_state_system(p, family_points=10) for p in rng.choice(P_GRID, 3))
+    rows = np.kron(a.family, b.family)
+    left = MarkovSystem(
+        np.kron(a.transition, b.transition),
+        np.kron(a.proj_peripheral, b.proj_peripheral),
+        rows[rng.choice(len(rows), 30, replace=False)],
+    )
+    return tensor_product(left, c.as_markov(c.proj_peripheral, c.family))
+
+
+class TestFactoredTensorSweep:
+    """``weak_mixing_check`` of a ``tensor_product`` steps the factors; the
+    loop over the Kronecker matrix of the same system is its oracle."""
+
+    @staticmethod
+    def assert_matches_oracle(tens, scheme, sweep, tolerance):
+        report = weak_mixing_check(tens, scheme, sweep, tolerance)
+        oracle = weak_mixing_check(as_plain(tens), scheme, sweep, tolerance)
+        assert (report.passed, report.witness) == (oracle.passed, oracle.witness)
+        assert report.max_defect == pytest.approx(oracle.max_defect, rel=1e-12, abs=0.0)
+        if oracle.passed:
+            assert report.witness_tail_min is None
+        else:
+            assert report.witness_tail_min == pytest.approx(
+                oracle.witness_tail_min, rel=1e-12, abs=0.0
+            )
+        return oracle
+
+    def test_seeded_corpus(self):
+        rng = np.random.default_rng(14)
+        outcomes, kinds = set(), set()
+        for k in range(60):
+            sides = []
+            for _ in range(2):
+                d, rows = int(rng.integers(1, 7)), int(rng.integers(1, 6))
+                is_complex = rng.random() < 0.4
+                make = random_complex_system if is_complex else random_real_system
+                sides.append(make(rng, d, rows))
+                kinds.add((is_complex, rows == 1))
+            sweep = int(rng.integers(5, 400))
+            scheme = [
+                uniform(), power(1.0), power(-0.5), log_family(), voronoi(1.0),
+                custom(rng.random(sweep) + 0.1),
+            ][k % 6]
+            tens = tensor_product(*sides)
+            oracle = weak_mixing_check(as_plain(tens), scheme, sweep, 1.0)
+            # half the pairs pass, half fail, far from the tolerance
+            tolerance = oracle.max_defect * (2.0 if k % 2 else 0.5)
+            outcomes.add(self.assert_matches_oracle(tens, scheme, sweep, tolerance).passed)
+        assert outcomes == {True, False}
+        assert kinds == {(False, False), (False, True), (True, False), (True, True)}
+
+    def test_benchmark_shaped_sweep_in_chunks(self):
+        # a grid of 19,200 makes chunks of 6 steps, and 200 is not a multiple of 6
+        rng = np.random.default_rng(64)
+        tens = benchmark_shaped_tensor(rng)
+        grid = tens.functionals.size
+        assert (grid, TENSOR_CHUNK_ELEMENTS // grid, 200 % 6) == (19_200, 6, 2)
+        assert weak_mixing_check(tens, uniform(), 200, 1e-10).max_defect == 0.0
+        left, right = tens.factors
+        failing = tensor_product(
+            MarkovSystem(left.transition, np.zeros((16, 16)), left.functionals), right
+        )
+        assert not self.assert_matches_oracle(failing, power(1.0), 200, 1e-10).passed
+
+    def test_grid_above_the_chunk_budget_steps_one_at_a_time(self):
+        rng = np.random.default_rng(15)
+        left = random_complex_system(rng, 16, 20)
+        right = random_real_system(rng, 16, 30)
+        tens = tensor_product(left, right)
+        assert tens.functionals.size > TENSOR_CHUNK_ELEMENTS
+        self.assert_matches_oracle(tens, uniform(), 7, 1e-3)
+
+    def test_exact_zero_defects_stay_exact(self):
+        # the split form (I − E_A)⊗I + E_A⊗(I − E_B) keeps every value of the
+        # peripheral families exactly zero; the difference form does not
+        sys4 = four_state_system(0.5)
+        el = sys4.as_markov(sys4.proj_peripheral, sys4.family)
+        assert weak_mixing_check(tensor_product(el, el), uniform(), 300, 1e-10).max_defect == 0.0
+        for seed in range(3):
+            tens = benchmark_shaped_tensor(np.random.default_rng(seed))
+            assert weak_mixing_check(tens, uniform(), 200, 1e-10).max_defect == 0.0
+
+    def test_given_vectors_take_the_kronecker_loop(self):
+        rng = np.random.default_rng(16)
+        tens = tensor_product(random_real_system(rng, 3, 2), random_real_system(rng, 2, 3))
+        vectors = rng.normal(size=(6, 4))
+        report = weak_mixing_check(tens, uniform(), 50, 1e-3, vectors=vectors)
+        oracle = weak_mixing_check(as_plain(tens), uniform(), 50, 1e-3, vectors=vectors)
+        assert report == oracle
