@@ -12,10 +12,14 @@ some state separates the product from its finite-orbit image is recorded.
 Only the candidate tuples are evaluated, those where some term choice can
 land every infinite-orbit letter on the pooled state support or cancel it
 against another factor; on every other tuple each value is exactly zero.
-The factors before the last slot are multiplied out as algebra elements;
-the last slot never forms its product, but looks each word (left
-neighbour, shifted operator, right neighbour) up in the pooled support
-table of the states, for the product and its finite-orbit image alike.
+The walk builds only what it reaches: a shifted copy of an operator (or of
+its finite-orbit part), and the last slot's term rows, are made the first
+time the walk visits that time, and a slot's factors are multiplied in
+only when the next slot has a candidate time.  The factors before the last
+slot are multiplied out as algebra elements; the last slot never forms its
+product, but looks each word (left neighbour, shifted operator, right
+neighbour) up in the pooled support table of the states, for the product
+and its finite-orbit image alike.
 """
 
 from __future__ import annotations
@@ -37,6 +41,10 @@ HALF_PRODUCT_TERM_CAP = 100_000
 # is computed.  Past its separation horizon a sequence is filled by copying, so
 # its length, not its products, is what a huge config would exhaust.
 SEQUENCE_LENGTH_CAP = 1_000_000
+
+# Refuse a gap scan whose lattice, scan_window * gap_max**(k - 1) tuples, is
+# larger than this before any shifted copy is built.
+GAP_LATTICE_CAP = 100_000_000
 
 
 def _as_states(states: StateOrStates) -> List[State]:
@@ -196,6 +204,22 @@ class GapScanResult:
     evaluated: int
 
 
+class _ShiftMemo(dict):
+    """Time n -> build(element.shifted(n)), built the first time n is looked up."""
+
+    def __init__(self, element: AlgebraElement, build=None):
+        super().__init__()
+        self.element = element
+        self.build = build
+
+    def __missing__(self, n: int):
+        value = self.element.shifted(n)
+        if self.build is not None:
+            value = self.build(value)
+        self[n] = value
+        return value
+
+
 def _instantiate(factors: list, pos: int, element: AlgebraElement) -> list:
     out = list(factors)
     idx = out.index(pos)
@@ -223,8 +247,11 @@ def gap_scan(
     by n_{permutation[j]}.  The walk evaluates only the candidate tuples,
     where some term choice can put every infinite-orbit letter on the pooled
     state support or cancel it against another factor; every other tuple has
-    difference exactly zero.  ``scanned`` reports the lattice size and
-    ``evaluated`` the candidate tuples computed.
+    difference exactly zero.  Shifted copies and the last slot's term rows
+    are built per visited time, and a slot is entered only when its
+    candidate domain is non-empty.  ``scanned`` reports the lattice size and
+    ``evaluated`` the candidate tuples computed.  Raises ``ValueError`` when
+    the lattice exceeds ``GAP_LATTICE_CAP`` tuples.
     """
     ops = list(operators)
     state_list = _as_states(states)
@@ -234,21 +261,12 @@ def gap_scan(
     if scan_window < 1 or gap_max < 1:
         raise ValueError("scan window and gap bound must be positive")
     perm = _check_permutation(permutation, k)
+    scanned = scan_window * gap_max ** (k - 1)
+    if scanned > GAP_LATTICE_CAP:
+        raise ValueError(f"gap lattice {scanned} exceeds the cap {GAP_LATTICE_CAP}")
 
-    horizon = scan_window + (k - 1) * gap_max
-    shift_tables = [
-        [None] + [op.shifted(n) for n in range(1, horizon + 1)] for op in ops
-    ]
     e_parts = [op.finite_orbit_part() for op in ops]
     e_dead = any(not part for part in e_parts)
-    e_tables = (
-        None
-        if e_dead
-        else [
-            [None] + [part.shifted(n) for n in range(1, horizon + 1)]
-            for part in e_parts
-        ]
-    )
 
     profiles = [s.runs_profile() for s in state_list]
     pooled: Dict[tuple, list] = {}
@@ -387,6 +405,9 @@ def gap_scan(
 
     violations: List[Violation] = []
     times = [0] * k
+    # the largest min gap of a violating tuple, and the first such tuple
+    worst = 0
+    witness: Optional[Tuple[int, ...]] = None
 
     def term_rows(element: AlgebraElement) -> list:
         """(runs, coefficient, first symbol, last symbol, run count) per term."""
@@ -395,13 +416,15 @@ def gap_scan(
             for runs, c in element._terms.items()
         ]
 
+    shifts = [_ShiftMemo(op) for op in ops]
+    e_shifts = None if e_dead else [_ShiftMemo(part) for part in e_parts]
     # one operator ever sits in the last slot: only its shifts get term rows
     last = slot_pos[k - 1]
-    q_rows = [None] + [term_rows(x) for x in shift_tables[last][1:]]
-    e_rows = None if e_dead else [None] + [term_rows(x) for x in e_tables[last][1:]]
+    q_rows = _ShiftMemo(ops[last], term_rows)
+    e_rows = None if e_dead else _ShiftMemo(e_parts[last], term_rows)
     unit = [((), 1.0 + 0.0j, None, None, 0)]
 
-    def side(factors: list, pos: int, rows: list, negate: bool):
+    def side(factors: list, pos: int, rows: _ShiftMemo, negate: bool):
         """(left, middle, right) term rows around the last slot."""
         idx = factors.index(pos)
         left = term_rows(factors[idx - 1]) if idx > 0 else unit
@@ -416,7 +439,10 @@ def gap_scan(
         The E-side runs through the same loop with its left coefficients
         negated.  A triple whose two junctions cannot reduce is the plain
         concatenation, skipped unless its run count is a support length.
+        A tuple with a violation updates (worst, witness) only on a strictly
+        larger min gap, so the witness is the first such tuple in walk order.
         """
+        nonlocal worst, witness
         sides = [side(fq, pos, q_rows, False)]
         if fe is not None:
             sides.append(side(fe, pos, e_rows, True))
@@ -443,50 +469,57 @@ def gap_scan(
             if total:
                 times[k - 1] = n
                 snapshot = tuple(times)
+                found = len(violations)
                 for si in sorted(total):
                     mag = abs(total[si])
                     if mag > zero_tol:
                         violations.append(Violation(snapshot, si, mag))
+                if len(violations) > found:
+                    gap = min(b - a for a, b in zip((0,) + snapshot, snapshot))
+                    if gap > worst:
+                        worst, witness = gap, snapshot
 
     evaluated = 0
 
-    def walk(r: int, n_prev: int, fq: list, fe) -> None:
+    def walk(r: int, domain, fq: list, fe) -> None:
+        """Visit the non-empty candidate domain of slot r, given by the caller."""
         nonlocal evaluated
         pos = slot_pos[r]
-        width = scan_window if r == 0 else gap_max
-        domain = candidate_times(r, n_prev + 1, n_prev + width)
         if r == k - 1:
             evaluated += len(domain)
             leaf(domain, pos, fq, fe)
             return
-        table = shift_tables[pos]
-        etable = e_tables[pos] if fe is not None else None
+        table = shifts[pos]
+        etable = e_shifts[pos] if fe is not None else None
         for n in domain:
             times[r] = n
-            walk(
-                r + 1,
-                n,
-                _instantiate(fq, pos, table[n]),
-                _instantiate(fe, pos, etable[n]) if fe is not None else None,
-            )
+            inner = candidate_times(r + 1, n + 1, n + gap_max)
+            if inner:
+                walk(
+                    r + 1,
+                    inner,
+                    _instantiate(fq, pos, table[n]),
+                    _instantiate(fe, pos, etable[n]) if fe is not None else None,
+                )
 
-    initial = list(range(k))
-    walk(0, 0, initial, None if e_dead else list(range(k)))
+    domain = candidate_times(0, 1, scan_window)
+    if domain:
+        walk(0, domain, list(range(k)), None if e_dead else list(range(k)))
+    # walk reaches itself through its closure; breaking that cycle frees the
+    # shift memos on return instead of at the next cyclic garbage collection
+    walk = None
 
-    scanned = scan_window * gap_max ** (k - 1)
     # a threshold G is certifiable only if tuples with all gaps >= G were
     # scanned at all; for k = 1 the only gap is the first time itself
     widest = scan_window if k == 1 else min(scan_window, gap_max)
     if not violations:
         return GapScanResult(1, None, (), scanned, scan_window, gap_max, evaluated)
-    worst = max(v.min_gap for v in violations)
     if worst + 1 <= widest:
         return GapScanResult(
             worst + 1, None, tuple(violations), scanned, scan_window, gap_max, evaluated
         )
-    witness = next(v for v in violations if v.min_gap == worst)
     return GapScanResult(
-        None, witness.times, tuple(violations), scanned, scan_window, gap_max, evaluated
+        None, witness, tuple(violations), scanned, scan_window, gap_max, evaluated
     )
 
 

@@ -364,6 +364,20 @@ class TestErrorPaths:
         assert_cli_error(proc)
         assert proc.stderr == "error: tensor functional grid 160000000000 exceeds the cap 4194304\n"
 
+    def test_gap_search_over_lattice_cap(self, tmp_path):
+        # 10 * 10**9 tuples with a live E-side (every operator keeps a
+        # finite-orbit term); the lattice is refused before any shift is built
+        config = dict(
+            base_configs()["gap-search"],
+            operators=[[term("c[0]"), term("s[0]")], [term("c[1]"), term("s[0]^-1")]],
+            gap_max=10**9,
+        )
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        proc = run_cli(["run", str(path), "--out", str(tmp_path / "out")], tmp_path, timeout=60)
+        assert_cli_error(proc)
+        assert proc.stderr == "error: gap lattice 10000000000 exceeds the cap 100000000\n"
+
     def test_joinings_refuses_short_custom_scheme(self, tmp_path):
         # two samples cannot weigh a sweep of five steps
         config = dict(

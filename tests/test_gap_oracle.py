@@ -91,7 +91,21 @@ def rand_case(rng, ab, k):
     return states, ops, perm, shape
 
 
+def assert_witness_rule(res):
+    """Threshold and counterexample as the violations alone determine them."""
+    if not res.violations:
+        assert (res.threshold, res.counterexample) == (1, None)
+        return
+    worst = max(v.min_gap for v in res.violations)
+    if res.threshold is None:
+        first = next(v for v in res.violations if v.min_gap == worst)
+        assert res.counterexample == first.times
+    else:
+        assert (res.threshold, res.counterexample) == (worst + 1, None)
+
+
 def assert_same_scan(new, old):
+    assert_witness_rule(new)
     assert [(v.times, v.state_index) for v in new.violations] == [
         (v.times, v.state_index) for v in old.violations
     ]
@@ -183,3 +197,19 @@ def test_c04_corpus_evaluates_few_tuples():
         evaluated += res.evaluated
     # a deterministic work count, not a time
     assert evaluated < 0.05 * scanned
+
+
+def test_counterexample_is_first_tuple_of_largest_min_gap(ab):
+    # the trace sees s[n1] s[n2 - 3]^-1 = 1 at every gap n2 - n1 = 3: the
+    # tuples (1, 4) .. (6, 9) violate, and (3, 6) .. (6, 9) all have min gap 3
+    ops = [lam(ab.word("s[0]")), lam(ab.word("s[-3]^-1"))]
+    res = gap_scan(State.trace(), ops, None, scan_window=6, gap_max=3)
+    assert [v.times for v in res.violations] == [(n, n + 3) for n in range(1, 7)]
+    assert [v.min_gap for v in res.violations] == [1, 2, 3, 3, 3, 3]
+    # min gap 3 = gap_max leaves no certifiable threshold: the first is the witness
+    assert (res.threshold, res.counterexample) == (None, (3, 6))
+    assert_witness_rule(res)
+    # with room for larger gaps the same worst gives the threshold 4
+    wider = gap_scan(State.trace(), ops, None, scan_window=6, gap_max=5)
+    assert (wider.threshold, wider.counterexample) == (4, None)
+    assert_witness_rule(wider)

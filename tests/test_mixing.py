@@ -19,6 +19,7 @@ from ergolab import (
     weighted_mean_scalar,
 )
 from conftest import random_vector_state, random_word
+from gap_oracle import exhaustive_gap_scan
 
 
 @pytest.fixture
@@ -194,6 +195,74 @@ class TestGapScan:
     def test_order_budget(self, ab):
         with pytest.raises(ValueError):
             gap_scan(State.trace(), [one(ab)] * 6, None, 2, 2)
+
+    def test_lattice_over_cap_refused_before_any_shift(self, ab, monkeypatch):
+        # a live E-side: both operators keep a finite-orbit term
+        ops = [
+            lam(ab.word("c[0]")) + lam(ab.word("s[0]")),
+            lam(ab.word("c[1]")) + lam(ab.word("s[0]^-1")),
+        ]
+        calls = []
+        monkeypatch.setattr(AlgebraElement, "shifted", lambda self, n=1: calls.append(n))
+        with pytest.raises(ValueError, match="gap lattice 10000000000 exceeds the cap 100000000"):
+            gap_scan(State.trace(), ops, None, 10, 10**9)
+        assert not calls
+
+    @staticmethod
+    def counted_scan(monkeypatch, states, ops, perm, window):
+        """The scan and its (element id, time) shift calls, and the oracle's result."""
+        expected = exhaustive_gap_scan(states, ops, perm, window, window)
+        calls = []
+        original = AlgebraElement.shifted
+
+        def counting(self, n=1):
+            calls.append((id(self), n))
+            return original(self, n)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(AlgebraElement, "shifted", counting)
+            res = gap_scan(states, ops, perm, window, window)
+        assert (res.threshold, res.counterexample, res.scanned) == (
+            expected.threshold,
+            expected.counterexample,
+            expected.scanned,
+        )
+        assert [(v.times, v.state_index) for v in res.violations] == [
+            (v.times, v.state_index) for v in expected.violations
+        ]
+        return res, calls
+
+    def test_shifts_built_on_demand(self, ab, monkeypatch):
+        # s[0] meets s[-3]^-1 only at n2 = n1 + 3: the walk visits operator 0
+        # at 1..8 and operator 1 at 4..11, each once, and every visit violates
+        ops = [lam(ab.word("s[0]")), lam(ab.word("s[-3]^-1"))]
+        res, calls = self.counted_scan(monkeypatch, State.trace(), ops, None, 8)
+        assert res.evaluated == len(res.violations) == 8
+        ids = {id(op): j for j, op in enumerate(ops)}
+        visited = {(j, v.times[j]) for v in res.violations for j in range(2)}
+        assert sorted((ids[i], n) for i, n in calls) == sorted(visited)
+
+    def test_shifts_built_once_with_live_e_side(self, ab, monkeypatch):
+        phi = split_state(ab, "s[4] c[2]")
+        ops = [
+            lam(ab.word("c[0]")) + lam(ab.word("s[0]")),
+            lam(ab.word("c[1]")) + one(ab),
+            lam(ab.word("c[2]")) + lam(ab.word("s[-2]^-1")),
+        ]
+        res, calls = self.counted_scan(monkeypatch, [State.trace(), phi], ops, None, 6)
+        assert res.violations
+        # the operators and their finite-orbit parts, each shifted at most once
+        # per time, and fewer times than the 3 * 2 * (6 + 2 * 6) eager copies
+        assert len(calls) == len(set(calls))
+        assert len({i for i, _ in calls}) <= 6
+        assert len(calls) < 3 * 2 * 18
+
+    def test_empty_first_slot_builds_no_shift(self, ab, monkeypatch):
+        # s[0] has no anchor in the trace's support and no partner in c[0]
+        ops = [lam(ab.word("s[0]")), lam(ab.word("c[0]"))]
+        res, calls = self.counted_scan(monkeypatch, State.trace(), ops, None, 8)
+        assert (res.threshold, res.violations, res.evaluated) == (1, (), 0)
+        assert calls == []
 
 
 class TestFurstenberg:
