@@ -117,16 +117,19 @@ def custom(samples: Sequence[float]) -> WeightScheme:
 # -- discrete side -----------------------------------------------------------
 
 
+def check_weight_count(count: int) -> None:
+    """Refuse a count of discrete weights below 1 or above ``WEIGHT_COUNT_CAP``."""
+    if count < 1:
+        raise SchemeError("index must be a positive integer")
+    if count > WEIGHT_COUNT_CAP:
+        raise SchemeError(f"{count} discrete weights exceed the cap {WEIGHT_COUNT_CAP}")
+
+
 def discrete_weights(scheme: WeightScheme, count: int) -> np.ndarray:
     """Weights f_N(n) for n = 1..count."""
     if scheme.domain != DISCRETE:
         raise SchemeError("discrete weights need a discrete scheme")
-    if count < 1:
-        raise SchemeError("index must be a positive integer")
-    if count > WEIGHT_COUNT_CAP:
-        raise SchemeError(
-            f"{count} discrete weights exceed the cap {WEIGHT_COUNT_CAP}"
-        )
+    check_weight_count(count)
     n = np.arange(1, count + 1, dtype=float)
     if scheme.family == "uniform":
         w = np.ones(count)

@@ -47,6 +47,7 @@ from .finite import (
     NonConvergenceError,
     four_state_invariant_mean,
     four_state_system,
+    four_state_unique_ergodicity,
     four_state_weak_mixing,
     invariant_mean_projection,
     tensor_product,
@@ -624,18 +625,13 @@ def _run_section4(config: Dict) -> _Outcome:
     tol_limit = _number(tols.get("limit", 1e-3), "tolerances.limit")
     sweep = _positive_int(config["sweep"], "sweep")
     sys4 = _four_state(config, "")
-    scheme = averaging.uniform(DISCRETE)
     eig = np.sort_complex(np.linalg.eigvals(sys4.transition))
     expected = np.sort_complex(np.array([sys4.p, 1.0, -1.0, 1.0], dtype=complex))
     eigen_ok = bool(np.max(np.abs(eig - expected)) <= 1e-10)
     identity = np.eye(4)
     wm_el = four_state_weak_mixing(sys4, PERIPHERAL, sys4.family, sweep, tol_weak)
     wm_fix = four_state_weak_mixing(sys4, FIXED, identity, sweep, tol_weak)
-    # the plain check stays on the loop: see the ``finite`` module docstring
-    erg_fix = unique_ergodicity_check(
-        sys4.as_markov(sys4.proj_fixed, identity),
-        scheme, sweep, tol_erg, vectors=sys4.eigenbasis,
-    )
+    erg_fix = four_state_unique_ergodicity(sys4, FIXED, identity, sweep, tol_erg)
     try:
         report = four_state_invariant_mean(sys4, sweep)
     except NonConvergenceError as exc:

@@ -10,15 +10,11 @@ The 4-state example has one geometrically decaying direction, a sign-flipping
 pair and an absorbing point; with the peripheral idempotent and the standard
 functional family every defect is exactly zero, while the fixed-space
 idempotent fails the absolute check with the flip eigenvector as witness.
-Its spectrum {p, 1, -1, 1} is known, so its uniform absolute check and its
-invariant mean are closed forms in p and N (``four_state_weak_mixing``,
-``four_state_invariant_mean``), built on the one eigen-expansion
-``FourStateSystem.spectral``; the stepping loops stay for every other system
-and are the closed forms' test oracle.  The example's plain check stays on
-the loop: at p = 3/8 and N = 600 its exact defect (1 - (3/8)^600)/1000 lies
-just below the default tolerance 1e-3 and the loop's float sum just above
-it, so there the verdict is decided by roundoff, and the stored benchmark
-references hold the loop's verdict.
+Its spectrum {p, 1, -1, 1} is known, so its uniform checks and invariant
+mean are closed forms in p and N, built on ``FourStateSystem.spectral``; the
+stepping loops stay for every other system and are their test oracle, and
+the plain check steps its loop where a proven roundoff bound reaches the
+tolerance (as at p = 3/8, N = 600), so its verdict is always the loop's.
 
 A tensor product system remembers its two factors, and its absolute check
 over the standard basis never steps the Kronecker matrix: with P = F_A·T_Aⁿ
@@ -37,7 +33,8 @@ from typing import Callable, Iterable, Optional, Tuple
 
 import numpy as np
 
-from .averaging import SchemeError, WeightScheme, discrete_weights, power_mean, power_means
+from .averaging import (SchemeError, WeightScheme, check_weight_count, discrete_weights,
+                        power_mean, power_means, uniform)
 
 TENSOR_DIMENSION_CAP = 4096
 # |F_A|·|F_B|·d_A·d_B, the size of the tensor functional rows and of one step
@@ -426,17 +423,74 @@ def four_state_weak_mixing(
 
     The same report as ``weak_mixing_check(system.as_markov(E, functionals),
     uniform(), sweep, tolerance, vectors=system.eigenbasis)`` for the
-    idempotent E = V·diag(kept)·V⁻¹ (``PERIPHERAL`` or ``FIXED``).  As
-    (I − E)·V = V·diag(1 − kept), the values φTⁿ(I − E)v_j are
-    (F·V)[i, j]·(1 − kept_j)·λ_jⁿ, so each defect is |(F·V)[i, j]|·(1 − kept_j)
-    times the uniform mean of |λ_j|ⁿ.  That mean is nonincreasing in N for
-    |λ_j| <= 1, so the smallest running mean over the tail of the sweep is
-    the one at N: the witness tail minimum is the defect itself.
+    idempotent E = V·diag(kept)·V⁻¹ (``PERIPHERAL`` or ``FIXED``): each
+    defect is ``_eigen_coefficients`` times the uniform mean of |λ_j|ⁿ.  That
+    mean is nonincreasing in N for |λ_j| <= 1, so the smallest running mean
+    over the tail of the sweep is the one at N: the witness tail minimum is
+    the defect itself.
     """
+    means = _uniform_means(np.abs(system.eigenvalues), sweep)
+    defects = _eigen_coefficients(system, kept, functionals) * means
+    return _report(defects, tolerance, lambda fi, vi: float(defects[fi, vi]))
+
+
+def _eigen_coefficients(system: FourStateSystem, kept, functionals) -> np.ndarray:
+    """|F·V|·diag(1 − kept).  As (I − E)·V = V·diag(1 − kept), the value
+    φ_i Tⁿ(I − E)v_j is (F·V)[i, j]·(1 − kept_j)·λ_jⁿ."""
     coefficients = np.abs(np.asarray(functionals) @ system.eigenbasis)
     coefficients *= 1.0 - np.asarray(kept)
-    defects = coefficients * _uniform_means(np.abs(system.eigenvalues), sweep)
-    return _report(defects, tolerance, lambda fi, vi: float(defects[fi, vi]))
+    return coefficients
+
+
+def four_state_unique_ergodicity(
+    system: FourStateSystem, kept, functionals, sweep: int, tolerance: float
+) -> MeanCheckReport:
+    """``unique_ergodicity_check`` of the 4-state example, uniform weights, in closed form.
+
+    The mean of the powers is V·diag(m)·V⁻¹, m the uniform means of λ_jⁿ, so each
+    defect is ``_eigen_coefficients`` times |m_j|.  Within ``_four_state_band`` of
+    the tolerance, where roundoff could decide the loop's verdict, the loop runs
+    with E = V·diag(kept)·V⁻¹.  A sweep the loop refuses is refused first.
+    """
+    check_weight_count(sweep)
+    means = np.abs(_uniform_means(system.eigenvalues, sweep))
+    defects = _eigen_coefficients(system, kept, functionals) * means
+    if abs(defects.max() - tolerance) > _four_state_band(system, kept, functionals, sweep):
+        return _report(defects, tolerance)
+    loop = system.as_markov(system.spectral(kept), functionals)
+    return unique_ergodicity_check(loop, uniform(), sweep, tolerance, vectors=system.eigenbasis)
+
+
+def _four_state_band(system: FourStateSystem, kept, functionals, sweep: int) -> float:
+    """B >= |loop defect − closed defect|, entry by entry: outside the band the verdicts agree.
+
+    u = 2⁻⁵³, and Higham's γ_k = ku/(1 − ku) (*Accuracy and Stability of
+    Numerical Algorithms*, 2002, §3.1) is written ku: for k <= 10⁷ + 11 that,
+    and the rounding of B itself, is under a relative 1e-8, which the factor
+    2 covers.  ‖·‖ is the ∞-norm, ν = ‖V‖, τ = ‖T‖, ρ = τ(1 + 4u) and
+    C = diag(1 − kept); the data are real, so a 4-term product of complex
+    arrays is within 4u|A||B|.  Against |F·V·C·diag(μ)|, μ the exact means,
+    the loop errs by at most ‖F‖ρᴺ times the sum of
+      (5N + 1)u‖D‖  N steps S_n = fl(T·S_{n−1}) (‖S_n − Tⁿ‖ <= 4nuρⁿ), N sums, one /N;
+      8u‖D‖         the products F·mean·D, where ‖D‖ <= ν + δ;
+      δ             ‖D − VC‖ for D = fl((I − E)V), E = V·diag(kept)·V⁻¹ rounded:
+                    measured on one more fl((I − E)V), plus 10u‖I − E‖ν;
+      Nε            from ‖R‖ <= ε, R = TV − VΛ measured plus (4τ + 1)uν, in the
+                    mean of TⁿV − VΛⁿ = Σ_k T^k·R·Λ^{n−1−k}.
+    The closed form errs by at most ‖F‖ν(11u·max|m| + p(2u·pᴺ + 2⁻¹⁰⁷⁴)/(N(1 − p))):
+    F·V and one product (5u), five roundings of m (6u|m|), ``pow`` within an ulp.
+    """
+    u, n, p, inf = np.finfo(float).eps / 2, sweep, system.p, np.inf
+    t, v, lam = system.transition.real, system.eigenbasis, system.eigenvalues
+    complement = np.eye(4) - system.spectral(kept)
+    nu, tau, eta = (np.linalg.norm(a, inf) for a in (v, t, complement))
+    measured = np.linalg.norm(complement @ v - v * (1 - np.asarray(kept)), inf)
+    delta = measured + 10 * u * eta * nu
+    eps = np.linalg.norm(t @ v - v * lam, inf) + (4 * tau + 1) * u * nu
+    loop = (tau * (1 + 4 * u)) ** n * ((5 * n + 9) * u * (nu + delta) + delta + n * eps)
+    power = p * (2 * u * p**n + 2.0**-1074) / (n * (1 - p))
+    closed = nu * (11 * u * np.abs(_uniform_means(lam, n)).max() + power)
+    return float(2 * np.linalg.norm(np.asarray(functionals), inf) * (loop + closed))
 
 
 # -- the invariant mean as a projection -------------------------------------------

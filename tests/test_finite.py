@@ -18,13 +18,18 @@ from ergolab import (
     voronoi,
     weak_mixing_check,
 )
-from ergolab.averaging import discrete_weights, power_means
+import ergolab.finite as finite
+from ergolab.averaging import SchemeError, discrete_weights, power_means
 from ergolab.finite import (
     FIXED,
     PERIPHERAL,
     TENSOR_CHUNK_ELEMENTS,
     TENSOR_GRID_CAP,
+    _eigen_coefficients,
+    _four_state_band,
+    _uniform_means,
     four_state_invariant_mean,
+    four_state_unique_ergodicity,
     four_state_weak_mixing,
 )
 
@@ -417,6 +422,104 @@ class TestFourStateClosedForms:
         limit = four_state_invariant_mean(sys4, 10**12)
         assert np.max(np.abs(limit.mean - sys4.proj_fixed)) < 1e-11
         assert limit.lawful
+
+
+class TestFourStateUniqueErgodicity:
+    """The plain check's closed form against ``unique_ergodicity_check``, the
+    loop it replaces, inside and outside the roundoff band."""
+
+    SWEEPS = (1, 2, 3, 599, 600, 601, 10**4)
+    P_VALUES = tuple(k / 16 for k in range(16)) + tuple(
+        random.Random(16).random() for _ in range(20)
+    )
+
+    @staticmethod
+    def loop(sys4, kept, functionals, sweep, tolerance):
+        idempotent = {PERIPHERAL: sys4.proj_peripheral, FIXED: sys4.proj_fixed}[kept]
+        system = sys4.as_markov(idempotent, functionals)
+        return unique_ergodicity_check(
+            system, uniform(), sweep, tolerance, vectors=sys4.eigenbasis
+        )
+
+    @staticmethod
+    def closed_defects(sys4, kept, functionals, sweep):
+        """Every closed-form defect, and the band bound B."""
+        means = np.abs(_uniform_means(sys4.eigenvalues, sweep))
+        defects = _eigen_coefficients(sys4, kept, functionals) * means
+        return defects, _four_state_band(sys4, kept, functionals, sweep)
+
+    @pytest.mark.parametrize("kept", [PERIPHERAL, FIXED], ids=["EL", "Efix"])
+    def test_matches_loop(self, kept):
+        tolerance = 1e-3
+        outcomes, witnesses_checked, in_band = set(), 0, []
+        for p in self.P_VALUES:
+            sys4 = four_state_system(p)
+            functionals = np.vstack([np.eye(4), sys4.family])
+            for sweep in self.SWEEPS:
+                loop = self.loop(sys4, kept, functionals, sweep, tolerance)
+                closed = four_state_unique_ergodicity(sys4, kept, functionals, sweep, tolerance)
+                defects, band = self.closed_defects(sys4, kept, functionals, sweep)
+                outcomes.add(loop.passed)
+                if abs(defects.max() - tolerance) <= band:
+                    assert closed == loop
+                    in_band.append((p, sweep))
+                    continue
+                assert closed.passed == loop.passed
+                assert closed.tolerance == loop.tolerance
+                assert closed.witness_tail_min is None
+                assert abs(closed.max_defect - loop.max_defect) <= band
+                # each loop defect is within B of its closed value, so the
+                # argmax is shared once the top two are more than 2B apart;
+                # at odd N the flip pair ties rows 1 and 2 at 1/N
+                top, second = np.sort(defects, axis=None)[[-1, -2]]
+                if top - second > 2 * band:
+                    assert closed.witness == loop.witness
+                    witnesses_checked += 1
+        assert outcomes == {True, False}
+        assert witnesses_checked > 100
+        # the bound is tight enough that only the roundoff verdict runs the loop
+        assert in_band == [(0.375, 600)]
+
+    @pytest.mark.parametrize(
+        "p, sweep", [(0.0, 3), (0.3, 599), (0.5, 2), (0.9, 601), (0.375, 10**4)]
+    )
+    def test_tolerance_at_loop_defect_runs_the_loop(self, p, sweep):
+        sys4 = four_state_system(p)
+        verdicts = set()
+        for kept in (PERIPHERAL, FIXED):
+            defect = self.loop(sys4, kept, np.eye(4), sweep, 1.0).max_defect
+            for direction in (-np.inf, np.inf):
+                tolerance = float(np.nextafter(defect, direction))
+                report = four_state_unique_ergodicity(sys4, kept, np.eye(4), sweep, tolerance)
+                assert report == self.loop(sys4, kept, np.eye(4), sweep, tolerance)
+                verdicts.add(report.passed)
+        assert verdicts == {True, False}
+
+    def test_roundoff_verdict_runs_the_loop(self, monkeypatch):
+        # the loop reads 0.0010000000000000007 against 1e-3 while the exact
+        # defect (1 - (3/8)^600)/1000 lies below it: the roundoff verdict that
+        # item 11 of ROADMAP.md ("no verdict decided by roundoff") re-decides
+        # exactly; until then the loop decides it
+        sys4 = four_state_system(0.375)
+        defects, band = self.closed_defects(sys4, FIXED, np.eye(4), 600)
+        assert abs(defects.max() - 1e-3) <= band
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return unique_ergodicity_check(*args, **kwargs)
+
+        monkeypatch.setattr(finite, "unique_ergodicity_check", counted)
+        report = four_state_unique_ergodicity(sys4, FIXED, np.eye(4), 600, 1e-3)
+        assert len(calls) == 1
+        assert report == self.loop(sys4, FIXED, np.eye(4), 600, 1e-3)
+
+    @pytest.mark.parametrize("tolerance", [1e-3, 0.0], ids=["outside", "inside"])
+    def test_sweep_over_weight_cap(self, tolerance):
+        # refused before any work, in the band or not, as the loop refuses it
+        sys4 = four_state_system(0.375)
+        with pytest.raises(SchemeError, match="discrete weights exceed the cap"):
+            four_state_unique_ergodicity(sys4, FIXED, np.eye(4), 10**12, tolerance)
 
 
 class TestTensor:

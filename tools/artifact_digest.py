@@ -11,7 +11,10 @@ identical outputs on the catalogues exactly when their files compare equal:
 
     python3 tools/artifact_digest.py ../parent/src /tmp/parent.json
     python3 tools/artifact_digest.py src /tmp/change.json
-    cmp /tmp/parent.json /tmp/change.json
+    python3 tools/artifact_digest.py diff /tmp/parent.json /tmp/change.json
+
+The ``diff`` form prints, one a line, the item ids whose digests differ (an
+id found in only one file counts as differing) and exits 1 if there is any.
 
 BLAS is pinned to one thread, as in the benchmark, so that float results do
 not depend on the thread count.
@@ -49,7 +52,22 @@ def item_digest(cli, config, out_dir: Path) -> str:
     return digest.hexdigest()
 
 
+def diff(before: Path, after: Path) -> int:
+    """Print the item ids whose digests differ between two digest files."""
+    a, b = (json.loads(path.read_text()) for path in (before, after))
+    moved = sorted(key for key in a.keys() | b.keys() if a.get(key) != b.get(key))
+    for key in moved:
+        print(key)
+    return 1 if moved else 0
+
+
 def main() -> int:
+    if sys.argv[1:2] == ["diff"]:
+        parser = argparse.ArgumentParser(description="item ids whose digests differ")
+        parser.add_argument("before", type=Path)
+        parser.add_argument("after", type=Path)
+        args = parser.parse_args(sys.argv[2:])
+        return diff(args.before, args.after)
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("src", type=Path, help="directory that holds the ergolab package")
     parser.add_argument("out", type=Path, help="JSON file to write the digests to")
