@@ -6,20 +6,14 @@ correlations, an exhaustive gap scan certifying where a correlation
 difference vanishes, and the diagonal / double recurrence averages against
 the canonical trace.
 
-The gap scan certifies its whole window: every time tuple with bounded first
-time and bounded consecutive gaps is accounted for, and every tuple where
-some state separates the product from its finite-orbit image is recorded.
-Only the candidate tuples are evaluated, those where some term choice can
-land every infinite-orbit letter on the pooled state support or cancel it
-against another factor; on every other tuple each value is exactly zero.
-The walk builds only what it reaches: a shifted copy of an operator (or of
-its finite-orbit part), and the last slot's term rows, are made the first
-time the walk visits that time, and a slot's factors are multiplied in
-only when the next slot has a candidate time.  The factors before the last
-slot are multiplied out as algebra elements; the last slot never forms its
-product, but looks each word (left neighbour, shifted operator, right
-neighbour) up in the pooled support table of the states, for the product
-and its finite-orbit image alike.
+Every shortcut rests on one separation lemma, proved in ``_separation``.
+By it decay sequences stop at a horizon H, Furstenberg sweeps at R + L,
+double averages compute each projected value once per residue pair
+(m mod L, n mod L), and the gap scan evaluates only its candidate tuples,
+where some term choice can put every infinite-orbit letter on the pooled
+state support or cancel it against another factor.  The scan builds only
+what its walk reaches, and its last slot looks each word up in the pooled
+support table of the states instead of forming the product.
 """
 
 from __future__ import annotations
@@ -63,30 +57,41 @@ def _check_length(count: int, name: str) -> None:
         raise ValueError(f"{name} {count} exceeds the cap {SEQUENCE_LENGTH_CAP}")
 
 
-def _shift_spans(tables: Iterable[dict], lengths: dict) -> Dict[str, Tuple[int, int]]:
-    """Least and largest index of each shift family over the words of term tables."""
-    spans: Dict[str, Tuple[int, int]] = {}
+def _separation(tables: Iterable[dict], lengths: dict) -> Tuple[Dict[str, set], int]:
+    """Shift family -> its set of indices, and L, over the words of term tables.
+
+    L is the lcm of the cycle lengths occurring (1 if none); a family outside
+    ``lengths`` counts as a shift family.  The separation lemma: in a product
+    of shifted reduced words a cancelled or merged letter pairs with a letter
+    of another factor, as the shift (a bijection on symbols) keeps each
+    factor reduced; the n-th shift moves a shift letter f[i] to f[i + n];
+    and a cycle letter depends on n mod L alone.  So factors shifted by n
+    and n' meet on a letter of family f only if n - n' is a difference of
+    f's indices, and a word of cycle letters shifted by n equals its shift
+    by n mod L, down to its run tuples and the order of its term table.
+    """
+    indices: Dict[str, set] = {}
+    cycles = set()
     for terms in tables:
         for runs in terms:
             for fam, idx, _ in runs:
-                if lengths[fam] is None:
-                    lo, hi = spans.get(fam, (idx, idx))
-                    spans[fam] = (min(lo, idx), max(hi, idx))
-    return spans
+                if lengths.get(fam) is None:
+                    indices.setdefault(fam, set()).add(idx)
+                else:
+                    cycles.add(lengths[fam])
+    return indices, math.lcm(*cycles)
 
 
 def decay_sequence(state: State, element: AlgebraElement, n_max: int) -> List[complex]:
     """Values of the state on shifts of (element - finite-orbit part), n = 1..n_max.
 
-    Every word of the deficiency has a shift-family letter f[i], which the
-    n-th shift moves to f[i + n].  A vector state sees a word w only through
-    products w h = g with g, h in its vector supports, so f[i + n] must occur
-    in a support word.  Let H be the largest (support max - deficiency min)
-    index over the shift families present on both sides (0 for the trace or
-    when no family is shared).  For n > H no product word meets a support,
-    so the value is the exact ``0j`` the state returns then, and only
-    n <= H is evaluated.  Raises ``ValueError`` when n_max is below 1 or
-    above ``SEQUENCE_LENGTH_CAP``.
+    Every word of the deficiency has a shift letter, and a vector state sees
+    a word w only through products w h = g with g, h in its vector supports.
+    By ``_separation`` no such product exists once n exceeds H, the largest
+    (support max - deficiency min) index over the shift families of both
+    sides (0 for the trace or when no family is shared), and the state then
+    returns an exact ``0j``; so only n <= H is evaluated.  Raises
+    ``ValueError`` when n_max is below 1 or above ``SEQUENCE_LENGTH_CAP``.
     """
     _check_length(n_max, "n_max")
     deficiency = element - element.finite_orbit_part()
@@ -95,11 +100,11 @@ def decay_sequence(state: State, element: AlgebraElement, n_max: int) -> List[co
         vectors = [state.vector]
     else:
         vectors = [x for _, x in state.components or ()]
-    support = _shift_spans((x._terms for x in vectors), lengths)
+    support = _separation((x._terms for x in vectors), lengths)[0]
     horizon = max(
         (
-            support[fam][1] - lo
-            for fam, (lo, _) in _shift_spans([deficiency._terms], lengths).items()
+            max(support[fam]) - min(idx)
+            for fam, idx in _separation([deficiency._terms], lengths)[0].items()
             if fam in support
         ),
         default=0,
@@ -277,27 +282,20 @@ def gap_scan(
 
     slot_pos = [perm.index(r) for r in range(k)]
 
-    # Candidate tuples rest on two facts.  In a product of reduced words a
-    # cancelled letter always pairs with a letter of a *different* factor
-    # (each shifted factor stays reduced, the shift being a bijection on
-    # symbols).  And a shift-family run f[i]^e of operator j lands at index
-    # i + n_j.  So each infinite-orbit run of a chosen term either survives,
-    # and then the word can be in a state's support only if f[i + n_j] occurs
-    # in the pooled support (an anchor), or it meets an opposite-sign run
-    # f[i']^e' of another operator q, which needs n_j - n_q = i' - i.  When
-    # no term choice covers all its infinite runs that way, every product
-    # word is outside every support and every value is exactly 0.  Slots
-    # advance by 1..gap_max, so a partner whose slot lies s slots away must
-    # have 1*s <= |n_j - n_q| <= gap_max*s in the right direction.  A run is
-    # kept as (times of its operator that anchor it, partners (q, i' - i)).
+    # Candidate tuples rest on ``_separation``: a shift-family run f[i]^e of
+    # operator j, at index i + n_j, either survives, and the word can then be
+    # in a state's support only if f[i + n_j] occurs in the pooled support (an
+    # anchor), or it meets an opposite-sign run f[i']^e' of another operator q,
+    # which needs n_j - n_q = i' - i.  With no term choice covering all its
+    # infinite runs that way, every value is exactly 0.  Slots advance by
+    # 1..gap_max, so a partner s slots away must have 1*s <= |n_j - n_q| <=
+    # gap_max*s in the right direction.  A run is kept as (times of its
+    # operator that anchor it, partners (q, i' - i)).
     def reachable(slots: int, lead: int) -> bool:
         """Can the time `slots` slots later (or earlier, if < 0) be `lead` later?"""
         return slots * lead > 0 and abs(slots) <= abs(lead) <= abs(slots) * gap_max
 
-    anchors: Dict[str, set] = {}
-    for runs in pooled:
-        for fam, idx, _ in runs:
-            anchors.setdefault(fam, set()).add(idx)
+    anchors = _separation([pooled], ops[0].alphabet._lengths)[0]
     infinite_runs = [
         [
             [run for run in runs if op.alphabet._lengths[run[0]] is None]
@@ -555,17 +553,12 @@ def furstenberg_average(
     sweep when len(a)**h exceeds ``HALF_PRODUCT_TERM_CAP`` or the sweep
     exceeds ``SEQUENCE_LENGTH_CAP``.
 
-    Only n <= R + L is computed, where R is the largest (max - min) index of
-    one shift family over all words of a, and L the lcm of the cycle lengths
-    occurring in them (1 if none); every later value is v_{n-L}.  In a
-    product of reduced words a cancelled or merged letter always pairs with
-    a letter of a different factor, and factors j != j' put the letters
-    f[i], f[i'] of one shift family at i + jn and i' + j'n, which differ once
-    n > R.  So for n > R every comparison of two symbols, in every word
-    table of the loop, comes out as it does at n + L: shift letters are
-    equal only within one factor, where n cancels, and cycle letters depend
-    on n mod L alone.  The tables' keys, collisions, pruning and insertion
-    order, and hence the float sums, repeat bit for bit with period L.
+    Only n <= R + L is computed, with R the largest index spread of one shift
+    family over the words of a and L the lcm of their cycle lengths
+    (``_separation``); every later value is v_{n-L}.  Once n > R, factors
+    j != j' put letters f[i], f[i'] at the distinct i + jn and i' + j'n, so
+    every word table of the loop, down to its keys, collisions, pruning and
+    insertion order, and hence the float sums, repeats with period L.
     """
     if order < 1:
         raise ValueError("order must be at least 1")
@@ -579,11 +572,8 @@ def furstenberg_average(
             f"half product bound {len(a)}^{half} terms exceeds the cap "
             f"{HALF_PRODUCT_TERM_CAP}"
         )
-    lengths = a.alphabet._lengths
-    spread = max((hi - lo for lo, hi in _shift_spans([a._terms], lengths).values()), default=0)
-    period = math.lcm(
-        *{lengths[fam] for runs in a._terms for fam, _, _ in runs if lengths[fam] is not None}
-    )
+    indices, period = _separation([a._terms], a.alphabet._lengths)
+    spread = max((max(ix) - min(ix) for ix in indices.values()), default=0)
     trace = State.trace()
     values: List[complex] = []
     for n in range(1, min(sweep, spread + period) + 1):
@@ -633,23 +623,30 @@ def bergelson_average(
     The grid runs m in m_base+1..m_base+count, n likewise from n_base; the
     projected average replaces every operator by its finite-orbit part.  The
     four-fold product is never formed: the trace is read off the pair
-    (a0 shift^m(a1) shift^n(a2), shift^{m+n}(a3)).
+    (a0 shift^m(a1) shift^n(a2), shift^{m+n}(a3)), each shift of a2 and a3
+    built once.  The parts hold only cycle letters, so by ``_separation`` a
+    projected value depends on (m mod L, n mod L) alone and is computed once
+    per residue pair.  A count**2 above ``SEQUENCE_LENGTH_CAP`` is refused.
     """
-    if count < 1:
-        raise ValueError("count must be at least 1")
+    _check_length(count, "count")
+    _check_length(count * count, "count**2")
     parts = [x.finite_orbit_part() for x in (a0, a1, a2, a3)]
+    period = _separation([x._terms for x in parts], a0.alphabet._lengths)[1]
     trace = State.trace()
+    shifts2, shifts3 = _ShiftMemo(a2), _ShiftMemo(a3)
+    projected: Dict[Tuple[int, int], float] = {}
     values = []
     total = 0.0
     etotal = 0.0
     for m in range(m_base + 1, m_base + count + 1):
         lead = a0 * a1.shifted(m)
-        elead = parts[0] * parts[1].shifted(m)
         for n in range(n_base + 1, n_base + count + 1):
-            v = abs(trace.on_product(lead * a2.shifted(n), a3.shifted(m + n)))
-            ev = abs(
-                trace.on_product(elead * parts[2].shifted(n), parts[3].shifted(m + n))
-            )
+            v = abs(trace.on_product(lead * shifts2[n], shifts3[m + n]))
+            r, s = m % period, n % period
+            ev = projected.get((r, s))
+            if ev is None:
+                elead = parts[0] * parts[1].shifted(r) * parts[2].shifted(s)
+                ev = projected[r, s] = abs(trace.on_product(elead, parts[3].shifted(r + s)))
             total += v
             etotal += ev
             values.append((m, n, v, ev))

@@ -42,9 +42,10 @@ def word_from_letters(alphabet: Alphabet, letters) -> Word:
 
 
 def random_word(rng: random.Random, alphabet: Alphabet, max_letters: int = 6,
-                idx_span: int = 3) -> Word:
+                idx_span: int = 3, families=None) -> Word:
+    """Up to max_letters random letters, from the given families or all of them."""
     w = alphabet.identity()
-    fams = list(alphabet.lengths.items())
+    fams = [(f, m) for f, m in alphabet.lengths.items() if families is None or f in families]
     for _ in range(rng.randint(0, max_letters)):
         fam, length = rng.choice(fams)
         idx = rng.randint(0, length - 1) if length else rng.randint(-idx_span, idx_span)

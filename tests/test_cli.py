@@ -330,9 +330,12 @@ class TestErrorPaths:
         assert_cli_error(proc)
         assert "discrete weights exceed the cap" in proc.stderr
 
-    @pytest.mark.parametrize("kind, field", [("furstenberg", "sweep"), ("mixing-decay", "n_max")])
+    @pytest.mark.parametrize(
+        "kind, field", [("furstenberg", "sweep"), ("mixing-decay", "n_max"), ("bergelson", "count")]
+    )
     def test_sequence_over_length_cap(self, tmp_path, kind, field):
-        # 10**12 values would be 16 TB; the length is refused before any value
+        # 10**12 values (10**24 Bergelson cells) would be 16 TB; the length is
+        # refused before any value
         config = dict(base_configs()[kind], **{field: 10**12})
         path = tmp_path / "config.json"
         path.write_text(json.dumps(config))

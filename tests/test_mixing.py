@@ -4,9 +4,11 @@ import random
 
 import pytest
 
+import ergolab.mixing
 from ergolab import (
     AlgebraElement,
     Alphabet,
+    AlphabetError,
     L2Vector,
     State,
     bergelson_average,
@@ -345,6 +347,51 @@ class TestBergelson:
         assert {(m, n) for m, n, _, _ in res.values} == {
             (m, n) for m in range(6, 10) for n in range(-2, 2)
         }
+
+    @pytest.mark.parametrize("count", [1, 2, 5, 9])
+    def test_shifts_and_projected_values_built_once(self, count, monkeypatch):
+        # cycles of length 3 and 2 in the finite-orbit parts give L = 6
+        ab = Alphabet({"s": None, "c": 3, "d": 2})
+        a0 = one(ab) + lam(ab.word("d[1]^-1 c[2]^-1"))
+        a1 = lam(ab.word("c[0]")) + lam(ab.word("s[0]"))
+        a2 = lam(ab.word("d[0]")) + lam(ab.word("s[1]^-1"))
+        a3 = one(ab) + lam(ab.word("s[-3]"))
+        shifted = AlgebraElement.shifted
+        on_product = State.on_product
+        calls = []
+        evaluations = [0]
+
+        def counting_shift(self, n=1):
+            calls.append((id(self), n))
+            return shifted(self, n)
+
+        def counting_product(self, left, right):
+            evaluations[0] += 1
+            return on_product(self, left, right)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(AlgebraElement, "shifted", counting_shift)
+            patch.setattr(State, "on_product", counting_product)
+            bergelson_average(a0, a1, a2, a3, -4, 3, count)
+        assert sorted(n for i, n in calls if i == id(a2)) == list(range(4, 4 + count))
+        assert sorted(n for i, n in calls if i == id(a3)) == list(range(1, 2 * count))
+        # count**2 plain values, and one projected value per residue pair
+        assert evaluations[0] - count**2 == min(count, 6) ** 2
+
+    def test_count_validation(self, ab):
+        ops = [one(ab)] * 4
+        with pytest.raises(ValueError, match="count must be at least 1"):
+            bergelson_average(*ops, 0, 0, 0)
+        side = math.isqrt(ergolab.mixing.SEQUENCE_LENGTH_CAP)
+        # the grid is refused before any product: a cap-sized side would run long
+        with pytest.raises(ValueError, match=rf"count\*\*2 {(side + 1) ** 2} exceeds the cap"):
+            bergelson_average(*ops, 0, 0, side + 1)
+
+    def test_mixed_alphabets_refused(self, ab):
+        # a cycle family that a0's alphabet lacks still reaches the alphabet check
+        other = Alphabet({"s": None, "t": None, "c": 3, "d": 2})
+        with pytest.raises(AlphabetError):
+            bergelson_average(one(ab), one(ab), one(ab), lam(other.word("d[1]")), 0, 0, 3)
 
 
 class TestDiagonalAverages:

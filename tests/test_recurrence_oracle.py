@@ -342,3 +342,79 @@ def test_sequence_length_cap(ab):
         decay_sequence(State.trace(), factor, cap + 1)
     # a sweep at the cap is filled past its horizon without a product
     assert len(furstenberg_average(factor, 1, cap).values) == cap
+
+
+# -- Bergelson residues -------------------------------------------------------------
+
+
+@pytest.fixture
+def ab23():
+    return Alphabet({"s": None, "t": None, "c": 3, "d": 2})
+
+
+def projected_period(ops):
+    """L of the finite-orbit parts: the lcm of the cycle lengths in their words."""
+    return math.lcm(*(separation(op.finite_orbit_part())[1] for op in ops))
+
+
+def bergelson_residue_cases(ab):
+    rng = random.Random(20261022)
+    cycles = [(), ("d",), ("c",), ("c", "d")]
+    cases = []
+    for case in range(120):
+        chosen = cycles[case % 4]
+        ops = []
+        for _ in range(4):
+            op = AlgebraElement.zero(ab)
+            for _ in range(rng.randint(0, 2)):
+                word = random_word(rng, ab, 3, families=["s", "t", *chosen])
+                op = op + lam(word, rand_coeff(rng))
+            for _ in range(rng.randint(1, 2) if chosen else 0):
+                op = op + lam(random_word(rng, ab, 3, families=chosen), rand_coeff(rng))
+            if rng.random() < 0.6:
+                op = op + AlgebraElement.one(ab)
+            ops.append(op)
+        m_base, n_base, count = rng.randint(-9, 3), rng.randint(-9, 3), rng.randint(1, 9)
+        # a word in a0 whose inverse in a3 meets it when m + n = gap, inside the grid
+        word = random_word(rng, ab, 3, families=["s", "t", *chosen])
+        gap = m_base + n_base + rng.randint(2, 2 * count)
+        ops[0] = ops[0] + lam(word, rand_coeff(rng))
+        ops[3] = ops[3] + lam(word.inverse().shifted(-gap), rand_coeff(rng))
+        cases.append((ops, m_base, n_base, count))
+    return cases
+
+
+def test_bergelson_equals_unmemoized_split(ab23):
+    periods = set()
+    short = varying = 0
+    for ops, m_base, n_base, count in bergelson_residue_cases(ab23):
+        got = bergelson_average(*ops, m_base, n_base, count)
+        want = recurrence_oracle.split_bergelson_average(*ops, m_base, n_base, count)
+        assert got == want and repr(got) == repr(want)
+        period = projected_period(ops)
+        periods.add(period)
+        short += count < period
+        varying += len({ev for _, _, _, ev in want.values}) > 1
+    assert periods == {1, 2, 3, 6}
+    assert short > 0 and varying > 0
+
+
+def planted_residue_ops(ab):
+    """Projected values 1 at (m, n) = (0, 0) mod (3, 2), 2 at (1, 1) mod (3, 2),
+    0 elsewhere: they depend on m and n, and not on m + n alone."""
+    a0 = lam(ab.word("d[0]^-1 c[0]^-1")) + lam(ab.word("d[1]^-1 c[1]^-1"), 2.0)
+    a1 = lam(ab.word("c[0]")) + lam(ab.word("s[0]"))
+    a2 = lam(ab.word("d[0]")) + lam(ab.word("t[1]"))
+    a3 = AlgebraElement.one(ab) + lam(ab.word("s[-2]^-1"))
+    return a0, a1, a2, a3
+
+
+def test_bergelson_planted_residues(ab23):
+    ops = planted_residue_ops(ab23)
+    assert projected_period(ops) == 6
+    for m_base, n_base, count in ((0, 0, 9), (-7, 4, 6), (2, -5, 7)):
+        got = bergelson_average(*ops, m_base, n_base, count)
+        want = recurrence_oracle.split_bergelson_average(*ops, m_base, n_base, count)
+        assert got == want and repr(got) == repr(want)
+        for m, n, _, ev in got.values:
+            assert ev == {(0, 0): 1.0, (1, 1): 2.0}.get((m % 3, n % 2), 0.0)
