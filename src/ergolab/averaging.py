@@ -126,27 +126,18 @@ def check_weight_count(count: int) -> None:
 
 
 def discrete_weights(scheme: WeightScheme, count: int) -> np.ndarray:
-    """Weights f_N(n) for n = 1..count."""
+    """Weights f_N(n) for n = 1..count: the custom samples, or the continuous
+    density at the integers on the window that ends at N + 1."""
     if scheme.domain != DISCRETE:
         raise SchemeError("discrete weights need a discrete scheme")
     check_weight_count(count)
-    n = np.arange(1, count + 1, dtype=float)
-    if scheme.family == "uniform":
-        w = np.ones(count)
-    elif scheme.family == "power":
-        w = n ** scheme.exponent
-    elif scheme.family == "log":
-        w = 1.0 / n
-    elif scheme.family == "voronoi":
-        w = (count - n + 1.0) ** scheme.exponent
-    else:
+    if scheme.family == "custom":
         if len(scheme.samples) < count:
-            raise SchemeError(
-                f"custom scheme has {len(scheme.samples)} samples, needs {count}"
-            )
+            raise SchemeError(f"custom scheme has {len(scheme.samples)} samples, needs {count}")
         w = np.asarray(scheme.samples[:count], dtype=float)
-    total = w.sum()
-    if not total > 0:
+    else:
+        w = _weight_values(scheme, count + 1, np.arange(1, count + 1, dtype=float))
+    if not w.sum() > 0:
         raise SchemeError("weight normalizer must be positive")
     return w
 
@@ -168,11 +159,6 @@ def power_means(
             if w is not None:
                 acc += w * cur
     return tuple(acc / w.sum() for acc, w in zip(accs, weights))
-
-
-def power_mean(matrix: np.ndarray, start: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """sum_n w_n M^n start / sum w over n = 1..len(w), accumulated in step order."""
-    return power_means(matrix, start, weights)[0]
 
 
 def weighted_mean_scalar(values: Sequence[complex], scheme: WeightScheme, count: int) -> complex:
@@ -224,6 +210,7 @@ def _simpson_grid(a: float, b: float, substep: float) -> Tuple[np.ndarray, np.nd
 
 
 def _weight_values(scheme: WeightScheme, index: float, ts: np.ndarray) -> np.ndarray:
+    """A family's density at the times ts, on a window that ends at index."""
     if scheme.family == "uniform":
         return np.ones_like(ts)
     if scheme.family == "power":
@@ -405,7 +392,7 @@ def weighted_mean_flow(flow: Flow, x: Sequence[complex], scheme: WeightScheme, i
         return _continuous_flow_mean(flow, vec, scheme, float(index))
     if scheme.domain != DISCRETE:
         raise SchemeError("a discrete flow needs a discrete scheme")
-    return power_mean(flow.matrix, vec, discrete_weights(scheme, _whole(index, "index")))
+    return power_means(flow.matrix, vec, discrete_weights(scheme, _whole(index, "index")))[0]
 
 
 # -- transformed averages ------------------------------------------------------

@@ -15,7 +15,7 @@ cancellations stay exact.
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, Sequence, Tuple
 
 from .words import Alphabet, AlphabetError, Word, invert_runs, merge_runs, shift_runs
 
@@ -188,22 +188,6 @@ class AlgebraElement(_TermTable):
         """Left action extending unitary(g) delta_h = delta_{g h}."""
         self._check_compatible(vec)
         return L2Vector(self.alphabet, _convolve(self._terms, vec._terms), _trusted=True)
-
-    # -- serialization ------------------------------------------------------------
-
-    def to_json(self) -> List[dict]:
-        out = []
-        for runs, c in sorted(self._terms.items()):
-            out.append({"word": str(Word(self.alphabet, runs)), "re": c.real, "im": c.imag})
-        return out
-
-    @classmethod
-    def from_json(cls, alphabet: Alphabet, data: Sequence[dict]) -> "AlgebraElement":
-        pairs = (
-            (alphabet.word(e["word"]), complex(float(e.get("re", 0.0)), float(e.get("im", 0.0))))
-            for e in data
-        )
-        return cls.from_terms(alphabet, pairs)
 
 
 class L2Vector(_TermTable):

@@ -34,12 +34,12 @@ from typing import Callable, Iterable, Optional, Tuple
 import numpy as np
 
 from .averaging import (SchemeError, WeightScheme, check_weight_count, discrete_weights,
-                        power_mean, power_means, uniform)
+                        power_means, uniform)
 
 TENSOR_DIMENSION_CAP = 4096
 # |F_A|·|F_B|·d_A·d_B, the size of the tensor functional rows and of one step
-# of the factored sweep; the largest grids in use are 19,200 in the catalogues
-# and 153,600 in the tests
+# of the factored sweep, and the 4-state example's own |F|·4; the largest grids
+# in use are 19,200 in the catalogues and 153,600 in the tests
 TENSOR_GRID_CAP = 2**22
 # elements of one chunk of factored sweep steps (6 steps at |F| = 300, d = 64)
 TENSOR_CHUNK_ELEMENTS = 2**17
@@ -179,6 +179,8 @@ def four_state_system(
                          "direction must actually decay)")
     if family_points < 1:
         raise ValueError("family needs at least one functional")
+    if 4 * family_points > TENSOR_GRID_CAP:
+        raise ValueError(f"functional family {4 * family_points} exceeds the cap {TENSOR_GRID_CAP}")
     alpha = np.array(
         [
             [p, 1.0 - p, 0.0, 0.0],
@@ -284,7 +286,7 @@ def unique_ergodicity_check(
     w = discrete_weights(scheme, sweep)
     d = system.dimension
     d0 = (np.eye(d) - system.idempotent) @ cols
-    mean = power_mean(system.transition, np.eye(d, dtype=complex), w)
+    (mean,) = power_means(system.transition, np.eye(d, dtype=complex), w)
     return _report(np.abs(system.functionals @ mean @ d0), tolerance)
 
 

@@ -24,7 +24,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .averaging import DISCRETE, WeightScheme
+from .averaging import DISCRETE, WeightScheme, check_weight_count, discrete_weights
 from .lp import feasible_tableau, simplex_minimize
 
 Rational = Union[int, str, Fraction, float]
@@ -394,6 +394,10 @@ def relative_disjointness(polytope: JoiningPolytope) -> DisjointnessReport:
 
 
 def _rational_weights(scheme: WeightScheme, count: int) -> Optional[List[Fraction]]:
+    """The exact weights of a scheme, with the float weights' count and total checks."""
+    check_weight_count(count)
+    if scheme.family == "custom":
+        return [_fraction(w) for w in discrete_weights(scheme, count).tolist()]
     if scheme.family == "uniform":
         return [Fraction(1)] * count
     if scheme.family == "power" and float(scheme.exponent).is_integer() and scheme.exponent >= 0:
@@ -404,10 +408,6 @@ def _rational_weights(scheme: WeightScheme, count: int) -> Optional[List[Fractio
         return [Fraction(count - n + 1) ** e for n in range(1, count + 1)]
     if scheme.family == "log":
         return [Fraction(1, n) for n in range(1, count + 1)]
-    if scheme.family == "custom":
-        if len(scheme.samples) < count:
-            raise ValueError(f"custom scheme has {len(scheme.samples)} samples, needs {count}")
-        return [_fraction(w) for w in scheme.samples[:count]]
     return None
 
 

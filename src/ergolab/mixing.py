@@ -550,8 +550,8 @@ def furstenberg_average(
     prefixes P_1 = a, P_j = P_{j-1} shift^{(j-1)n}(a), each value is the trace
     on P_h times shift^{hn}(P_{order+1-h}), a shift of a prefix already built
     since the shift is an automorphism.  Raises ``ValueError`` before the
-    sweep when len(a)**h exceeds ``HALF_PRODUCT_TERM_CAP`` or the sweep
-    exceeds ``SEQUENCE_LENGTH_CAP``.
+    sweep when len(a)**h exceeds ``HALF_PRODUCT_TERM_CAP`` or the order or
+    the sweep exceeds ``SEQUENCE_LENGTH_CAP``.
 
     Only n <= R + L is computed, with R the largest index spread of one shift
     family over the words of a and L the lcm of their cycle lengths
@@ -560,8 +560,7 @@ def furstenberg_average(
     every word table of the loop, down to its keys, collisions, pruning and
     insertion order, and hence the float sums, repeats with period L.
     """
-    if order < 1:
-        raise ValueError("order must be at least 1")
+    _check_length(order, "order")
     _check_length(sweep, "sweep")
     a = factor * factor.adjoint()
     half = (order + 2) // 2

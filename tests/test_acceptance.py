@@ -115,8 +115,8 @@ def test_c02_conditional_expectation_laws():
     worst = 0.0
     for _ in range(10**4):
         a = rand_el(ab, 3)
-        b = AlgebraElement.from_json(ab, rand_el(cyc, 2).to_json())
-        c = AlgebraElement.from_json(ab, rand_el(cyc, 2).to_json())
+        b = AlgebraElement.from_terms(ab, rand_el(cyc, 2).items())
+        c = AlgebraElement.from_terms(ab, rand_el(cyc, 2).items())
         ea = a.finite_orbit_part()
         worst = max(worst, ea.finite_orbit_part().distance(ea))
         worst = max(worst, (b * a * c).finite_orbit_part().distance(b * ea * c))

@@ -30,7 +30,7 @@ from ergolab.averaging import (
     _simpson_grid,
     _spectral_sum,
     _weight_values,
-    power_mean,
+    power_means,
     window,
 )
 
@@ -338,7 +338,7 @@ class TestFlowMeans:
         w = discrete_weights(power(1.5), 30)
         for start in (np.eye(4, dtype=complex), rng.normal(size=4) + 0j):
             direct = sum(wn * np.linalg.matrix_power(m, n) @ start for n, wn in enumerate(w, 1))
-            assert np.max(np.abs(power_mean(m, start, w) - direct / w.sum())) < 1e-12
+            assert np.max(np.abs(power_means(m, start, w)[0] - direct / w.sum())) < 1e-12
 
     def test_domain_mismatch(self):
         flow = UnitaryFlow(np.zeros((2, 2)))

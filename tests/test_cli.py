@@ -320,7 +320,7 @@ class TestErrorPaths:
         assert_cli_error(proc)
         assert proc.stderr == f"error: a discrete shift must be an integer, got {shift:g}\n"
 
-    @pytest.mark.parametrize("kind", ["section4", "thm215", "tensor"])
+    @pytest.mark.parametrize("kind", ["section4", "thm215", "tensor", "joinings"])
     def test_sweep_over_weight_cap(self, tmp_path, kind):
         # 10**12 weights would be 8 TB; the count is refused before any allocation
         config = dict(base_configs()[kind], sweep=10**12)
@@ -331,7 +331,13 @@ class TestErrorPaths:
         assert "discrete weights exceed the cap" in proc.stderr
 
     @pytest.mark.parametrize(
-        "kind, field", [("furstenberg", "sweep"), ("mixing-decay", "n_max"), ("bergelson", "count")]
+        "kind, field",
+        [
+            ("furstenberg", "sweep"),
+            ("mixing-decay", "n_max"),
+            ("bergelson", "count"),
+            ("furstenberg", "order"),
+        ],
     )
     def test_sequence_over_length_cap(self, tmp_path, kind, field):
         # 10**12 values (10**24 Bergelson cells) would be 16 TB; the length is
@@ -342,6 +348,26 @@ class TestErrorPaths:
         proc = run_cli(["run", str(path), "--out", str(tmp_path / "out")], tmp_path, timeout=60)
         assert_cli_error(proc)
         assert proc.stderr == f"error: {field} 1000000000000 exceeds the cap 1000000\n"
+
+    def test_one_term_furstenberg_order_over_length_cap(self, tmp_path):
+        # a one-term factor gives a one-term a, whose half product never
+        # reaches its cap: the order alone must stop 10**12 factors
+        config = dict(base_configs()["furstenberg"], factor=[term("s[0]")], order=10**12, sweep=1)
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        proc = run_cli(["run", str(path), "--out", str(tmp_path / "out")], tmp_path, timeout=60)
+        assert_cli_error(proc)
+        assert proc.stderr == "error: order 1000000000000 exceeds the cap 1000000\n"
+
+    def test_section4_family_over_grid_cap(self, tmp_path):
+        # 10**9 functionals would be 7.45 GiB of grid points alone; the family
+        # is refused before any point is allocated
+        config = dict(base_configs()["section4"], family_points=10**9)
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        proc = run_cli(["run", str(path), "--out", str(tmp_path / "out")], tmp_path, timeout=60)
+        assert_cli_error(proc)
+        assert proc.stderr == "error: functional family 4000000000 exceeds the cap 4194304\n"
 
     def test_flow_mean_over_quadrature_node_cap(self, tmp_path):
         # 1e17 Simpson nodes would be 800 PB; the grid is refused before any allocation
@@ -453,6 +479,7 @@ class TestErrorPaths:
             ("mean-ergodic", {"tolerance": True}),
             ("mean-ergodic", {"indices": [math.inf]}),
             ("mean-ergodic", {"scheme": {"family": "log"}, "indices": [1]}),
+            ("joinings", {"scheme": {"family": "custom", "samples": [0, 0, 1]}, "sweep": 2}),
         ],
         ids=[
             "element-re-not-number",
@@ -482,6 +509,7 @@ class TestErrorPaths:
             "tolerance-boolean",
             "index-infinite",
             "log-index-one",
+            "custom-zero-total",
         ],
     )
     def test_malformed_fields(self, tmp_path, kind, changes):

@@ -10,8 +10,10 @@ from ergolab import (
     FactorSpec,
     JoiningInfeasibleError,
     PermutationSystem,
+    SchemeError,
     coupling_of,
     custom,
+    discrete_weights,
     joining_polytope,
     log_family,
     power,
@@ -19,9 +21,11 @@ from ergolab import (
     relative_disjointness,
     rotation,
     uniform,
+    voronoi,
     weighted_coupling_average,
 )
 from ergolab import joinings
+from ergolab.averaging import WEIGHT_COUNT_CAP
 from ergolab.joinings import _rational_weights
 from vertex_oracle import joining_vertices
 
@@ -441,6 +445,32 @@ class TestCouplingAverages:
             weighted_coupling_average(a, b, k, custom([1.0, 1.0]), 5)
         avg = weighted_coupling_average(a, b, k, custom([1.0, 1.0]), 2)
         assert avg.matrix == stepping_coupling_average(a, b, k, custom([1.0, 1.0]), 2)
+
+    @pytest.mark.parametrize(
+        "scheme, count, message",
+        [
+            (uniform(), WEIGHT_COUNT_CAP + 1, "discrete weights exceed the cap"),
+            (log_family(), 10**12, "discrete weights exceed the cap"),
+            (custom([0.0, 0.0, 1.0]), 2, "weight normalizer must be positive"),
+        ],
+        ids=["cap-plus-one", "huge", "zero-total"],
+    )
+    def test_weights_refused_before_allocation(self, scheme, count, message):
+        # the exact weights share the float weights' checks, which run before
+        # any weight list is built
+        a, b = rotation(2), rotation(3)
+        with pytest.raises(SchemeError, match=message):
+            weighted_coupling_average(a, b, product_coupling(a, b), scheme, count)
+
+    def test_rational_weights_round_to_discrete_weights(self):
+        # drift guard: the exact formulas and the float ones are one family
+        schemes = [uniform(), log_family(), custom([0.5, 0.0, 3.0, 0.125, 2.75] * 12)]
+        for e in range(5):
+            schemes += [power(e), voronoi(e)]
+        for scheme in schemes:
+            for count in range(1, 61):
+                exact = [float(w) for w in _rational_weights(scheme, count)]
+                assert exact == discrete_weights(scheme, count).tolist(), (scheme, count)
 
     def test_cycled_family(self):
         a, b = rotation(2), rotation(3)
