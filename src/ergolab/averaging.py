@@ -40,6 +40,11 @@ WEIGHT_COUNT_CAP = 10**7
 # node is allocated
 QUAD_NODE_CAP = 2 * 10**7
 
+# the largest power-mean sweep, in steps * d * d * columns multiply-adds: one
+# core takes 0.2 to 2 ns per multiply-add (numpy, d from 16 to 1000), so the
+# cap is at most about 20 s; a larger sweep is refused before its first step
+POWER_MEAN_WORK_CAP = 10**10
+
 DISCRETE = "discrete"
 CONTINUOUS = "continuous"
 
@@ -149,8 +154,12 @@ def power_means(
 
     The powers M^n start are stepped once, to the longest vector, and each
     mean is accumulated in step order: bit for bit the mean of a pass made
-    for its vector alone.
+    for its vector alone.  Raises ``SchemeError`` when the sweep's
+    multiply-adds exceed ``POWER_MEAN_WORK_CAP``.
     """
+    work = max(len(w) for w in weights) * matrix.shape[0] * start.size
+    if work > POWER_MEAN_WORK_CAP:
+        raise SchemeError(f"power-mean work {work} exceeds the cap {POWER_MEAN_WORK_CAP}")
     accs = [np.zeros(start.shape, dtype=complex) for _ in weights]
     cur = start
     for step in zip_longest(*(w.tolist() for w in weights)):

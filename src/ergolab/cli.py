@@ -143,12 +143,12 @@ def _integer(value: Any, where: str) -> int:
 
 
 def _number(value: Any, where: str) -> float:
-    """A finite float; booleans, NaN and the infinities are refused."""
+    """A finite float; booleans, strings, NaN and the infinities are refused."""
     try:
         number = float(value)
     except (TypeError, ValueError, OverflowError):
         number = math.nan
-    if isinstance(value, bool) or not math.isfinite(number):
+    if isinstance(value, (bool, str)) or not math.isfinite(number):
         raise ConfigError(f"{where}: expected a finite number, got {value!r}")
     return number
 
@@ -173,7 +173,7 @@ def _parse_indices(value: Any) -> List[float]:
         raise ConfigError("indices: expected a nonempty list")
     out = []
     for entry in value:
-        if not isinstance(entry, (int, float)) or _number(entry, "indices[]") <= 0:
+        if _number(entry, "indices[]") <= 0:
             raise ConfigError("indices: entries must be positive numbers")
         out.append(entry)
     return out
@@ -471,7 +471,7 @@ def _run_mean_ergodic(config: Dict) -> _Outcome:
 def _run_folner_defect(config: Dict) -> _Outcome:
     scheme = _parse_scheme(config, CONTINUOUS)
     shift = config["shift"]
-    if not isinstance(shift, (int, float)) or _number(shift, "shift") <= 0:
+    if _number(shift, "shift") <= 0:
         raise ConfigError("shift must be positive")
     indices = _parse_indices(config["indices"])
     defects = [folner_defect(scheme, shift, index) for index in indices]

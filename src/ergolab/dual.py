@@ -41,11 +41,15 @@ def _convolve(left: Dict[tuple, complex], right: Dict[tuple, complex]) -> Dict[t
 class _TermTable:
     """Finite complex combination of group elements keyed by reduced runs.
 
-    The linear structure shared by algebra elements and l2 vectors; each
-    subclass keeps its own ``__init__``.
+    The linear structure shared by algebra elements and l2 vectors; a table
+    not marked ``_trusted`` is read as complex and pruned.
     """
 
     __slots__ = ("alphabet", "_terms")
+
+    def __init__(self, alphabet: Alphabet, terms: Dict[tuple, complex], *, _trusted=False):
+        self.alphabet = alphabet
+        self._terms = terms if _trusted else _pruned({r: complex(c) for r, c in terms.items()})
 
     @classmethod
     def from_terms(cls, alphabet: Alphabet, pairs: Iterable[Tuple[Word, complex]]):
@@ -86,10 +90,6 @@ class AlgebraElement(_TermTable):
     """Finite sum of coefficients times group unitaries, keyed by reduced runs."""
 
     __slots__ = ()
-
-    def __init__(self, alphabet: Alphabet, terms: Dict[tuple, complex], *, _trusted=False):
-        self.alphabet = alphabet
-        self._terms = terms if _trusted else _pruned({r: complex(c) for r, c in terms.items()})
 
     # -- constructors -------------------------------------------------------
 
@@ -195,14 +195,6 @@ class L2Vector(_TermTable):
 
     __slots__ = ()
 
-    def __init__(self, alphabet: Alphabet, amplitudes: Dict[tuple, complex], *, _trusted=False):
-        self.alphabet = alphabet
-        self._terms = (
-            amplitudes
-            if _trusted
-            else _pruned({r: complex(c) for r, c in amplitudes.items()})
-        )
-
     @classmethod
     def basis(cls, word: Word) -> "L2Vector":
         """The standard basis vector supported on one group element."""
@@ -256,7 +248,8 @@ class State:
     """A positive unital functional evaluated on algebra elements.
 
     Three kinds: the canonical trace (identity-word coefficient), a unit
-    vector state, and a finite convex mixture of unit vector states.
+    vector state, and a finite convex mixture of unit vector states.  A
+    vector state on x also keeps ``components`` ((1.0, x),).
     """
 
     __slots__ = ("kind", "vector", "components")
@@ -278,7 +271,7 @@ class State:
     def vector_state(cls, x: L2Vector) -> "State":
         if abs(x.norm() - 1.0) > UNIT_TOL:
             raise ValueError(f"vector state needs a unit vector, got norm {x.norm()!r}")
-        return cls(cls._VECTOR, vector=x)
+        return cls(cls._VECTOR, vector=x, components=((1.0, x),))
 
     @classmethod
     def mixture(cls, pairs: Sequence[Tuple[float, L2Vector]]) -> "State":
@@ -335,12 +328,8 @@ class State:
         """Support table keyed by raw runs; internal fast form of profile()."""
         if self.kind == self._TRACE:
             return {(): 1.0 + 0.0j}
-        if self.kind == self._VECTOR:
-            pairs = [(1.0, self.vector)]
-        else:
-            pairs = list(self.components)
         acc: Dict[tuple, complex] = {}
-        for p, x in pairs:
+        for p, x in self.components:
             for rf, cf in x._terms.items():
                 for rh, ch in x._terms.items():
                     w = merge_runs(rf, invert_runs(rh))

@@ -96,11 +96,7 @@ def decay_sequence(state: State, element: AlgebraElement, n_max: int) -> List[co
     _check_length(n_max, "n_max")
     deficiency = element - element.finite_orbit_part()
     lengths = element.alphabet._lengths
-    if state.kind == State._VECTOR:
-        vectors = [state.vector]
-    else:
-        vectors = [x for _, x in state.components or ()]
-    support = _separation((x._terms for x in vectors), lengths)[0]
+    support = _separation((x._terms for _, x in state.components or ()), lengths)[0]
     horizon = max(
         (
             max(support[fam]) - min(idx)
@@ -183,9 +179,12 @@ class Violation:
 
     @property
     def min_gap(self) -> int:
-        gaps = [self.times[0]]
-        gaps.extend(b - a for a, b in zip(self.times, self.times[1:]))
-        return min(gaps)
+        return _min_gap(self.times)
+
+
+def _min_gap(times: Sequence[int]) -> int:
+    """The least of the first time and the consecutive gaps of a tuple."""
+    return min(b - a for a, b in zip((0, *times), times))
 
 
 @dataclass(frozen=True)
@@ -473,7 +472,7 @@ def gap_scan(
                     if mag > zero_tol:
                         violations.append(Violation(snapshot, si, mag))
                 if len(violations) > found:
-                    gap = min(b - a for a, b in zip((0,) + snapshot, snapshot))
+                    gap = _min_gap(snapshot)
                     if gap > worst:
                         worst, witness = gap, snapshot
 
@@ -510,14 +509,11 @@ def gap_scan(
     # a threshold G is certifiable only if tuples with all gaps >= G were
     # scanned at all; for k = 1 the only gap is the first time itself
     widest = scan_window if k == 1 else min(scan_window, gap_max)
-    if not violations:
-        return GapScanResult(1, None, (), scanned, scan_window, gap_max, evaluated)
-    if worst + 1 <= widest:
-        return GapScanResult(
-            worst + 1, None, tuple(violations), scanned, scan_window, gap_max, evaluated
-        )
+    threshold = worst + 1 if worst + 1 <= widest else None
+    if threshold is not None:
+        witness = None
     return GapScanResult(
-        None, witness, tuple(violations), scanned, scan_window, gap_max, evaluated
+        threshold, witness, tuple(violations), scanned, scan_window, gap_max, evaluated
     )
 
 

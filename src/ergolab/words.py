@@ -78,18 +78,6 @@ def shift_runs(runs: Sequence[Run], n: int, lengths: Mapping[str, Optional[int]]
     return tuple(out)
 
 
-def _divisors(n: int) -> list:
-    divs = []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            divs.append(d)
-            if d != n // d:
-                divs.append(n // d)
-        d += 1
-    return sorted(divs)
-
-
 @dataclass(frozen=True)
 class Orbit:
     """Orbit type of a word under the shift automorphism.
@@ -247,13 +235,8 @@ class Word:
         return Word(self.alphabet, invert_runs(self.runs))
 
     def __pow__(self, n: int) -> "Word":
-        if n == 0:
-            return Word(self.alphabet, ())
-        base = self if n > 0 else self.inverse()
-        result = Word(self.alphabet, ())
-        for _ in range(abs(n)):
-            result = result * base
-        return result
+        base = self if n >= 0 else self.inverse()
+        return Word(self.alphabet, merge_runs(*[base.runs] * abs(n)))
 
     def shifted(self, n: int = 1) -> "Word":
         """Image under the n-th power of the symbol-shift automorphism."""
@@ -265,20 +248,12 @@ class Word:
         """Finite orbit with minimal period, or infinite.
 
         A word has a finite orbit exactly when every symbol lies in a cycle
-        family; the minimal period then divides the lcm of the occurring
-        cycle lengths, so only divisors of that lcm need testing.
+        family.  The shift fixes a letter of a cycle of length m after d
+        steps exactly when m divides d, so the minimal period is the lcm of
+        the occurring cycle lengths (1 for the identity).
         """
         lengths = self.alphabet._lengths
-        cycles = set()
-        for fam, _, _ in self.runs:
-            m = lengths[fam]
-            if m is None:
-                return Orbit.infinite()
-            cycles.add(m)
-        if not cycles:
-            return Orbit(1)
-        total = math.lcm(*cycles)
-        for d in _divisors(total):
-            if shift_runs(self.runs, d, lengths) == self.runs:
-                return Orbit(d)
-        return Orbit(total)  # unreachable: total always fixes the word
+        cycles = [lengths[fam] for fam, _, _ in self.runs]
+        if None in cycles:
+            return Orbit.infinite()
+        return Orbit(math.lcm(*cycles))

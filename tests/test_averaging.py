@@ -26,6 +26,7 @@ from ergolab import (
     weighted_mean_scalar,
 )
 from ergolab.averaging import (
+    POWER_MEAN_WORK_CAP,
     _SUBSTEP,
     _simpson_grid,
     _spectral_sum,
@@ -339,6 +340,31 @@ class TestFlowMeans:
         for start in (np.eye(4, dtype=complex), rng.normal(size=4) + 0j):
             direct = sum(wn * np.linalg.matrix_power(m, n) @ start for n, wn in enumerate(w, 1))
             assert np.max(np.abs(power_means(m, start, w)[0] - direct / w.sum())) < 1e-12
+
+    def test_power_means_refuse_work_over_cap(self):
+        # 11 steps of a 1000 x 1000 matrix on 1000 columns: 1.1e10 multiply-adds,
+        # refused before the first step
+        d = 1000
+        assert 11 * d**3 > POWER_MEAN_WORK_CAP >= 10 * d**3
+        matrix = np.zeros((d, d))
+        with pytest.raises(SchemeError, match="power-mean work 11000000000 exceeds the cap"):
+            power_means(matrix, np.zeros((d, d), dtype=complex), np.ones(11))
+
+    @pytest.mark.parametrize("s", [-0.9, -0.5, -0.2])
+    def test_voronoi_is_reflected_power(self, s):
+        # t -> N - t carries (N - t)^s e^(iHt) to e^(iHN) t^s e^(-iHt), so the
+        # voronoi mean on H is U_N times the power mean on -H: the s < 0 tail
+        # cell against the head cell
+        rng = np.random.default_rng(11)
+        for _ in range(3):
+            m = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+            h = (m + m.conj().T) / 2
+            flow, reversed_flow = UnitaryFlow(h), UnitaryFlow(-h)
+            x = rng.normal(size=3) + 1j * rng.normal(size=3)
+            for n in (0.5, 1.0, 7.5, 37.0, 100.0):
+                tail = weighted_mean_flow(flow, x, voronoi(s, CONTINUOUS), n)
+                head = weighted_mean_flow(reversed_flow, x, power(s, CONTINUOUS), n)
+                assert np.max(np.abs(tail - flow.at(n) @ head)) < 1e-12
 
     def test_domain_mismatch(self):
         flow = UnitaryFlow(np.zeros((2, 2)))

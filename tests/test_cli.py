@@ -407,6 +407,65 @@ class TestErrorPaths:
         assert_cli_error(proc)
         assert proc.stderr == "error: gap lattice 10000000000 exceeds the cap 100000000\n"
 
+    def test_power_mean_over_work_cap(self, tmp_path):
+        # 2 * 10**6 steps of a 100 x 100 transition on 100 columns would run
+        # for many minutes; the sweep is refused before its first step
+        identity = [[float(i == j) for j in range(100)] for i in range(100)]
+        config = dict(base_configs()["thm215"], transition=identity, sweep=10**6)
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        proc = run_cli(["run", str(path), "--out", str(tmp_path / "out")], tmp_path, timeout=60)
+        assert_cli_error(proc)
+        assert proc.stderr == "error: power-mean work 2000000000000 exceeds the cap 10000000000\n"
+
+    def test_joinings_log_over_exact_cap(self, tmp_path):
+        # exact harmonic sums take quadratic time: 10**6 log weights would run
+        # for hours; the count is refused before any Fraction is built
+        config = dict(base_configs()["joinings"], scheme={"family": "log"}, sweep=10**6)
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        proc = run_cli(["run", str(path), "--out", str(tmp_path / "out")], tmp_path, timeout=60)
+        assert_cli_error(proc)
+        assert proc.stderr == "error: 1000000 exact log weights exceed the cap 20000\n"
+
+    def test_joinings_tiny_custom_sample(self, tmp_path):
+        # 1e-13 passes the float total check; read exactly, it weighs the one
+        # step as 1.0 does, so both runs write the same average
+        outputs = []
+        for sample in (1e-13, 1.0):
+            config = dict(
+                base_configs()["joinings"],
+                scheme={"family": "custom", "samples": [sample]},
+                sweep=1,
+            )
+            path = tmp_path / "config.json"
+            path.write_text(json.dumps(config))
+            out = tmp_path / f"out-{sample}"
+            proc = run_cli(["run", str(path), "--out", str(out)], tmp_path)
+            # one step averages to the coupling itself, which is not invariant
+            assert proc.returncode == 2, proc.stderr
+            assert "Traceback" not in proc.stderr
+            outputs.append((out / "joinings.csv").read_bytes())
+        assert outputs[0] == outputs[1]
+
+    def test_joinings_infeasible_factor(self, tmp_path):
+        # every coupling gives the cell of row x the mass 1/2 of x, so the
+        # masses 9/10 and 1/10 admit no joining
+        config = {
+            "experiment": "joinings",
+            "left": {"permutation": [1, 0], "measure": ["1/2", "1/2"]},
+            "right": {"permutation": [1, 2, 0], "measure": ["1/3", "1/3", "1/3"]},
+            "factor": {"generators": [[[0, 0, 0], [1, 1, 1]]], "cell_masses": ["9/10", "1/10"]},
+        }
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        proc = run_cli(["run", str(path), "--out", str(tmp_path / "out")], tmp_path)
+        assert proc.returncode == 2, proc.stderr
+        summary = json.loads((tmp_path / "out" / "joinings.json").read_text())
+        assert summary["results"]["feasible"] is False
+        assert summary["results"]["disjoint"] is None
+        assert (tmp_path / "out" / "joinings.csv").read_bytes() == b"x,y,value\r\n"
+
     def test_joinings_refuses_short_custom_scheme(self, tmp_path):
         # two samples cannot weigh a sweep of five steps
         config = dict(
@@ -480,6 +539,9 @@ class TestErrorPaths:
             ("mean-ergodic", {"indices": [math.inf]}),
             ("mean-ergodic", {"scheme": {"family": "log"}, "indices": [1]}),
             ("joinings", {"scheme": {"family": "custom", "samples": [0, 0, 1]}, "sweep": 2}),
+            ("section4", {"p": "0.5", "sweep": 10}),
+            ("mean-ergodic", {"indices": ["50"]}),
+            ("folner-defect", {"shift": "1.0"}),
         ],
         ids=[
             "element-re-not-number",
@@ -510,6 +572,9 @@ class TestErrorPaths:
             "index-infinite",
             "log-index-one",
             "custom-zero-total",
+            "number-as-string",
+            "index-as-string",
+            "shift-as-string",
         ],
     )
     def test_malformed_fields(self, tmp_path, kind, changes):

@@ -26,7 +26,7 @@ from ergolab import (
 )
 from ergolab import joinings
 from ergolab.averaging import WEIGHT_COUNT_CAP
-from ergolab.joinings import _rational_weights
+from ergolab.joinings import LOG_WEIGHT_COUNT_CAP, _rational_weights
 from vertex_oracle import joining_vertices
 
 
@@ -452,8 +452,9 @@ class TestCouplingAverages:
             (uniform(), WEIGHT_COUNT_CAP + 1, "discrete weights exceed the cap"),
             (log_family(), 10**12, "discrete weights exceed the cap"),
             (custom([0.0, 0.0, 1.0]), 2, "weight normalizer must be positive"),
+            (log_family(), LOG_WEIGHT_COUNT_CAP + 1, "exact log weights exceed the cap"),
         ],
-        ids=["cap-plus-one", "huge", "zero-total"],
+        ids=["cap-plus-one", "huge", "zero-total", "log-cap-plus-one"],
     )
     def test_weights_refused_before_allocation(self, scheme, count, message):
         # the exact weights share the float weights' checks, which run before
@@ -461,6 +462,16 @@ class TestCouplingAverages:
         a, b = rotation(2), rotation(3)
         with pytest.raises(SchemeError, match=message):
             weighted_coupling_average(a, b, product_coupling(a, b), scheme, count)
+
+    def test_tiny_custom_sample_is_not_zero(self):
+        # 1e-13 rounds to 0 on the 10**-12 grid; a positive weight is read
+        # exactly instead, so a lone tiny sample weighs like any other
+        assert _rational_weights(custom([1e-13]), 1) == [F(1e-13)]
+        assert _rational_weights(custom([0.5, 1e-13, 0.0]), 3) == [F(1, 2), F(1e-13), F(0)]
+        a, b = rotation(2), rotation(3)
+        k = coupling_of(a, b, [["1/3", "1/6", "0"], ["0", "1/6", "1/3"]])
+        tiny = weighted_coupling_average(a, b, k, custom([1e-13]), 1)
+        assert tiny.matrix == weighted_coupling_average(a, b, k, custom([1.0]), 1).matrix
 
     def test_rational_weights_round_to_discrete_weights(self):
         # drift guard: the exact formulas and the float ones are one family
