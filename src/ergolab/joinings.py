@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -398,24 +398,32 @@ def relative_disjointness(polytope: JoiningPolytope) -> DisjointnessReport:
 # -- orbit averages of couplings -------------------------------------------------------
 
 
-def _rational_weights(scheme: WeightScheme, count: int) -> Optional[List[Fraction]]:
-    """The exact weights of a scheme, with the float weights' count and total checks."""
+def _exact_weight(
+    scheme: WeightScheme, count: int
+) -> Optional[Callable[[int], Union[int, Fraction]]]:
+    """Step n -> its exact weight, after the float weights' count and total checks.
+
+    Uniform and integer-exponent power and voronoi weights are ints, not
+    Fractions: every use sums them and divides by their int total, which
+    gives the same Fractions.  None when the scheme has no exact weights.
+    """
     check_weight_count(count)
     if scheme.family == "custom":
         # a positive sample that rounds to 0 on the 10**-12 grid is read exactly
-        return [_fraction(w) or Fraction(w) for w in discrete_weights(scheme, count).tolist()]
+        samples = [_fraction(w) or Fraction(w) for w in discrete_weights(scheme, count).tolist()]
+        return lambda n: samples[n - 1]
     if scheme.family == "uniform":
-        return [Fraction(1)] * count
+        return lambda n: 1
     if scheme.family == "power" and float(scheme.exponent).is_integer() and scheme.exponent >= 0:
         e = int(scheme.exponent)
-        return [Fraction(n) ** e for n in range(1, count + 1)]
+        return lambda n: n**e
     if scheme.family == "voronoi" and float(scheme.exponent).is_integer() and scheme.exponent >= 0:
         e = int(scheme.exponent)
-        return [Fraction(count - n + 1) ** e for n in range(1, count + 1)]
+        return lambda n: (count - n + 1) ** e
     if scheme.family == "log":
         if count > LOG_WEIGHT_COUNT_CAP:
             raise SchemeError(f"{count} exact log weights exceed the cap {LOG_WEIGHT_COUNT_CAP}")
-        return [Fraction(1, n) for n in range(1, count + 1)]
+        return lambda n: Fraction(1, n)
     return None
 
 
@@ -442,11 +450,14 @@ def weighted_coupling_average(
         raise ValueError("need at least one coupling")
     for c in family:
         coupling_of(left, right, c.matrix)
-    weights = _rational_weights(scheme, count)
-    if weights is None:
+    weight = _exact_weight(scheme, count)
+    if weight is None:
         raise ValueError("coupling averages need exact rational weights")
     cycles = _cycles(left.permutation) + _cycles(right.permutation)
     period = lcm(*(len(cycle) for cycle in cycles), len(family))
+    # each residue class summed in one pass, with no count-long weight list
+    steps = range(1, min(period, count) + 1)
+    sums = [sum(map(weight, range(r, count + 1, period))) for r in steps]
     na, nb = left.size, right.size
     inv_a = left.inverse_permutation
     inv_b = right.inverse_permutation
@@ -454,17 +465,16 @@ def weighted_coupling_average(
     back_a = list(range(na))
     back_b = list(range(nb))
     acc = [[Fraction(0)] * nb for _ in range(na)]
-    for r in range(1, min(period, count) + 1):
+    for r, w in enumerate(sums, 1):
         back_a = [back_a[inv_a[u]] for u in range(na)]
         back_b = [back_b[inv_b[v]] for v in range(nb)]
         mat = family[(r - 1) % len(family)].matrix
-        w = sum(weights[r - 1 :: period])
         for u in range(na):
             row = acc[u]
             src = mat[back_a[u]]
             for v in range(nb):
                 row[v] += w * src[back_b[v]]
-    total = sum(weights)
+    total = sum(sums)
     return Coupling(
         tuple(tuple(entry / total for entry in row) for row in acc)
     )

@@ -12,7 +12,8 @@ double averages compute each projected value once per residue pair
 (m mod L, n mod L), and the gap scan evaluates only its candidate tuples,
 where some term choice can put every infinite-orbit letter on the pooled
 state support or cancel it against another factor.  The scan builds only
-what its walk reaches, and its last slot looks each word up in the pooled
+what its walk reaches, computes each residue class of a finite-orbit
+operator's time once, and its last slot looks each word up in the pooled
 support table of the states instead of forming the product.
 """
 
@@ -69,6 +70,16 @@ def _separation(tables: Iterable[dict], lengths: dict) -> Tuple[Dict[str, set], 
     and n' meet on a letter of family f only if n - n' is a difference of
     f's indices, and a word of cycle letters shifted by n equals its shift
     by n mod L, down to its run tuples and the order of its term table.
+
+    The gap scan reads it per slot, as Furstenberg and Bergelson read their
+    horizons and residues: a slot whose operator has only cycle letters gets
+    their L.  Two time tuples that agree on every other slot's time and on
+    each such slot's time mod L multiply identical tables in the same order,
+    through the same products, pruning and sums, so their values are
+    bit-identical; a candidate domain reads only infinite-orbit runs, so
+    only shift slots' times and the bounds the previous slot sets.  Each
+    reduced prefix, leaf value and candidate domain is thus computed once,
+    and every tuple is still reported, in walk order, with its own value.
     """
     indices: Dict[str, set] = {}
     cycles = set()
@@ -195,8 +206,8 @@ class GapScanResult:
     time and consecutive gaps are all >= G has difference exactly zero; it is
     None when even the largest scanned gap admits a violation, in which case
     ``counterexample`` holds one such tuple.  ``scanned`` is the size of the
-    certified lattice and ``evaluated`` the number of its tuples whose
-    difference was actually computed (the candidate tuples).
+    certified lattice and ``evaluated`` the number of candidate tuples
+    visited, whose difference was computed or read from a residue memo.
     """
 
     threshold: Optional[int]
@@ -253,9 +264,13 @@ def gap_scan(
     state support or cancel it against another factor; every other tuple has
     difference exactly zero.  Shifted copies and the last slot's term rows
     are built per visited time, and a slot is entered only when its
-    candidate domain is non-empty.  ``scanned`` reports the lattice size and
-    ``evaluated`` the candidate tuples computed.  Raises ``ValueError`` when
-    the lattice exceeds ``GAP_LATTICE_CAP`` tuples.
+    candidate domain is non-empty.  A finite-orbit operator's time counts
+    only mod its period (``_separation``), so prefixes, candidate domains
+    and leaf values that agree on the reduced times are computed once per
+    call.  ``scanned`` reports the lattice size and ``evaluated`` the
+    candidate tuples visited, memo hits included.  Raises ``ValueError``
+    when the lattice exceeds ``GAP_LATTICE_CAP`` tuples or zero_tol is
+    negative or NaN.
     """
     ops = list(operators)
     state_list = _as_states(states)
@@ -264,6 +279,8 @@ def gap_scan(
         raise ValueError("gap scan supports 1..5 operators")
     if scan_window < 1 or gap_max < 1:
         raise ValueError("scan window and gap bound must be positive")
+    if not zero_tol >= 0:  # NaN too: no magnitude would exceed it
+        raise ValueError(f"zero_tol must be nonnegative, got {zero_tol}")
     perm = _check_permutation(permutation, k)
     scanned = scan_window * gap_max ** (k - 1)
     if scanned > GAP_LATTICE_CAP:
@@ -421,16 +438,47 @@ def gap_scan(
     e_rows = None if e_dead else _ShiftMemo(e_parts[last], term_rows)
     unit = [((), 1.0 + 0.0j, None, None, 0)]
 
-    def side(factors: list, pos: int, rows: _ShiftMemo, negate: bool):
+    def side(factors: list, rows: _ShiftMemo, negate: bool):
         """(left, middle, right) term rows around the last slot."""
-        idx = factors.index(pos)
+        idx = factors.index(last)
         left = term_rows(factors[idx - 1]) if idx > 0 else unit
         if negate:
             left = [(runs, -c, *ends) for runs, c, *ends in left]
         right = term_rows(factors[idx + 1]) if idx + 1 < len(factors) else unit
         return left, rows, right
 
-    def leaf(domain, pos: int, fq: list, fe) -> None:
+    def leaf_sides(fq: list, fe) -> list:
+        """The leaf's (left, middle, right) rows, Q-side first, then a live E-side."""
+        return [side(fq, q_rows, False)] + ([] if fe is None else [side(fe, e_rows, True)])
+
+    def extend(r: int, n: int, fq: list, fe):
+        """What slot r + 1 needs once slot r sits at n: factor lists, or the leaf's sides."""
+        pos = slot_pos[r]
+        fq = _instantiate(fq, pos, shifts[pos][n])
+        fe = None if fe is None else _instantiate(fe, pos, e_shifts[pos][n])
+        return (fq, fe) if r + 2 < k else leaf_sides(fq, fe)
+
+    # Residue memos (``_separation``): a slot whose operator has only cycle
+    # letters gets their period L, any other None.  The walk keys a prefix by
+    # its times from the first such slot on, such a slot's mod its L.  The
+    # prefixes that share a key all lie below the node where that slot is
+    # entered, so the memos live there: (prefixes, totals, domains) map a key
+    # to what the next slot needs, a key to the leaf's totals per reduced
+    # last time, and (slot, time, shift slots' times) to the next domain.
+    periods = []
+    for pos in slot_pos:
+        spread, period = _separation([ops[pos]._terms], ops[pos].alphabet._lengths)
+        periods.append(None if spread else period)
+    shift_slots = [[s for s in range(r) if periods[s] is None] for r in range(k)]
+
+    def cached(memo: dict, key: tuple, build, *args):
+        """build(*args), computed once per key of the memo."""
+        value = memo.get(key)
+        if value is None:
+            value = memo[key] = build(*args)
+        return value
+
+    def leaf(domain, sides: list, key, memos) -> None:
         """Differences at the last slot, summed over (left, middle, right) term triples.
 
         The E-side runs through the same loop with its left coefficients
@@ -440,29 +488,39 @@ def gap_scan(
         larger min gap, so the witness is the first such tuple in walk order.
         """
         nonlocal worst, witness
-        sides = [side(fq, pos, q_rows, False)]
-        if fe is not None:
-            sides.append(side(fe, pos, e_rows, True))
+        period = periods[k - 1]
+        if key is None and period is None:
+            memo = None
+        else:
+            # the last slot is the first finite-orbit one: its memo lives here
+            memo = {} if key is None else memos[1].setdefault(key, {})
         pooled_get = pooled.get
         for n in domain:
-            total: Dict[int, complex] = {}
-            for left, rows, right in sides:
-                for a_runs, a_c, _, a_last, a_len in left:
-                    for m_runs, m_c, m_first, m_last, m_len in rows[n]:
-                        am_c = a_c * m_c
-                        open_left = m_len and a_last != m_first
-                        for b_runs, b_c, b_first, _, b_len in right:
-                            if open_left and m_last != b_first:
-                                if a_len + m_len + b_len not in target_lens:
-                                    continue
-                                w = a_runs + m_runs + b_runs
-                            else:
-                                w = merge_runs(a_runs, m_runs, b_runs)
-                            hits = pooled_get(w)
-                            if hits:
-                                c = am_c * b_c
-                                for si, v in hits:
-                                    total[si] = total.get(si, 0.0 + 0.0j) + c * v
+            total = None
+            if memo is not None:
+                reduced = n if period is None else n % period
+                total = memo.get(reduced)
+            if total is None:
+                total = {}
+                for left, rows, right in sides:
+                    for a_runs, a_c, _, a_last, a_len in left:
+                        for m_runs, m_c, m_first, m_last, m_len in rows[n]:
+                            am_c = a_c * m_c
+                            open_left = m_len and a_last != m_first
+                            for b_runs, b_c, b_first, _, b_len in right:
+                                if open_left and m_last != b_first:
+                                    if a_len + m_len + b_len not in target_lens:
+                                        continue
+                                    w = a_runs + m_runs + b_runs
+                                else:
+                                    w = merge_runs(a_runs, m_runs, b_runs)
+                                hits = pooled_get(w)
+                                if hits:
+                                    c = am_c * b_c
+                                    for si, v in hits:
+                                        total[si] = total.get(si, 0.0 + 0.0j) + c * v
+                if memo is not None:
+                    memo[reduced] = total
             if total:
                 times[k - 1] = n
                 snapshot = tuple(times)
@@ -478,30 +536,35 @@ def gap_scan(
 
     evaluated = 0
 
-    def walk(r: int, domain, fq: list, fe) -> None:
+    def walk(r: int, domain, node, key, memos) -> None:
         """Visit the non-empty candidate domain of slot r, given by the caller."""
         nonlocal evaluated
-        pos = slot_pos[r]
         if r == k - 1:
             evaluated += len(domain)
-            leaf(domain, pos, fq, fe)
+            leaf(domain, node, key, memos)
             return
-        table = shifts[pos]
-        etable = e_shifts[pos] if fe is not None else None
+        period = periods[r]
+        if key is None and period is not None:
+            memos = ({}, {}, {})
         for n in domain:
             times[r] = n
-            inner = candidate_times(r + 1, n + 1, n + gap_max)
-            if inner:
-                walk(
-                    r + 1,
-                    inner,
-                    _instantiate(fq, pos, table[n]),
-                    _instantiate(fe, pos, etable[n]) if fe is not None else None,
-                )
+            if key is None:
+                inner = candidate_times(r + 1, n + 1, n + gap_max)
+            else:
+                near = (r, n, *[times[s] for s in shift_slots[r]])
+                inner = cached(memos[2], near, candidate_times, r + 1, n + 1, n + gap_max)
+            if not inner:
+                continue
+            if key is None and period is None:
+                walk(r + 1, inner, extend(r, n, *node), None, memos)
+            else:
+                sub = (key or ()) + (n if period is None else n % period,)
+                walk(r + 1, inner, cached(memos[0], sub, extend, r, n, *node), sub, memos)
 
     domain = candidate_times(0, 1, scan_window)
     if domain:
-        walk(0, domain, list(range(k)), None if e_dead else list(range(k)))
+        root = (list(range(k)), None if e_dead else list(range(k)))
+        walk(0, domain, root if k > 1 else leaf_sides(*root), None, None)
     # walk reaches itself through its closure; breaking that cycle frees the
     # shift memos on return instead of at the next cyclic garbage collection
     walk = None

@@ -428,6 +428,24 @@ class TestErrorPaths:
         assert_cli_error(proc)
         assert proc.stderr == "error: 1000000 exact log weights exceed the cap 20000\n"
 
+    def test_joinings_integer_power_weights_at_the_cap(self, tmp_path):
+        # 10**7 exact power(4) weights, the most the cap allows: as Fractions
+        # the run went past 40 s; as ints summed per residue class, with no
+        # weight list, it takes seconds.  The average misses the polytope's
+        # 1e-9 by about 8e-8, so it reports a failed check (exit 2)
+        config = dict(
+            base_configs()["joinings"],
+            scheme={"family": "power", "exponent": 4},
+            sweep=10**7,
+        )
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        proc = run_cli(["run", str(path), "--out", str(tmp_path / "out")], tmp_path, timeout=60)
+        assert proc.returncode == 2, proc.stderr
+        results = json.loads((tmp_path / "out" / "joinings.json").read_text())["results"]
+        assert results["disjoint"] and not results["average_in_polytope"]
+        assert 0 < results["average_distance_to_unique"] < 1e-7
+
     def test_joinings_tiny_custom_sample(self, tmp_path):
         # 1e-13 passes the float total check; read exactly, it weighs the one
         # step as 1.0 does, so both runs write the same average
@@ -542,6 +560,7 @@ class TestErrorPaths:
             ("section4", {"p": "0.5", "sweep": 10}),
             ("mean-ergodic", {"indices": ["50"]}),
             ("folner-defect", {"shift": "1.0"}),
+            ("gap-search", {"zero_tol": -1}),
         ],
         ids=[
             "element-re-not-number",
@@ -575,6 +594,7 @@ class TestErrorPaths:
             "number-as-string",
             "index-as-string",
             "shift-as-string",
+            "zero-tol-negative",
         ],
     )
     def test_malformed_fields(self, tmp_path, kind, changes):

@@ -10,6 +10,7 @@ import random
 
 import pytest
 
+import ergolab.mixing
 from ergolab import AlgebraElement, Alphabet, L2Vector, State, gap_scan
 from conftest import mixing_corpus, random_element, random_vector_state, random_word
 from gap_oracle import exhaustive_gap_scan
@@ -213,3 +214,133 @@ def test_counterexample_is_first_tuple_of_largest_min_gap(ab):
     wider = gap_scan(State.trace(), ops, None, scan_window=6, gap_max=5)
     assert (wider.threshold, wider.counterexample) == (4, None)
     assert_witness_rule(wider)
+
+
+# -- residue memos: a finite-orbit slot's time counts mod its period ----------
+
+
+def cycle_operator(rng, ab, period):
+    """One or two terms, each with a letter of every cycle family of the period."""
+    families = {1: (), 2: ("c",), 3: ("d",), 6: ("c", "d")}[period]
+    el = AlgebraElement.zero(ab)
+    for _ in range(rng.randint(1, 2)):
+        word = ab.identity()
+        for fam in families:
+            word = word * ab.letter(fam, rng.randrange(ab.lengths[fam]), rng.choice([-1, 1]))
+        el = el + lam(word, rand_coeff(rng))
+    return el
+
+
+def shift_word(rng, ab):
+    """One or two letters of the shift families, never the identity."""
+    while True:
+        word = random_word(rng, ab, 2, families=("s", "t"))
+        if word.runs:
+            return word
+
+
+def memo_case(rng, ab, k, slot, live):
+    """Operators with a finite-orbit one in walk slot `slot` (at k >= 3
+    sometimes one in the next slot too), and states that tell its residues
+    apart: a planted hit at one lattice tuple, whose residue-equivalent
+    tuples hit too and whose other tuples do not."""
+    periods = {slot: rng.choice([1, 2, 3, 6] if k < 4 else [1, 2, 3])}
+    if k > 2 and rng.random() < 0.4:
+        periods[slot + 1 if slot + 1 < k else slot - 1] = rng.choice([1, 2, 3])
+    window = max(2 * max(periods.values()), 4)
+    gap = window if k < 4 else 4
+    perm = list(range(k))
+    rng.shuffle(perm)
+    ops = []
+    for j in range(k):
+        if perm[j] in periods:
+            ops.append(cycle_operator(rng, ab, periods[perm[j]]))
+            continue
+        op = lam(shift_word(rng, ab), rand_coeff(rng))
+        if live:
+            op = op + cycle_operator(rng, ab, rng.choice([1, 2, 3, 6]))
+        ops.append(op)
+    others = [j for j in range(k) if perm[j] not in periods]
+    if len(others) > 1 and rng.random() < 0.5:
+        # a word against its shifted inverse, so cancellations are reachable
+        base = shift_word(rng, ab)
+        ops[others[0]] = ops[others[0]] + lam(base)
+        ops[others[-1]] = ops[others[-1]] + lam(base.inverse().shifted(rng.randint(1, 3)))
+    times = [rng.randint(1, window)]
+    for _ in range(k - 1):
+        times.append(times[-1] + rng.randint(1, gap))
+    word = ab.identity()
+    for j, op in enumerate(ops):
+        # a term with a shift letter where there is one, so a live E-side
+        # does not cancel the planted hit
+        terms = [term for term, _ in op.items()]
+        term = next((t for t in terms if not lam(t).finite_orbit_part()), terms[-1])
+        word = word * term.shifted(times[perm[j]])
+    x = L2Vector.basis(ab.identity()) + rand_coeff(rng) * L2Vector.basis(word)
+    states = [State.vector_state(x.normalized())]
+    states += [random_vector_state(rng, ab, 3, 2, 4) for _ in range(rng.randint(0, 2))]
+    if rng.random() < 0.3:
+        states.append(State.trace())
+    return states, ops, perm, window, gap
+
+
+def test_residue_memo_corpus_matches_exhaustive_walk():
+    # {s, t} shift families and cycles of lengths 2 and 3, so a finite-orbit
+    # operator has period 1, 2, 3 or 6; windows are at least twice it
+    ab = Alphabet({"s": None, "t": None, "c": 2, "d": 3})
+    rng = random.Random(20)
+    hit = {}
+    for k in (2, 3, 4):
+        for slot in sorted({0, k // 2, k - 1}):
+            for live in (False, True):
+                for _ in range(6 if k < 4 else 3):
+                    states, ops, perm, window, gap = memo_case(rng, ab, k, slot, live)
+                    new = gap_scan(states, ops, perm, window, gap)
+                    old = exhaustive_gap_scan(states, ops, perm, window, gap)
+                    assert_same_scan(new, old)
+                    hit[k, slot, live] = hit.get((k, slot, live), 0) + bool(old.violations)
+    # every (k, slot, E-side) cell has scans with violations to reproduce
+    assert len(hit) == 16 and min(hit.values()) >= 2, hit
+
+
+def counted_instantiate(monkeypatch, states, ops, window):
+    """_instantiate calls of one scan, checked against the oracle."""
+    calls = []
+    original = ergolab.mixing._instantiate
+
+    def counting(factors, pos, element):
+        calls.append(pos)
+        return original(factors, pos, element)
+
+    expected = exhaustive_gap_scan(states, ops, None, window, window)
+    with monkeypatch.context() as patch:
+        patch.setattr(ergolab.mixing, "_instantiate", counting)
+        res = gap_scan(states, ops, None, window, window)
+    assert_same_scan(res, expected)
+    return res, len(calls)
+
+
+def test_residue_memo_fires(monkeypatch):
+    ab = Alphabet({"s": None, "t": None, "c": 2, "d": 3})
+    w = 6
+    # slot 0 holds d[0], of period 3, and the state sees d[n1] only at
+    # n1 = 3, 6; s[n2] meets s[n3 - 2]^-1 at n3 = n2 + 2, so the walk enters
+    # all w slot-0 times and w * w slot-1 prefixes
+    x = L2Vector.basis(ab.identity()) + L2Vector.basis(ab.word("d[0]"))
+    phi = State.vector_state(x.normalized())
+    ops = [lam(ab.word("d[0]")), lam(ab.word("s[0]")), lam(ab.word("s[-2]^-1"))]
+    res, calls = counted_instantiate(monkeypatch, [phi], ops, w)
+    assert res.evaluated == w * w
+    assert [v.times for v in res.violations] == [
+        (n1, n2, n2 + 2) for n1 in (3, 6) for n2 in range(n1 + 1, n1 + w + 1)
+    ]
+    # one build per reduced prefix (n1 mod 3) and (n1 mod 3, n2), not per prefix
+    reduced = {(n1 % 3, n2) for n1 in range(1, w + 1) for n2 in range(n1 + 1, n1 + w + 1)}
+    assert calls == 3 + len(reduced) < w + w * w
+    # no finite-orbit slot: s[n1] t[n2] t[n3 - 2]^-1 s[n3 - 4]^-1 is 1 only at
+    # (n, n + 2, n + 4), so the walk enters w slot-0 and w slot-1 prefixes and
+    # builds each once, as without a memo
+    ops = [lam(ab.word("s[0]")), lam(ab.word("t[0]")), lam(ab.word("t[-2]^-1 s[-4]^-1"))]
+    res, calls = counted_instantiate(monkeypatch, [State.trace()], ops, w)
+    assert [v.times for v in res.violations] == [(n, n + 2, n + 4) for n in range(1, w + 1)]
+    assert calls == 2 * w

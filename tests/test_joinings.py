@@ -26,14 +26,14 @@ from ergolab import (
 )
 from ergolab import joinings
 from ergolab.averaging import WEIGHT_COUNT_CAP
-from ergolab.joinings import LOG_WEIGHT_COUNT_CAP, _rational_weights
+from ergolab.joinings import LOG_WEIGHT_COUNT_CAP, _exact_weight
 from vertex_oracle import joining_vertices
 
 
 def stepping_coupling_average(left, right, couplings, scheme, count):
     """Oracle: the weighted coupling average stepped one n at a time."""
     family = [couplings] if isinstance(couplings, Coupling) else list(couplings)
-    weights = _rational_weights(scheme, count)
+    weight = _exact_weight(scheme, count)
     na, nb = left.size, right.size
     inv_a = left.inverse_permutation
     inv_b = right.inverse_permutation
@@ -45,11 +45,11 @@ def stepping_coupling_average(left, right, couplings, scheme, count):
         back_a = [back_a[inv_a[u]] for u in range(na)]
         back_b = [back_b[inv_b[v]] for v in range(nb)]
         mat = family[(n - 1) % len(family)].matrix
-        w = weights[n - 1]
+        w = weight(n)
         for u in range(na):
             for v in range(nb):
                 acc[u][v] += w * mat[back_a[u]][back_b[v]]
-    total = sum(weights)
+    total = sum(weight(n) for n in range(1, count + 1))
     return tuple(tuple(entry / total for entry in row) for row in acc)
 
 
@@ -466,8 +466,9 @@ class TestCouplingAverages:
     def test_tiny_custom_sample_is_not_zero(self):
         # 1e-13 rounds to 0 on the 10**-12 grid; a positive weight is read
         # exactly instead, so a lone tiny sample weighs like any other
-        assert _rational_weights(custom([1e-13]), 1) == [F(1e-13)]
-        assert _rational_weights(custom([0.5, 1e-13, 0.0]), 3) == [F(1, 2), F(1e-13), F(0)]
+        assert _exact_weight(custom([1e-13]), 1)(1) == F(1e-13)
+        weight = _exact_weight(custom([0.5, 1e-13, 0.0]), 3)
+        assert [weight(n) for n in (1, 2, 3)] == [F(1, 2), F(1e-13), F(0)]
         a, b = rotation(2), rotation(3)
         k = coupling_of(a, b, [["1/3", "1/6", "0"], ["0", "1/6", "1/3"]])
         tiny = weighted_coupling_average(a, b, k, custom([1e-13]), 1)
@@ -480,7 +481,8 @@ class TestCouplingAverages:
             schemes += [power(e), voronoi(e)]
         for scheme in schemes:
             for count in range(1, 61):
-                exact = [float(w) for w in _rational_weights(scheme, count)]
+                weight = _exact_weight(scheme, count)
+                exact = [float(weight(n)) for n in range(1, count + 1)]
                 assert exact == discrete_weights(scheme, count).tolist(), (scheme, count)
 
     def test_cycled_family(self):

@@ -194,6 +194,20 @@ class TestGapScan:
         assert res.threshold is None
         assert res.counterexample == (4,)
 
+    def test_negative_zero_tol_refused(self, ab):
+        # s[n - 1] - t[n - 1] sends e to s[0] - t[0] at n = 1, and the state's
+        # amplitudes on s[0] and t[0] cancel that to exactly 0
+        x = L2Vector.basis(ab.identity()) + L2Vector.basis(ab.word("s[0]"))
+        phi = State.vector_state((x + L2Vector.basis(ab.word("t[0]"))).normalized())
+        op = lam(ab.word("s[-1]")) - lam(ab.word("t[-1]"))
+        res = gap_scan(phi, [op], None, 5, 5)
+        assert (res.threshold, res.violations) == (1, ())
+        # |0| > -1 would record the exact zero at n = 1 as a violation
+        for bad in (-1, math.nan):
+            with pytest.raises(ValueError, match="zero_tol must be nonnegative"):
+                gap_scan(phi, [op], None, 5, 5, zero_tol=bad)
+        assert gap_scan(phi, [op], None, 5, 5, zero_tol=0.0).violations == ()
+
     def test_order_budget(self, ab):
         with pytest.raises(ValueError):
             gap_scan(State.trace(), [one(ab)] * 6, None, 2, 2)
