@@ -13,8 +13,9 @@ double averages compute each projected value once per residue pair
 where some term choice can put every infinite-orbit letter on the pooled
 state support or cancel it against another factor.  The scan builds only
 what its walk reaches, computes each residue class of a finite-orbit
-operator's time once, and its last slot looks each word up in the pooled
-support table of the states instead of forming the product.
+operator's time once while it can recur, with memory bounded by the window,
+and its last slot looks each word up in the pooled support table of the
+states instead of forming the product.
 """
 
 from __future__ import annotations
@@ -78,8 +79,9 @@ def _separation(tables: Iterable[dict], lengths: dict) -> Tuple[Dict[str, set], 
     through the same products, pruning and sums, so their values are
     bit-identical; a candidate domain reads only infinite-orbit runs, so
     only shift slots' times and the bounds the previous slot sets.  Each
-    reduced prefix, leaf value and candidate domain is thus computed once,
-    and every tuple is still reported, in walk order, with its own value.
+    reduced prefix, leaf value and candidate domain is thus computed once
+    while it can recur, with memory bounded by the window, and every tuple
+    is still reported, in walk order, with its own value.
     """
     indices: Dict[str, set] = {}
     cycles = set()
@@ -266,11 +268,11 @@ def gap_scan(
     are built per visited time, and a slot is entered only when its
     candidate domain is non-empty.  A finite-orbit operator's time counts
     only mod its period (``_separation``), so prefixes, candidate domains
-    and leaf values that agree on the reduced times are computed once per
-    call.  ``scanned`` reports the lattice size and ``evaluated`` the
-    candidate tuples visited, memo hits included.  Raises ``ValueError``
-    when the lattice exceeds ``GAP_LATTICE_CAP`` tuples or zero_tol is
-    negative or NaN.
+    and leaf values that agree on the reduced times are computed once while
+    they can recur, with memory bounded by the window.  ``scanned`` reports
+    the lattice size and ``evaluated`` the candidate tuples visited, memo
+    hits included.  Raises ``ValueError`` when the lattice exceeds
+    ``GAP_LATTICE_CAP`` tuples or zero_tol is negative or NaN.
     """
     ops = list(operators)
     state_list = _as_states(states)
@@ -289,10 +291,9 @@ def gap_scan(
     e_parts = [op.finite_orbit_part() for op in ops]
     e_dead = any(not part for part in e_parts)
 
-    profiles = [s.runs_profile() for s in state_list]
     pooled: Dict[tuple, list] = {}
-    for si, prof in enumerate(profiles):
-        for runs, value in prof.items():
+    for si, state in enumerate(state_list):
+        for runs, value in state.runs_profile().items():
             pooled.setdefault(runs, []).append((si, value))
     target_lens = frozenset(len(runs) for runs in pooled)
 
@@ -313,10 +314,7 @@ def gap_scan(
 
     anchors = _separation([pooled], ops[0].alphabet._lengths)[0]
     infinite_runs = [
-        [
-            [run for run in runs if op.alphabet._lengths[run[0]] is None]
-            for runs in op._terms
-        ]
+        [[run for run in runs if op.alphabet._lengths[run[0]] is None] for runs in op._terms]
         for op in ops
     ]
     covers = []
@@ -447,9 +445,11 @@ def gap_scan(
         right = term_rows(factors[idx + 1]) if idx + 1 < len(factors) else unit
         return left, rows, right
 
-    def leaf_sides(fq: list, fe) -> list:
-        """The leaf's (left, middle, right) rows, Q-side first, then a live E-side."""
-        return [side(fq, q_rows, False)] + ([] if fe is None else [side(fe, e_rows, True)])
+    def leaf_sides(fq: list, fe) -> tuple:
+        """The leaf's node: its (left, middle, right) rows, Q-side first, then a
+        live E-side, and a memo of its totals if a reduced last time can recur."""
+        sides = [side(fq, q_rows, False)] + ([] if fe is None else [side(fe, e_rows, True)])
+        return sides, {} if first < k else None
 
     def extend(r: int, n: int, fq: list, fe):
         """What slot r + 1 needs once slot r sits at n: factor lists, or the leaf's sides."""
@@ -458,29 +458,39 @@ def gap_scan(
         fe = None if fe is None else _instantiate(fe, pos, e_shifts[pos][n])
         return (fq, fe) if r + 2 < k else leaf_sides(fq, fe)
 
-    # Residue memos (``_separation``): a slot whose operator has only cycle
-    # letters gets their period L, any other None.  The walk keys a prefix by
-    # its times from the first such slot on, such a slot's mod its L.  The
-    # prefixes that share a key all lie below the node where that slot is
-    # entered, so the memos live there: (prefixes, totals, domains) map a key
-    # to what the next slot needs, a key to the leaf's totals per reduced
-    # last time, and (slot, time, shift slots' times) to the next domain.
+    # Residue memo (``_separation``): a slot whose operator has only cycle
+    # letters gets their period L, any other None, and maps its time n to a
+    # reduced time, n mod L or n.  From the first finite-orbit slot on, the
+    # memo maps a prefix's reduced times to its node (factor lists, or the
+    # leaf's sides and totals per reduced last time), and (slot, time, shift
+    # slots' times) to the next candidate domain.  Keys recur only below the
+    # node where that slot is entered, which empties the memo.  Times grow
+    # along a tuple, so a key that holds a later slot's time t as is cannot
+    # recur once that slot's loop has passed t: its entry goes in the bucket
+    # of its earliest such time, and the loop drops each bucket it passes.
+    # Leaf totals live in their node, at most one per last-slot time.
     periods = []
     for pos in slot_pos:
         spread, period = _separation([ops[pos]._terms], ops[pos].alphabet._lengths)
         periods.append(None if spread else period)
-    shift_slots = [[s for s in range(r) if periods[s] is None] for r in range(k)]
+    first = next((r for r in range(k) if periods[r] is not None), k)
+    opener = next((r for r in range(first + 1, k) if periods[r] is None), k)
+    memo: dict = {}
+    buckets: Dict[int, list] = {}
 
-    def cached(memo: dict, key: tuple, build, *args):
-        """build(*args), computed once per key of the memo."""
+    def recall(r: int, since: int, key: tuple, build, *args):
+        """build(*args), kept under key; in the bucket of times[since] if since <= r."""
         value = memo.get(key)
         if value is None:
             value = memo[key] = build(*args)
+            if since <= r:
+                buckets.setdefault(times[since], []).append(key)
         return value
 
-    def leaf(domain, sides: list, key, memos) -> None:
+    def leaf(domain, node) -> None:
         """Differences at the last slot, summed over (left, middle, right) term triples.
 
+        The node is the leaf's sides and its totals per reduced last time.
         The E-side runs through the same loop with its left coefficients
         negated.  A triple whose two junctions cannot reduce is the plain
         concatenation, skipped unless its run count is a support length.
@@ -488,18 +498,12 @@ def gap_scan(
         larger min gap, so the witness is the first such tuple in walk order.
         """
         nonlocal worst, witness
+        sides, seen = node
         period = periods[k - 1]
-        if key is None and period is None:
-            memo = None
-        else:
-            # the last slot is the first finite-orbit one: its memo lives here
-            memo = {} if key is None else memos[1].setdefault(key, {})
         pooled_get = pooled.get
         for n in domain:
-            total = None
-            if memo is not None:
-                reduced = n if period is None else n % period
-                total = memo.get(reduced)
+            reduced = n if period is None else n % period
+            total = None if seen is None else seen.get(reduced)
             if total is None:
                 total = {}
                 for left, rows, right in sides:
@@ -519,8 +523,10 @@ def gap_scan(
                                     c = am_c * b_c
                                     for si, v in hits:
                                         total[si] = total.get(si, 0.0 + 0.0j) + c * v
-                if memo is not None:
-                    memo[reduced] = total
+                # most totals are empty: they share one ()
+                total = total or ()
+                if seen is not None:
+                    seen[reduced] = total
             if total:
                 times[k - 1] = n
                 snapshot = tuple(times)
@@ -536,37 +542,50 @@ def gap_scan(
 
     evaluated = 0
 
-    def walk(r: int, domain, node, key, memos) -> None:
-        """Visit the non-empty candidate domain of slot r, given by the caller."""
+    def walk(r: int, domain, node, key: tuple, held: tuple) -> None:
+        """Visit slot r's non-empty candidate domain, given by the caller.
+
+        From the first finite-orbit slot on, key is the reduced times of the
+        slots before r and held the shift slots' times among them.
+        """
         nonlocal evaluated
+        if r == first:
+            memo.clear()
+            buckets.clear()
         if r == k - 1:
             evaluated += len(domain)
-            leaf(domain, node, key, memos)
+            leaf(domain, node)
             return
         period = periods[r]
-        if key is None and period is not None:
-            memos = ({}, {}, {})
+        since = r if r < opener else opener
         for n in domain:
             times[r] = n
-            if key is None:
-                inner = candidate_times(r + 1, n + 1, n + gap_max)
+            if r == first and buckets:
+                for t in [t for t in buckets if t <= n]:
+                    for stale in buckets.pop(t):
+                        del memo[stale]
+            # a domain reads only shift slots' times and the bounds n sets, so
+            # its key recurs only past the first finite-orbit slot
+            if r > first:
+                inner = recall(r, since, (r, n, held), candidate_times, r + 1, n + 1, n + gap_max)
             else:
-                near = (r, n, *[times[s] for s in shift_slots[r]])
-                inner = cached(memos[2], near, candidate_times, r + 1, n + 1, n + gap_max)
+                inner = candidate_times(r + 1, n + 1, n + gap_max)
             if not inner:
                 continue
-            if key is None and period is None:
-                walk(r + 1, inner, extend(r, n, *node), None, memos)
-            else:
-                sub = (key or ()) + (n if period is None else n % period,)
-                walk(r + 1, inner, cached(memos[0], sub, extend, r, n, *node), sub, memos)
+            if r < first:
+                # nor does a prefix key before that slot
+                walk(r + 1, inner, extend(r, n, *node), key, held)
+                continue
+            sub = key + (n if period is None else n % period,)
+            below = held + (n,) if period is None else held
+            walk(r + 1, inner, recall(r, opener, sub, extend, r, n, *node), sub, below)
 
     domain = candidate_times(0, 1, scan_window)
     if domain:
         root = (list(range(k)), None if e_dead else list(range(k)))
-        walk(0, domain, root if k > 1 else leaf_sides(*root), None, None)
+        walk(0, domain, root if k > 1 else leaf_sides(*root), (), ())
     # walk reaches itself through its closure; breaking that cycle frees the
-    # shift memos on return instead of at the next cyclic garbage collection
+    # memos on return instead of at the next cyclic garbage collection
     walk = None
 
     # a threshold G is certifiable only if tuples with all gaps >= G were

@@ -6,7 +6,9 @@ Both must report the same violations in the same order, the same threshold,
 counterexample and lattice size, and magnitudes within 1e-12.
 """
 
+import itertools
 import random
+import tracemalloc
 
 import pytest
 
@@ -284,7 +286,54 @@ def memo_case(rng, ab, k, slot, live):
     return states, ops, perm, window, gap
 
 
-def test_residue_memo_corpus_matches_exhaustive_walk():
+def planted_memo_cases(ab):
+    """Scans in which every tuple is a candidate, and the builds a memo owes.
+
+    A vector state on e and s[0..39] anchors every s letter of the lattice,
+    so every prefix is entered.  Where the slot after the first finite-orbit
+    one holds a shift operator and gap_max exceeds the period L, a node
+    built when the first finite-orbit slot sits at n, and keyed by the next
+    slot's time n + L + 1, is hit again at n + L, just after the bucket of
+    n + L is dropped.  Yields (states, ops, perm, window, gap, builds), the
+    builds being the _instantiate calls owed: one per reduced prefix of the
+    slots before the last, each time at or after the first finite-orbit
+    slot taken mod its L, per side (the E-side is live when every operator
+    keeps a finite-orbit term).
+    """
+    x = L2Vector.basis(ab.identity())
+    for i in range(40):
+        x = x + L2Vector.basis(ab.word(f"s[{i}]"))
+    states = [State.vector_state(x.normalized())]
+    cases = [
+        # operators, permutation, window, gap, and each slot's period
+        (["d[0]", "s[0]", "s[0]"], None, 8, 4, [3, None, None]),
+        (["c[1] d[0]", "s[0]", "s[1]"], None, 8, 7, [6, None, None]),
+        (["s[0]", "d[0]", "s[0]", "s[0]"], None, 5, 4, [None, 3, None, None]),
+        (["d[0]", "c[1]", "s[0]", "s[0]"], None, 6, 4, [3, 2, None, None]),
+        (["d[1]", "s[0] + c[0]", "s[0] + c[1]"], None, 8, 4, [3, None, None]),
+        (["s[0]", "s[0]", "d[0]", "s[0]"], [1, 2, 0, 3], 5, 4, [3, None, None, None]),
+    ]
+    for texts, perm, window, gap, periods in cases:
+        ops = [
+            sum((lam(ab.word(w)) for w in text.split(" + ")), AlgebraElement.zero(ab))
+            for text in texts
+        ]
+        k = len(ops)
+        first = next(r for r, period in enumerate(periods) if period)
+        builds = set()
+        for steps in itertools.product(range(1, gap + 1), repeat=k - 2):
+            for n in range(1, window + 1):
+                times = list(itertools.accumulate((n, *steps)))
+                for r in range(k - 1):
+                    builds.add(tuple(
+                        t if s < first or periods[s] is None else t % periods[s]
+                        for s, t in enumerate(times[: r + 1])
+                    ))
+        live = all(op.finite_orbit_part() for op in ops)
+        yield states, ops, perm, window, gap, len(builds) * (1 + live)
+
+
+def test_residue_memo_corpus_matches_exhaustive_walk(monkeypatch):
     # {s, t} shift families and cycles of lengths 2 and 3, so a finite-orbit
     # operator has period 1, 2, 3 or 6; windows are at least twice it
     ab = Alphabet({"s": None, "t": None, "c": 2, "d": 3})
@@ -301,21 +350,27 @@ def test_residue_memo_corpus_matches_exhaustive_walk():
                     hit[k, slot, live] = hit.get((k, slot, live), 0) + bool(old.violations)
     # every (k, slot, E-side) cell has scans with violations to reproduce
     assert len(hit) == 16 and min(hit.values()) >= 2, hit
+    # planted: a memo entry dropped one step early is built twice
+    for states, ops, perm, window, gap, builds in planted_memo_cases(ab):
+        res, calls = counted_instantiate(monkeypatch, states, ops, window, perm, gap)
+        assert res.evaluated == res.scanned
+        assert calls == builds, (perm, calls, builds)
 
 
-def counted_instantiate(monkeypatch, states, ops, window):
+def counted_instantiate(monkeypatch, states, ops, window, perm=None, gap=None):
     """_instantiate calls of one scan, checked against the oracle."""
     calls = []
     original = ergolab.mixing._instantiate
+    gap = gap or window
 
     def counting(factors, pos, element):
         calls.append(pos)
         return original(factors, pos, element)
 
-    expected = exhaustive_gap_scan(states, ops, None, window, window)
+    expected = exhaustive_gap_scan(states, ops, perm, window, gap)
     with monkeypatch.context() as patch:
         patch.setattr(ergolab.mixing, "_instantiate", counting)
-        res = gap_scan(states, ops, None, window, window)
+        res = gap_scan(states, ops, perm, window, gap)
     assert_same_scan(res, expected)
     return res, len(calls)
 
@@ -344,3 +399,28 @@ def test_residue_memo_fires(monkeypatch):
     res, calls = counted_instantiate(monkeypatch, [State.trace()], ops, w)
     assert [v.times for v in res.violations] == [(n, n + 2, n + 4) for n in range(1, w + 1)]
     assert calls == 2 * w
+
+
+def test_residue_memo_bounded_by_gap_window():
+    # the memo lives for the whole scan, as c[1] sits in slot 0; a vector
+    # state on e and s[0..99] anchors every time, so all window * 25**3
+    # tuples are candidates.  An entry keyed by slot 1's time n1 can hit only
+    # while slot 0's time is below n1, so the memo holds what one gap window
+    # reaches: doubling the scan window at gap_max 25 leaves the scan's peak
+    # allocation where it was (a memo that keeps every entry adds 1.4 MiB)
+    ab = Alphabet({"s": None, "c": 3})
+    x = L2Vector.basis(ab.identity())
+    for i in range(100):
+        x = x + L2Vector.basis(ab.word(f"s[{i}]"))
+    phi = State.vector_state(x.normalized())
+    ops = [lam(ab.word(w)) for w in ("c[1]", "s[0]", "s[0]", "s[0]")]
+    peaks = []
+    for window in (10, 20):
+        tracemalloc.start()
+        try:
+            res = gap_scan([phi], ops, None, window, 25)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert res.evaluated == res.scanned == window * 25**3
+    assert peaks[1] - peaks[0] < 2**20, peaks
