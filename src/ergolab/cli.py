@@ -3,9 +3,14 @@
 One JSON config describes one experiment; the runner writes ``<kind>.csv``
 with the swept quantity and ``<kind>.json`` with a summary, then exits 0 when
 the experiment's pass condition holds, 2 when it fails, and 1 on any usage or
-config error.  Floats are printed with 17 significant digits and rows are
-emitted in a fixed order, so identical configs produce byte-identical
-artifacts.
+config error.  CSV floats are printed with 17 significant digits (``%.17g``)
+and rows are emitted in a fixed order.  The JSON summary is encoded in one
+pass by ``_json_text``: two-space indent, sorted keys, ASCII-escaped strings,
+floats in their shortest ``repr`` (``NaN``, ``Infinity``, ``-Infinity`` where
+not finite) and a trailing newline, the stdlib ``json`` text with
+``indent=2, sort_keys=True``.  It is encoded before either file is opened,
+so a value JSON cannot encode is a ``ConfigError`` that writes nothing.
+Identical configs produce byte-identical artifacts.
 
 Each kind is declared once, with its runner, by ``@_experiment``: the
 top-level fields it requires and accepts, and its description.
@@ -22,6 +27,7 @@ import csv
 import json
 import math
 import sys
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Any, Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
@@ -92,6 +98,71 @@ def _plain(value: Any) -> Any:
     if isinstance(value, (complex, np.complexfloating)):
         return {"re": float(value.real), "im": float(value.imag)}
     return value
+
+
+_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+# the JSON text of each scalar type; bool and None have no subclasses
+_JSON_SCALARS: Dict[type, Callable[[Any], str]] = {
+    str: encode_basestring_ascii,
+    int: int.__repr__,
+    float: lambda x: float.__repr__(x) if math.isfinite(x) else _NONFINITE[float.__repr__(x)],
+    bool: lambda b: "true" if b else "false",
+    type(None): lambda _: "null",
+}
+
+
+def _json_scalar(v: Any, refusal: str) -> Callable[[Any], str]:
+    """The formatter of ``v``'s type or of the scalar type it subclasses (numpy.float64)."""
+    f = _JSON_SCALARS.get(type(v))
+    f = f or next((f for t, f in _JSON_SCALARS.items() if isinstance(v, t)), None)
+    if f is None:
+        raise TypeError(refusal.format(type(v).__name__))
+    return f
+
+
+def _json_text(value: Any) -> str:
+    """The stdlib ``json`` text of ``value`` with ``indent=2, sort_keys=True``, and a
+    newline, in one pass; key conversion and order and the ``TypeError`` and
+    ``ValueError`` raised are ``json``'s.  Parts are joined into a chunk whenever a
+    container closes past 1,000 of them, so that few small strings are held."""
+    chunks: List[str] = []
+    parts: List[str] = []
+    put, scalar = parts.append, _JSON_SCALARS.get
+    open_ids = set()  # the containers being written: meeting one again is a cycle
+
+    def emit(v: Any, pad: str) -> None:
+        is_dict = isinstance(v, dict)
+        if not is_dict and not isinstance(v, (list, tuple)):
+            return put(_json_scalar(v, "Object of type {} is not JSON serializable")(v))
+        if not v:
+            return put("{}" if is_dict else "[]")
+        if id(v) in open_ids:
+            raise ValueError("Circular reference detected")
+        open_ids.add(id(v))
+        inner = pad + "  "
+        sep, later = ("{\n" if is_dict else "[\n") + inner, ",\n" + inner
+        for x in sorted(v.items()) if is_dict else v:
+            if is_dict:
+                k, x = x
+                if not isinstance(k, str):
+                    k = _json_scalar(k, "keys must be str, int, float, bool or None, not {}")(k)
+                sep += encode_basestring_ascii(k) + ": "
+            f = scalar(type(x))
+            if f is None:
+                put(sep)
+                emit(x, inner)
+            else:
+                put(sep + f(x))
+            sep = later
+        put(f"\n{pad}{'}' if is_dict else ']'}")
+        open_ids.discard(id(v))
+        if len(parts) > 1000:
+            chunks.append("".join(parts))
+            parts.clear()
+
+    emit(value, "")
+    put("\n")
+    return "".join(chunks) + "".join(parts)
 
 
 class _at:
@@ -392,7 +463,7 @@ def _apply_expectations(config: Dict, results: Dict, passed: bool) -> Tuple[bool
 
 # -- experiments -----------------------------------------------------------------
 
-_Outcome = Tuple[Dict[str, Any], List[str], List[List[str]], bool]
+_Outcome = Tuple[Dict[str, Any], List[str], List[Sequence[Any]], bool]
 
 
 class _Experiment(NamedTuple):
@@ -551,10 +622,8 @@ def _run_gap_search(config: Dict) -> _Outcome:
     )
     k = len(operators)
     header = [f"n{j + 1}" for j in range(k)] + ["state", "magnitude"]
-    rows = [
-        [str(t) for t in v.times] + [str(v.state_index), _fmt(v.magnitude)]
-        for v in result.violations
-    ]
+    # csv writes an int as str(int); a float keeps _fmt, since csv would use repr
+    rows = [(*v.times, v.state_index, _fmt(v.magnitude)) for v in result.violations]
     results = {
         "threshold": result.threshold,
         "violation_count": len(result.violations),
@@ -792,7 +861,7 @@ def list_experiments(as_json: bool = False) -> str:
             kind: {"required": e.required, "optional": e.optional, "description": e.description}
             for kind, e in _EXPERIMENTS.items()
         }
-        return json.dumps(schema, indent=2, sort_keys=True)
+        return _json_text(schema)[:-1]
     width = max(len(k) for k in _EXPERIMENTS)
     lines = []
     for kind, e in _EXPERIMENTS.items():
@@ -822,22 +891,27 @@ def run_experiment(config: Dict, out_dir: Path, quiet: bool = False) -> int:
         raise ConfigError(str(exc)) from exc
     passed, results = _apply_expectations(config, results, passed)
 
-    out_dir.mkdir(parents=True, exist_ok=True)
-    csv_path = out_dir / f"{kind}.csv"
-    with open(csv_path, "w", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\r\n", quoting=csv.QUOTE_MINIMAL)
-        writer.writerow(header)
-        writer.writerows(rows)
     summary = {
         "experiment": kind,
         "parameters": {k: v for k, v in config.items() if k != "experiment"},
         "pass": bool(passed),
         "results": _plain(results),
     }
+    try:
+        # encoded before either file is opened: a refused value writes nothing
+        text = _json_text(summary)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"config: cannot be written as JSON: {exc}") from exc
+
+    out_dir.mkdir(parents=True, exist_ok=True)
+    csv_path = out_dir / f"{kind}.csv"
+    with open(csv_path, "w", newline="") as handle:
+        writer = csv.writer(handle, lineterminator="\r\n", quoting=csv.QUOTE_MINIMAL)
+        writer.writerow(header)
+        writer.writerows(rows)
     json_path = out_dir / f"{kind}.json"
     with open(json_path, "w") as handle:
-        json.dump(summary, handle, indent=2, sort_keys=True)
-        handle.write("\n")
+        handle.write(text)
     if not quiet:
         print(f"{kind}: {'pass' if passed else 'FAIL'} -> {csv_path}, {json_path}")
     return 0 if passed else 2

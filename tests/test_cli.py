@@ -1,16 +1,19 @@
 import copy
+import importlib.util
 import json
 import math
 import os
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import ergolab
-from ergolab.cli import ConfigError, list_experiments, run_experiment
+from ergolab.cli import ConfigError, _json_text, list_experiments, run_experiment
 
 # The child runs in tmp_path, where a relative PYTHONPATH such as "src" points
 # at nothing, so it is handed the directory that holds the package imported here.
@@ -647,7 +650,9 @@ class TestErrorPaths:
 
 class TestSchema:
     def test_list_json_is_the_schema_run_checks(self, tmp_path):
-        schema = json.loads(list_experiments(as_json=True))
+        text = list_experiments(as_json=True)
+        schema = json.loads(text)
+        assert text == json.dumps(schema, indent=2, sort_keys=True)
         configs = base_configs()
         assert set(schema) == set(configs)
         for kind, entry in schema.items():
@@ -659,6 +664,120 @@ class TestSchema:
                 with pytest.raises(ConfigError) as raised:
                     run_experiment(broken, tmp_path / kind)
                 assert str(raised.value) == f"config: missing fields {[field]}"
+
+
+def json_oracle(value):
+    return json.dumps(value, indent=2, sort_keys=True) + "\n"
+
+
+def catalogue_parameters():
+    """The echoed ``parameters`` of every benchmark catalogue config; nothing is run."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return [
+        (item_id, {k: v for k, v in config.items() if k != "experiment"})
+        for workload in ("gap-scan", "recurrence", "matrix")
+        for item_id, config in workloads.catalogue(workload)
+    ]
+
+
+def circular(container):
+    """``container``, holding a list that holds it."""
+    loop = [container]
+    if isinstance(container, dict):
+        container["a"] = loop
+    else:
+        container.append(loop)
+    return container
+
+
+class Label(str):
+    """A str subclass: json writes it as the str it is, as a key or a value."""
+
+
+NAN, INF = float("nan"), float("inf")
+JSON_EDGE_CASES = [
+    {},
+    [],
+    (),
+    {"a": {}, "b": [], "c": (), "d": {"e": [[], {}, ()]}},
+    [[1, [2, [3, {"deep": [[], [()]]}]]], {"x": ({"y": (4,)},)}],
+    (1, (2, 3), [4, (5,)]),
+    'quote " backslash \\ slash /',
+    "control \x00\x01\x1f\b\f\n\r\t\x7f",
+    "non-ASCII \u00e9 \u00df \u4e2d \U0001f600 \u2028 \ufeff",
+    {'k"ey\\': "v", "\u00e9": 1, "\n": 2},
+    [-0.0, 0.0, 5e-324, 1e16, 1e22, 1.5, -2.5e-8, 0.1, 1 / 3, 1.7976931348623157e308],
+    [NAN, INF, -INF, {"nan": NAN, "inf": INF, "-inf": -INF}],
+    [2**64, -(2**100), 0, -1, True, 1, False, 0, None],
+    {"t": True, "one": 1, "f": False, "zero": 0, "none": None},
+    np.float64(0.1),
+    [np.float64(-1e300), np.float64("nan"), {"x": np.float64(2.5)}],
+    {10: "a", 2: "b", -1: "c", 2**70: "d"},
+    {0.5: "a", -0.0: "b", 1e16: "c", 1e22: "d", INF: "e", -INF: "f"},
+    {NAN: "nan key"},
+    {True: "t", False: "f"},
+    {None: "n"},
+    {True: "t", 0: "z", 2.5: "f", -3: "m"},
+    {np.float64(0.25): "subclassed float key"},
+    {Label("subclassed str key"): Label("and value")},
+    # past the writer's 1,000-part chunks, at several depths
+    [{"i": i, "v": [i / 7, {"w": -i}]} for i in range(1500)],
+    "a plain string",
+    42,
+    -0.0,
+    True,
+    None,
+]
+
+
+class TestJsonWriter:
+    """``_json_text`` is ``json.dumps(indent=2, sort_keys=True)`` plus a newline."""
+
+    @pytest.mark.parametrize("value", JSON_EDGE_CASES, ids=lambda v: type(v).__name__)
+    def test_edge_cases_match_json(self, value):
+        assert _json_text(value) == json_oracle(value)
+
+    def test_catalogue_parameters_match_json(self):
+        items = catalogue_parameters()
+        assert len(items) == 588
+        for item_id, parameters in items:
+            assert _json_text(parameters) == json_oracle(parameters), item_id
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: {1, 2},
+            lambda: {"x": [Fraction(1, 3)]},
+            lambda: [1 + 2j],
+            lambda: {"n": np.int64(3)},
+            lambda: {(1, 2): "tuple key"},
+            lambda: {1: "int", "a": "str"},
+            lambda: circular([1]),
+            lambda: circular({"a": []}),
+        ],
+        ids=["set", "fraction", "complex", "int64", "tuple-key", "mixed-keys", "cycle-list", "cycle-dict"],
+    )
+    def test_refusals_match_json(self, make):
+        with pytest.raises((TypeError, ValueError)) as expected:
+            json_oracle(make())
+        with pytest.raises(type(expected.value)) as raised:
+            _json_text(make())
+        assert str(raised.value) == str(expected.value)
+
+    def test_shared_values_are_not_cycles(self):
+        shared = [1.5, {"a": None}]
+        value = {"x": shared, "y": [shared, shared]}
+        assert _json_text(value) == json_oracle(value)
+
+    def test_unencodable_config_value_writes_nothing(self, tmp_path):
+        config = {"experiment": "section4", "p": 0.5, "sweep": 100, "expect": {"pass": {1, 2}}}
+        with pytest.raises(ConfigError, match="set"):
+            run_experiment(config, tmp_path, quiet=True)
+        assert not (tmp_path / "section4.csv").exists()
+        assert not (tmp_path / "section4.json").exists()
 
 
 class TestContracts:
