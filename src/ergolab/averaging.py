@@ -147,6 +147,12 @@ def discrete_weights(scheme: WeightScheme, count: int) -> np.ndarray:
     return w
 
 
+def check_power_mean_work(work: int) -> None:
+    """Refuse a mean sweep of more than ``POWER_MEAN_WORK_CAP`` multiply-adds."""
+    if work > POWER_MEAN_WORK_CAP:
+        raise SchemeError(f"power-mean work {work} exceeds the cap {POWER_MEAN_WORK_CAP}")
+
+
 def power_means(
     matrix: np.ndarray, start: np.ndarray, *weights: np.ndarray
 ) -> Tuple[np.ndarray, ...]:
@@ -157,9 +163,7 @@ def power_means(
     for its vector alone.  Raises ``SchemeError`` when the sweep's
     multiply-adds exceed ``POWER_MEAN_WORK_CAP``.
     """
-    work = max(len(w) for w in weights) * matrix.shape[0] * start.size
-    if work > POWER_MEAN_WORK_CAP:
-        raise SchemeError(f"power-mean work {work} exceeds the cap {POWER_MEAN_WORK_CAP}")
+    check_power_mean_work(max(len(w) for w in weights) * matrix.shape[0] * start.size)
     accs = [np.zeros(start.shape, dtype=complex) for _ in weights]
     cur = start
     for step in zip_longest(*(w.tolist() for w in weights)):

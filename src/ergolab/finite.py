@@ -16,9 +16,10 @@ stepping loops stay for every other system and are their test oracle, and
 the plain check steps its loop where a proven roundoff bound reaches the
 tolerance (as at p = 3/8, N = 600), so its verdict is always the loop's.
 
-A tensor product system remembers its two factors, and its absolute check
-over the standard basis never steps the Kronecker matrix: with P = F_A·T_Aⁿ
-and Q = F_B·T_Bⁿ stepped on each factor, the identity
+A tensor product system is its two factors: its Kronecker matrices and
+functional rows are built only when read, and its absolute check over the
+standard basis never builds or steps them.  With P = F_A·T_Aⁿ and
+Q = F_B·T_Bⁿ stepped on each factor, the identity
 I − E_A⊗E_B = (I − E_A)⊗I + E_A⊗(I − E_B) gives every value of the tensor
 family as P(I − E_A)⊗Q + P·E_A⊗Q(I − E_B), a rank-two product.  The split
 form, not the difference P⊗Q − P·E_A⊗Q·E_B, keeps exactly zero values
@@ -28,13 +29,13 @@ system and for given vectors, and is the factored sweep's test oracle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Tuple
 
 import numpy as np
 
-from .averaging import (SchemeError, WeightScheme, check_weight_count, discrete_weights,
-                        power_means, uniform)
+from .averaging import (SchemeError, WeightScheme, check_power_mean_work, check_weight_count,
+                        discrete_weights, power_means, uniform)
 
 TENSOR_DIMENSION_CAP = 4096
 # |F_A|·|F_B|·d_A·d_B, the size of the tensor functional rows and of one step
@@ -80,19 +81,12 @@ def _check_markov(t: np.ndarray, commutative: bool) -> None:
 
 @dataclass(frozen=True)
 class MarkovSystem:
-    """Unital transition matrix, distinguished idempotent, functional family.
-
-    ``factors`` is set by ``tensor_product`` only: the two systems whose
-    Kronecker product this is, so that ``weak_mixing_check`` can sweep them.
-    """
+    """Unital transition matrix, distinguished idempotent, functional family."""
 
     transition: np.ndarray
     idempotent: np.ndarray
     functionals: np.ndarray
     commutative: bool = False
-    factors: Optional[Tuple["MarkovSystem", "MarkovSystem"]] = field(
-        default=None, init=False, repr=False, compare=False
-    )
 
     def __post_init__(self):
         t = _as_matrix(self.transition)
@@ -271,7 +265,7 @@ def _report(
 
 
 def unique_ergodicity_check(
-    system: MarkovSystem,
+    system: MarkovSystem | TensorSystem,
     scheme: WeightScheme,
     sweep: int,
     tolerance: float,
@@ -280,18 +274,20 @@ def unique_ergodicity_check(
     """Weighted means of functional values along the orbit of (1 - E)x.
 
     Passes when the largest absolute mean over the functional family and the
-    supplied vectors (default: standard basis) is within tolerance.
+    supplied vectors (default: standard basis) is within tolerance.  A sweep
+    of more than ``POWER_MEAN_WORK_CAP`` multiply-adds is refused first.
     """
-    cols = _check_inputs(system, vectors)
     w = discrete_weights(scheme, sweep)
     d = system.dimension
+    check_power_mean_work(len(w) * d**3)
+    cols = _check_inputs(system, vectors)
     d0 = (np.eye(d) - system.idempotent) @ cols
     (mean,) = power_means(system.transition, np.eye(d, dtype=complex), w)
     return _report(np.abs(system.functionals @ mean @ d0), tolerance)
 
 
 def weak_mixing_check(
-    system: MarkovSystem,
+    system: MarkovSystem | TensorSystem,
     scheme: WeightScheme,
     sweep: int,
     tolerance: float,
@@ -302,20 +298,36 @@ def weak_mixing_check(
     On failure the report carries the witnessing pair and the smallest
     running mean over the tail of the sweep, to show the defect is not a
     transient.  A real system (functionals, transition and (1 - E)x all with
-    zero imaginary part) is swept in real arithmetic.  A system made by
-    ``tensor_product`` and checked over the standard basis is swept on its
-    factors: value[(i, j), (a, b)] = (P(I − E_A))[i, a]·Q[j, b] +
+    zero imaginary part) is swept in real arithmetic.  A ``TensorSystem``
+    checked over the standard basis is swept on its factors:
+    value[(i, j), (a, b)] = (P(I − E_A))[i, a]·Q[j, b] +
     (P·E_A)[i, a]·(Q(I − E_B))[j, b] with P = F_A·T_Aⁿ and Q = F_B·T_Bⁿ,
     from I − E_A⊗E_B = (I − E_A)⊗I + E_A⊗(I − E_B).  Unlike the difference
-    P⊗Q − P·E_A⊗Q·E_B, this split form keeps exact zeros exact.
+    P⊗Q − P·E_A⊗Q·E_B, this split form keeps exact zeros exact.  A sweep of
+    more than ``POWER_MEAN_WORK_CAP`` multiply-adds is refused first.
     """
-    cols = _check_inputs(system, vectors)
     w = discrete_weights(scheme, sweep)
-    if system.factors is not None and vectors is None:
-        defects, orbit = _tensor_sweep(*system.factors, w)
+    check_power_mean_work(len(w) * _step_work(system, vectors))
+    if isinstance(system, TensorSystem) and vectors is None:
+        defects, orbit = _tensor_sweep(system.left, system.right, w)
     else:
-        defects, orbit = _orbit_sweep(system, cols, w)
+        defects, orbit = _orbit_sweep(system, _check_inputs(system, vectors), w)
     return _report(defects, tolerance, lambda fi, vi: _tail_min(orbit(fi, vi), w))
+
+
+def _step_work(system: MarkovSystem | TensorSystem, vectors) -> int:
+    """Multiply-adds of one step of ``weak_mixing_check``, read from the
+    shapes without building a Kronecker property: 3|F_A|d_A² + 2|F_B|d_B² +
+    2|F|·d for the factored sweep, |F|·d·(d + columns) for the full loop."""
+    d = system.dimension
+    if isinstance(system, TensorSystem):
+        (na, da), (nb, db) = system.left.functionals.shape, system.right.functionals.shape
+        if vectors is None:
+            return 3 * na * da * da + 2 * nb * db * db + 2 * na * nb * d
+        rows = na * nb
+    else:
+        rows = len(system.functionals)
+    return rows * d * (d + (d if vectors is None else np.size(vectors) // d))
 
 
 def _real_if_possible(*arrays: np.ndarray) -> Tuple[np.ndarray, ...]:
@@ -593,31 +605,44 @@ def _certify(
 # -- tensor products ----------------------------------------------------------------
 
 
-def tensor_product(left: MarkovSystem, right: MarkovSystem) -> MarkovSystem:
-    """Kronecker product system with the pairwise tensor functional family.
+@dataclass(frozen=True)
+class TensorSystem:
+    """A ⊗ B as its two factors.  Each factor was validated when built, and
+    what that checks carries over to A ⊗ B.  ``transition``, ``idempotent``
+    and ``functionals`` are Kronecker products built on each read; row
+    i·|F_B| + j of the family is φ_i ⊗ ψ_j."""
 
-    Row i·|F_B| + j of the family is φ_i ⊗ ψ_j.  The result records
-    ``(left, right)`` as its ``factors``, so that ``weak_mixing_check``
-    sweeps the two factors instead of the Kronecker matrix.  A dimension
-    above ``TENSOR_DIMENSION_CAP`` or a family of more than
-    ``TENSOR_GRID_CAP`` entries is refused before anything is allocated.
-    """
+    left: MarkovSystem
+    right: MarkovSystem
+
+    @property
+    def dimension(self) -> int:
+        return self.left.dimension * self.right.dimension
+
+    @property
+    def transition(self) -> np.ndarray:
+        return np.kron(self.left.transition, self.right.transition)
+
+    @property
+    def idempotent(self) -> np.ndarray:
+        return np.kron(self.left.idempotent, self.right.idempotent)
+
+    @property
+    def functionals(self) -> np.ndarray:
+        return np.kron(self.left.functionals, self.right.functionals)
+
+
+def tensor_product(left: MarkovSystem, right: MarkovSystem) -> TensorSystem:
+    """``TensorSystem(left, right)``.  A dimension above ``TENSOR_DIMENSION_CAP``
+    or a family of more than ``TENSOR_GRID_CAP`` entries is refused."""
     d = left.dimension * right.dimension
     if d > TENSOR_DIMENSION_CAP:
         raise ValueError(
             f"tensor dimension {d} exceeds the cap {TENSOR_DIMENSION_CAP}"
         )
-    fa, fb = left.functionals, right.functionals
-    grid = fa.shape[0] * fb.shape[0] * d
+    grid = len(left.functionals) * len(right.functionals) * d
     if grid > TENSOR_GRID_CAP:
         raise ValueError(
             f"tensor functional grid {grid} exceeds the cap {TENSOR_GRID_CAP}"
         )
-    system = MarkovSystem(
-        transition=np.kron(left.transition, right.transition),
-        idempotent=np.kron(left.idempotent, right.idempotent),
-        functionals=(fa[:, None, :, None] * fb[None, :, None, :]).reshape(-1, d),
-        commutative=left.commutative and right.commutative,
-    )
-    object.__setattr__(system, "factors", (left, right))
-    return system
+    return TensorSystem(left, right)

@@ -153,18 +153,51 @@ def with_field(obj, path, value):
     return obj
 
 
-def run_cli(args, cwd, timeout=None):
+def cli_env():
     inherited = os.environ.get("PYTHONPATH")
     env = dict(os.environ)
     env["PYTHONPATH"] = PACKAGE_ROOT + (os.pathsep + inherited if inherited else "")
+    return env
+
+
+def run_cli(args, cwd, timeout=None):
     return subprocess.run(
         [sys.executable, "-m", "ergolab.cli", *args],
         capture_output=True,
         text=True,
         cwd=cwd,
-        env=env,
+        env=cli_env(),
         timeout=timeout,
     )
+
+
+# Runs a command under a time limit, then writes the command's peak RSS in KiB
+# as the last line of stderr.  The command is started from this fresh
+# interpreter because a child's ru_maxrss starts at the RSS of the process that
+# spawned it, and the test process is large.
+PEAK_PROBE = (
+    "import resource, subprocess, sys; "
+    "code = subprocess.call(sys.argv[2:], timeout=float(sys.argv[1])); "
+    "print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss, file=sys.stderr); "
+    "sys.exit(code)"
+)
+
+
+def run_cli_measured(args, cwd, timeout):
+    """``run_cli``, with the wall time in s and the CLI's peak RSS in MiB."""
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-c", PEAK_PROBE, str(timeout), sys.executable, "-m", "ergolab.cli", *args],
+        capture_output=True,
+        text=True,
+        cwd=cwd,
+        env=cli_env(),
+        timeout=2 * timeout,
+    )
+    elapsed = time.perf_counter() - start
+    head, newline, peak_kib = proc.stderr[:-1].rpartition("\n")
+    proc.stderr = head + newline
+    return proc, elapsed, int(peak_kib) / 1024
 
 
 def assert_cli_error(proc):
@@ -395,6 +428,50 @@ class TestErrorPaths:
         proc = run_cli(["run", str(path), "--out", str(tmp_path / "out")], tmp_path, timeout=60)
         assert_cli_error(proc)
         assert proc.stderr == "error: tensor functional grid 160000000000 exceeds the cap 4194304\n"
+
+    @pytest.mark.parametrize("check", ["weak-mixing", "ergodicity"])
+    def test_tensor_at_the_dimension_cap(self, tmp_path, check):
+        # two random 64-state factors make d = 4096, where one Kronecker matrix
+        # is 256 MiB.  The weak-mixing sweep steps the factors and fails its
+        # tolerance (exit 2); the ergodicity mean, 50·4096³ multiply-adds, is
+        # refused before anything of size d² is built
+        rng = np.random.default_rng(4096)
+
+        def factor():
+            t = rng.random((64, 64))
+            pi = rng.random(64)
+            return {
+                "type": "matrix",
+                "transition": (t / t.sum(axis=1, keepdims=True)).tolist(),
+                "idempotent": np.outer(np.ones(64), pi / pi.sum()).tolist(),
+                "functionals": [rng.random(64).tolist()],
+            }
+
+        config = dict(base_configs()["tensor"], left=factor(), right=factor(), check=check, sweep=50)
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        proc, elapsed, peak_mib = run_cli_measured(
+            ["run", str(path), "--out", str(tmp_path / "out")], tmp_path, timeout=60
+        )
+        if check == "weak-mixing":
+            assert proc.returncode == 2, proc.stderr
+            results = json.loads((tmp_path / "out" / "tensor.json").read_text())["results"]
+            assert results["dimension"] == 4096
+        else:
+            assert_cli_error(proc)
+            assert proc.stderr == "error: power-mean work 3435973836800 exceeds the cap 10000000000\n"
+        assert elapsed < 5.0 and peak_mib < 100.0, (elapsed, peak_mib)
+
+    def test_tensor_weak_mixing_over_work_cap(self, tmp_path):
+        # two 512-row 4-state families fill TENSOR_GRID_CAP; each step takes
+        # tens of ms, so 10**4 steps are refused before the first one
+        side = {"type": "section4", "p": 0.5, "projection": "EL", "family_points": 512}
+        config = dict(base_configs()["tensor"], left=side, right=side, sweep=10**4)
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        proc = run_cli(["run", str(path), "--out", str(tmp_path / "out")], tmp_path, timeout=60)
+        assert_cli_error(proc)
+        assert proc.stderr == "error: power-mean work 84295680000 exceeds the cap 10000000000\n"
 
     def test_gap_search_over_lattice_cap(self, tmp_path):
         # 10 * 10**9 tuples with a live E-side (every operator keeps a

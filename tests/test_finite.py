@@ -586,8 +586,70 @@ class TestTensor:
             [np.kron(phi, psi) for phi in left.functionals for psi in right.functionals]
         )
         assert tens.functionals.tobytes() == rows.tobytes()
-        assert tens.factors[0] is left and tens.factors[1] is right
-        assert as_plain(tens).factors is None
+        assert tens.left is left and tens.right is right
+
+    def test_product_is_not_validated_again(self):
+        # each row sum errs by 8e-10, within the 1e-9 a factor may err by; the
+        # product's rows err by 1.6e-9, which a MarkovSystem built from the
+        # Kronecker matrix refuses, but the product is its validated factors
+        side = MarkovSystem(
+            np.array([[0.5, 0.5 + 8e-10], [0.25, 0.75 + 8e-10]]), np.eye(2), np.eye(2)
+        )
+        tens = tensor_product(side, side)
+        assert tens.dimension == 4
+        with pytest.raises(ValueError, match="must fix the all-ones vector"):
+            as_plain(tens)
+
+
+def forbid_square_allocations(monkeypatch):
+    """Make ``np.kron`` and ``np.eye`` raise: nothing of size d² may be built."""
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("built a d x d array before the work budget")
+
+    monkeypatch.setattr(np, "kron", forbidden)
+    monkeypatch.setattr(np, "eye", forbidden)
+
+
+class TestTensorWorkBudget:
+    """Both mean checks count their work from the shapes, and refuse a sweep
+    above ``POWER_MEAN_WORK_CAP`` before anything of size d² is built."""
+
+    def test_ergodicity_at_the_dimension_cap(self, monkeypatch):
+        # 50 steps of the 4096 x 4096 powers: 50·4096³ multiply-adds
+        side = MarkovSystem(np.eye(64), np.eye(64), np.ones((1, 64)))
+        tens = tensor_product(side, side)
+        forbid_square_allocations(monkeypatch)
+        with pytest.raises(SchemeError, match="power-mean work 3435973836800 exceeds the cap"):
+            unique_ergodicity_check(tens, uniform(), 50, 1e-10)
+
+    @pytest.mark.parametrize(
+        "vectors, work",
+        [
+            # factored: 3·512·4² + 2·512·4² + 2·512²·16 per step
+            (None, 84_295_680_000),
+            # full loop: |F|·d·(d + columns) = 512²·16·(16 + 2) per step
+            (np.zeros((16, 2)), 754_974_720_000),
+        ],
+        ids=["factored", "vectors"],
+    )
+    def test_weak_mixing_of_a_grid_at_the_cap(self, monkeypatch, vectors, work):
+        # two 512-row 4-state families: a grid of exactly TENSOR_GRID_CAP,
+        # which at 10**4 steps would run for minutes
+        sys4 = four_state_system(0.5, family_points=512)
+        el = sys4.as_markov(sys4.proj_peripheral, sys4.family)
+        tens = tensor_product(el, el)
+        assert 512 * 512 * 16 == TENSOR_GRID_CAP
+        forbid_square_allocations(monkeypatch)
+        with pytest.raises(SchemeError, match=f"power-mean work {work} exceeds the cap"):
+            weak_mixing_check(tens, uniform(), 10**4, 1e-10, vectors=vectors)
+
+    def test_weak_mixing_of_a_plain_system(self, monkeypatch):
+        # |F|·d·(d + d) = 100·100·200 per step, over 10**4 steps
+        system = MarkovSystem(np.eye(100), np.eye(100), np.ones((100, 100)))
+        forbid_square_allocations(monkeypatch)
+        with pytest.raises(SchemeError, match="power-mean work 20000000000 exceeds the cap"):
+            weak_mixing_check(system, uniform(), 10**4, 1e-10)
 
 
 def random_complex_system(rng, d, functionals):
@@ -603,7 +665,8 @@ def random_complex_system(rng, d, functionals):
 
 
 def as_plain(system):
-    """The same matrices without recorded factors: the Kronecker-matrix loop."""
+    """The Kronecker matrices of a tensor system as a ``MarkovSystem``: the
+    loop over the full matrix."""
     return MarkovSystem(system.transition, system.idempotent, system.functionals)
 
 
@@ -669,7 +732,7 @@ class TestFactoredTensorSweep:
         grid = tens.functionals.size
         assert (grid, TENSOR_CHUNK_ELEMENTS // grid, 200 % 6) == (19_200, 6, 2)
         assert weak_mixing_check(tens, uniform(), 200, 1e-10).max_defect == 0.0
-        left, right = tens.factors
+        left, right = tens.left, tens.right
         failing = tensor_product(
             MarkovSystem(left.transition, np.zeros((16, 16)), left.functionals), right
         )
