@@ -234,14 +234,15 @@ class MeanCheckReport:
         return (self.witness_functional, self.witness_vector)
 
 
-def _check_inputs(system: MarkovSystem, vectors) -> np.ndarray:
+def _complement_columns(system: MarkovSystem | TensorSystem, vectors) -> np.ndarray:
+    """(I − E)·V for given columns V, and I − E itself for the standard basis."""
     d = system.dimension
     if vectors is None:
-        return np.eye(d, dtype=complex)
+        return np.eye(d) - system.idempotent
     v = np.asarray(vectors, dtype=complex)
     if v.ndim != 2 or v.shape[0] != d:
         raise ValueError(f"vectors must be columns of height {d}")
-    return v
+    return (np.eye(d) - system.idempotent) @ v
 
 
 def _report(
@@ -280,8 +281,7 @@ def unique_ergodicity_check(
     w = discrete_weights(scheme, sweep)
     d = system.dimension
     check_power_mean_work(len(w) * d**3)
-    cols = _check_inputs(system, vectors)
-    d0 = (np.eye(d) - system.idempotent) @ cols
+    d0 = _complement_columns(system, vectors)
     (mean,) = power_means(system.transition, np.eye(d, dtype=complex), w)
     return _report(np.abs(system.functionals @ mean @ d0), tolerance)
 
@@ -311,7 +311,7 @@ def weak_mixing_check(
     if isinstance(system, TensorSystem) and vectors is None:
         defects, orbit = _tensor_sweep(system.left, system.right, w)
     else:
-        defects, orbit = _orbit_sweep(system, _check_inputs(system, vectors), w)
+        defects, orbit = _orbit_sweep(system, _complement_columns(system, vectors), w)
     return _report(defects, tolerance, lambda fi, vi: _tail_min(orbit(fi, vi), w))
 
 
@@ -337,10 +337,9 @@ def _real_if_possible(*arrays: np.ndarray) -> Tuple[np.ndarray, ...]:
     return tuple(np.ascontiguousarray(a.real) for a in arrays)
 
 
-def _orbit_sweep(system: MarkovSystem, cols: np.ndarray, w: np.ndarray):
-    """Defects |φTⁿ(1 − E)x| averaged by stepping the functional rows, and the
-    orbit of one (functional, vector) pair for the witness tail."""
-    d0 = (np.eye(system.dimension) - system.idempotent) @ cols
+def _orbit_sweep(system: MarkovSystem | TensorSystem, d0: np.ndarray, w: np.ndarray):
+    """Defects |φTⁿ·d0| for the columns d0 = (1 − E)x, averaged by stepping the
+    functional rows, and the orbit of one (functional, vector) pair for the witness tail."""
     functionals, transition, d0 = _real_if_possible(
         system.functionals, system.transition, d0
     )

@@ -6,10 +6,11 @@ as marginals; a joining is additionally invariant under the product
 permutation, possibly with prescribed masses on an invariant partition (the
 factor).  The joining set is then a polytope cut out by linear equalities,
 and relative disjointness is the polytope being a single point.  A joining
-is constant on each orbit of the product permutation, so the question is
-asked of the orbit quotient -- one unknown per orbit -- and settled by the
-exact ``Fraction`` simplex of ``lp``: every certificate, witnesses and
-infeasibility included, is exact.
+is constant on each orbit of the product permutation, so the polytope is
+kept as its orbit quotient -- one unknown per orbit, one exact row per
+marginal point and factor cell -- and settled by the exact ``Fraction``
+simplex of ``lp``: every certificate, witnesses and infeasibility included,
+is exact.  Float matrices are checked against the constraints directly.
 
 Measures and couplings are kept as exact fractions; weighted orbit averages
 of a coupling stay exact whenever the weights are rational.
@@ -248,31 +249,43 @@ def factor_cells(
 
 @dataclass(frozen=True)
 class JoiningPolytope:
-    """Equality constraints (with nonnegativity implied) cutting out all joinings.
+    """The joinings, as the orbit quotient of their equality constraints.
 
-    ``cells`` and ``cell_masses`` are the factor's partition (flat index
-    tuples, canonically ordered) and its exact masses, both empty without a
-    factor; ``a_eq`` and ``b_eq`` hold the same constraints as floats, for
-    the membership checks ``contains`` and ``residual``.
+    A joining is constant on each orbit of the product permutation, so it has
+    one unknown per orbit: ``orbit_of`` maps each flat (row-major) index to
+    its orbit, the orbits numbered in order of their smallest flat index.
+    ``a_eq`` holds one row of orbit counts per marginal point and per factor
+    cell (exactly repeated rows dropped), ``b_eq`` the exact measures and
+    cell masses on the right, and nonnegativity is implied.  ``cells`` and
+    ``cell_masses`` are the factor's partition (flat index tuples,
+    canonically ordered) and its masses, both empty without a factor.
     """
 
     left: PermutationSystem
     right: PermutationSystem
+    orbit_of: Tuple[int, ...]
     a_eq: np.ndarray
-    b_eq: np.ndarray
+    b_eq: Tuple[Fraction, ...]
     cells: Tuple[Tuple[int, ...], ...]
     cell_masses: Tuple[Fraction, ...]
 
     def contains(self, matrix: np.ndarray, tol: float = 1e-9) -> bool:
-        x = np.asarray(matrix, dtype=float).reshape(-1)
-        return (
-            float(np.max(np.abs(self.a_eq @ x - self.b_eq))) <= tol
-            and float(x.min()) >= -tol
-        )
+        x = np.asarray(matrix, dtype=float)
+        return self.residual(x) <= tol and float(x.min()) >= -tol
 
     def residual(self, matrix: np.ndarray) -> float:
-        x = np.asarray(matrix, dtype=float).reshape(-1)
-        return float(np.max(np.abs(self.a_eq @ x - self.b_eq)))
+        """The largest gap of a float na x nb matrix in the marginal,
+        invariance (x[sigma_A(i), sigma_B(j)] = x[i, j]) and factor-cell
+        equalities, read off the matrix."""
+        x = np.asarray(matrix, dtype=float).reshape(self.left.size, self.right.size)
+        flat = x.reshape(-1)
+        gaps = (
+            x.sum(axis=1) - [float(m) for m in self.left.measure],
+            x.sum(axis=0) - [float(m) for m in self.right.measure],
+            x[np.ix_(self.left.permutation, self.right.permutation)] - x,
+            [flat[list(c)].sum() - float(m) for c, m in zip(self.cells, self.cell_masses)],
+        )
+        return max(float(np.max(np.abs(gap), initial=0.0)) for gap in gaps)
 
 
 def joining_polytope(
@@ -280,45 +293,31 @@ def joining_polytope(
     right: PermutationSystem,
     factor: Optional[FactorSpec] = None,
 ) -> JoiningPolytope:
-    """Assemble marginal, invariance and factor equalities over the couplings."""
+    """The orbit quotient of the marginal, invariance and factor equalities."""
     na, nb = left.size, right.size
-    nvar = na * nb
-    rows: List[np.ndarray] = []
-    rhs: List[float] = []
-    seen = set()
-
-    def push(row: np.ndarray, value: float) -> None:
-        key = (tuple(np.round(row, 12)), round(value, 12))
-        if key not in seen and np.any(row != 0.0):
-            seen.add(key)
-            rows.append(row)
-            rhs.append(value)
-
-    for x in range(na):
-        row = np.zeros(nvar)
-        row[x * nb : (x + 1) * nb] = 1.0
-        push(row, float(left.measure[x]))
-    for y in range(nb):
-        row = np.zeros(nvar)
-        row[y::nb] = 1.0
-        push(row, float(right.measure[y]))
-    # invariance rows e_dst - e_src: each has its own -1, so none repeats another row
-    for src, dst in enumerate(_product_map(left, right)):
-        if src != dst:
-            row = np.zeros(nvar)
-            row[dst], row[src] = 1.0, -1.0
-            rows.append(row)
-            rhs.append(0.0)
     cells: Tuple[Tuple[int, ...], ...] = ()
     masses: Tuple[Fraction, ...] = ()
     if factor is not None:
         cells = tuple(tuple(cell) for cell in factor_cells(factor, left, right))
         masses = factor.cell_masses
-        for cell, mass in zip(cells, masses):
-            row = np.zeros(nvar)
-            row[list(cell)] = 1.0
-            push(row, float(mass))
-    return JoiningPolytope(left, right, np.array(rows), np.array(rhs), cells, masses)
+    orbit_of = [0] * (na * nb)
+    orbits = _cycles(_product_map(left, right))
+    for orbit, points in enumerate(orbits):
+        for flat in points:
+            orbit_of[flat] = orbit
+    # one row per marginal point and per factor cell: orbit counts | mass
+    rows = [[0] * len(orbits) + [mass] for mass in left.measure + right.measure + masses]
+    for flat, orbit in enumerate(orbit_of):
+        rows[flat // nb][orbit] += 1
+        rows[na + flat % nb][orbit] += 1
+    for c, cell in enumerate(cells):
+        for flat in cell:
+            rows[na + nb + c][orbit_of[flat]] += 1
+    rows = list(dict.fromkeys(map(tuple, rows)))
+    a_eq = np.array([row[:-1] for row in rows], dtype=int)
+    return JoiningPolytope(
+        left, right, tuple(orbit_of), a_eq, tuple(row[-1] for row in rows), cells, masses
+    )
 
 
 @dataclass(frozen=True)
@@ -340,46 +339,28 @@ class DisjointnessReport:
 def relative_disjointness(polytope: JoiningPolytope) -> DisjointnessReport:
     """Decide exactly whether the joining polytope is a single point.
 
-    A joining is constant on each orbit of the product permutation, so the
-    polytope is solved on the orbit quotient: one unknown per orbit, and one
-    row of orbit counts per marginal point and per factor cell, with the
-    exact measures and cell masses on the right (exactly repeated rows are
-    dropped).  One phase one proves the quotient feasible, or raises
-    ``JoiningInfeasibleError``; from its basis every orbit, in order of its
-    smallest flat index, is minimized and maximized over ``Fraction``.  The
-    first orbit whose range is not a single value gives two witness joinings
-    and the spread.  When every range is a single value, that point is the
-    unique joining, reported as correctly rounded floats.
+    One phase one on the quotient ``a_eq`` x = ``b_eq`` proves it feasible,
+    or raises ``JoiningInfeasibleError``; from its basis every orbit, in
+    order of its smallest flat index, is minimized and maximized over
+    ``Fraction``.  The first orbit whose range is not a single value gives
+    two witness joinings and the spread.  When every range is a single
+    value, that point is the unique joining, reported as correctly rounded
+    floats.
     """
-    left, right = polytope.left, polytope.right
-    na, nb = left.size, right.size
-    orbit_of = [0] * (na * nb)
-    orbits = _cycles(_product_map(left, right))
-    for orbit, points in enumerate(orbits):
-        for flat in points:
-            orbit_of[flat] = orbit
-    # one row per marginal point and per factor cell: orbit counts | mass
-    masses = left.measure + right.measure + polytope.cell_masses
-    rows = [[0] * len(orbits) + [mass] for mass in masses]
-    for flat, orbit in enumerate(orbit_of):
-        rows[flat // nb][orbit] += 1
-        rows[na + flat % nb][orbit] += 1
-    for c, cell in enumerate(polytope.cells):
-        for flat in cell:
-            rows[na + nb + c][orbit_of[flat]] += 1
-    rows = list(dict.fromkeys(map(tuple, rows)))
-    start = feasible_tableau([row[:-1] for row in rows], [row[-1] for row in rows])
+    start = feasible_tableau(polytope.a_eq.tolist(), polytope.b_eq)
     if start is None:
         raise JoiningInfeasibleError(
             "no coupling satisfies the constraints (the factor masses "
             "admit no extension to a joining)"
         )
+    shape = (polytope.left.size, polytope.right.size)
+    count = polytope.a_eq.shape[1]
 
     def joining(values) -> np.ndarray:
-        return np.array([float(values[orbit]) for orbit in orbit_of]).reshape(na, nb)
+        return np.array([float(values[orbit]) for orbit in polytope.orbit_of]).reshape(shape)
 
-    for orbit in range(len(orbits)):
-        unit = [0] * len(orbits)
+    for orbit in range(count):
+        unit = [0] * count
         unit[orbit] = 1
         low = simplex_minimize(unit, start).x
         high = simplex_minimize([-u for u in unit], start).x

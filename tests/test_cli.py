@@ -268,6 +268,27 @@ class TestEveryKind:
         assert summary["results"]["expect_failures"]
 
 
+@pytest.mark.parametrize("value, code", [(1 / 6, 0), (0.1, 2)], ids=["matching", "wrong"])
+def test_expectation_on_an_array_result(tmp_path, value, code):
+    # an array result is compared as the JSON holds it, a list of lists
+    wanted = [[value] * 3] * 2
+    config = {
+        "experiment": "joinings",
+        "left": {"permutation": [1, 0], "measure": ["1/2", "1/2"]},
+        "right": {"permutation": [1, 2, 0], "measure": ["1/3", "1/3", "1/3"]},
+        "expect": {"unique_joining": wanted},
+    }
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    out = tmp_path / "out"
+    proc = run_cli(["run", str(path), "--out", str(out), "--quiet"], tmp_path)
+    assert proc.returncode == code, proc.stderr + proc.stdout
+    results = json.loads((out / "joinings.json").read_text())["results"]
+    assert results["unique_joining"] == [[1 / 6] * 3] * 2
+    failures = [{"key": "unique_joining", "wanted": wanted, "got": [[1 / 6] * 3] * 2}]
+    assert results.get("expect_failures") == (failures if code else None)
+
+
 class TestErrorPaths:
     def test_unknown_kind(self, tmp_path):
         path = tmp_path / "config.json"

@@ -763,3 +763,38 @@ class TestFactoredTensorSweep:
         report = weak_mixing_check(tens, uniform(), 50, 1e-3, vectors=vectors)
         oracle = weak_mixing_check(as_plain(tens), uniform(), 50, 1e-3, vectors=vectors)
         assert report == oracle
+
+
+class TestMeanCheckColumns:
+    """Over the standard basis both mean checks start from I − E itself, with
+    no d³ product by an identity; given columns V start from (I − E)·V."""
+
+    def test_standard_basis_builds_no_identity_columns(self, monkeypatch):
+        system = random_real_system(np.random.default_rng(7), 6, 2)
+        sizes = []
+        eye = np.eye
+
+        def counted(n, *args, **kwargs):
+            sizes.append(n)
+            return eye(n, *args, **kwargs)
+
+        monkeypatch.setattr(np, "eye", counted)
+        weak_mixing_check(system, uniform(), 5, 1.0)
+        assert sizes == [6]  # I − E
+        sizes.clear()
+        unique_ergodicity_check(system, uniform(), 5, 1.0)
+        assert sizes == [6, 6]  # I − E, and the start of the power means
+
+    def test_standard_basis_equals_identity_columns(self):
+        # (I − E)·I is I − E entrywise, so the two reports agree bit for bit
+        rng = np.random.default_rng(21)
+        outcomes = set()
+        for k in range(60):
+            make = random_complex_system if k % 2 else random_real_system
+            system = make(rng, int(rng.integers(1, 9)), int(rng.integers(1, 4)))
+            identity = np.eye(system.dimension)
+            for check in (weak_mixing_check, unique_ergodicity_check):
+                report = check(system, power(1.0), 30, 1e-2)
+                assert report == check(system, power(1.0), 30, 1e-2, vectors=identity)
+                outcomes.add(report.passed)
+        assert outcomes == {True, False}

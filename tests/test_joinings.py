@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction as F
+from functools import lru_cache
 from math import gcd
 
 import numpy as np
@@ -27,7 +28,7 @@ from ergolab import (
 from ergolab import joinings
 from ergolab.averaging import WEIGHT_COUNT_CAP
 from ergolab.joinings import LOG_WEIGHT_COUNT_CAP, _exact_weight
-from vertex_oracle import joining_vertices
+from vertex_oracle import dense_constraints, dense_residual, joining_vertices
 
 
 def stepping_coupling_average(left, right, couplings, scheme, count):
@@ -117,6 +118,42 @@ def certificate_corpus():
                 pol = joining_polytope(rotation(a), rotation(b), factor)
                 corpus.append((f"rotation-{a}x{b}-factor", pol))
     return corpus
+
+
+@lru_cache(maxsize=None)
+def corpus_vertices():
+    """(label, polytope, vertex list) over the certificate corpus."""
+    return [(label, pol, joining_vertices(pol)) for label, pol in certificate_corpus()]
+
+
+def cycle_lengths(system):
+    """The cycle lengths of a system's permutation, walked point by point."""
+    lengths, seen = [], set()
+    for start in range(system.size):
+        point, length = start, 0
+        while point not in seen:
+            seen.add(point)
+            point, length = system.permutation[point], length + 1
+        if length:
+            lengths.append(length)
+    return lengths
+
+
+def orbit_count(left, right):
+    """Orbits of sigma_A x sigma_B: gcd(p, q) over each pair of a p-cycle and a q-cycle."""
+    return sum(gcd(p, q) for p in cycle_lengths(left) for q in cycle_lengths(right))
+
+
+def assert_quotient_shape(pol):
+    """Distinct (counts | mass) rows, int counts, and each marginal point's
+    and factor cell's own cell count appearing as a row sum."""
+    rows = [tuple(row) + (mass,) for row, mass in zip(pol.a_eq.tolist(), pol.b_eq)]
+    assert len(set(rows)) == len(rows)
+    assert pol.a_eq.dtype.kind == "i" and len(pol.b_eq) == pol.a_eq.shape[0]
+    na, nb = pol.left.size, pol.right.size
+    sizes = {na, nb} | {len(cell) for cell in pol.cells}
+    assert set(pol.a_eq.sum(axis=1).tolist()) <= sizes
+    assert sorted(set(pol.orbit_of)) == list(range(pol.a_eq.shape[1]))
 
 
 @pytest.fixture
@@ -226,17 +263,20 @@ class TestJoiningPolytope:
             ),
         ],
     )
-    def test_rows_distinct_one_per_moved_point(self, left, right):
+    def test_quotient_rows_distinct_one_column_per_orbit(self, left, right):
         pol = joining_polytope(left, right)
-        assert len({tuple(row) for row in pol.a_eq}) == pol.a_eq.shape[0]
-        na, nb = left.size, right.size
-        fixed = sum(
-            left.permutation[x] == x and right.permutation[y] == y
-            for x in range(na)
-            for y in range(nb)
-        )
-        invariance = sum(bool(np.any(row < 0)) for row in pol.a_eq)
-        assert invariance == na * nb - fixed
+        assert_quotient_shape(pol)
+        assert pol.a_eq.shape[1] == orbit_count(left, right)
+
+    def test_quotient_columns_over_rotations_and_the_corpus(self):
+        for a in range(1, 9):
+            for b in range(1, 9):
+                pol = joining_polytope(rotation(a), rotation(b))
+                assert_quotient_shape(pol)
+                assert pol.a_eq.shape[1] == gcd(a, b)
+        for label, pol in certificate_corpus():
+            assert_quotient_shape(pol)
+            assert pol.a_eq.shape[1] == orbit_count(pol.left, pol.right), label
 
     def test_vertices_closed_under_product_shift(self):
         two = rotation(2)
@@ -256,8 +296,7 @@ class TestQuotientCertificate:
         # two vertices spanning the oracle's range of the first cell where
         # they differ (the smallest flat index of the first unpinned orbit)
         cases = set()
-        for label, pol in certificate_corpus():
-            vertices = joining_vertices(pol)
+        for label, pol, vertices in corpus_vertices():
             if not vertices:
                 with pytest.raises(JoiningInfeasibleError):
                     relative_disjointness(pol)
@@ -299,6 +338,73 @@ class TestQuotientCertificate:
         assert rep.disjoint and rep.spread == 0.0 and rep.witnesses is None
         assert len(simplex_calls) == 6
         assert np.array_equal(rep.unique_joining, [[0.5, 0.5], [0.0, 0.0], [0.0, 0.0]])
+
+
+class TestMembership:
+    """``residual`` and ``contains`` read the gaps off the matrix; the
+    oracle's dense max|Ax - b| over its own constraints is their reference."""
+
+    def test_residual_matches_dense_constraints(self):
+        rng = np.random.default_rng(24)
+        for label, pol, vertices in corpus_vertices():
+            shape = (pol.left.size, pol.right.size)
+            # on a random orbit-constant matrix only the invariance gap is 0
+            invariant = rng.random(max(pol.orbit_of) + 1)[list(pol.orbit_of)].reshape(shape)
+            randoms = [invariant / invariant.sum(), rng.random(shape), rng.random(shape) / invariant.size]
+            for m in vertices + randoms:
+                assert abs(pol.residual(m) - dense_residual(pol, m)) <= 1e-12, label
+            for v in vertices:
+                assert pol.contains(v), label
+
+    def test_contains_at_the_dense_residual(self):
+        rng = np.random.default_rng(25)
+        for label, pol in certificate_corpus():
+            m = rng.random((pol.left.size, pol.right.size))
+            gap = dense_residual(pol, m)
+            assert gap > 1e-3, label
+            assert pol.contains(m, tol=2 * gap) and not pol.contains(m, tol=gap / 2), label
+
+    def test_negative_entry_is_outside(self):
+        # invariant with both marginals exact, but below zero on the diagonal
+        pol = joining_polytope(rotation(2), rotation(2))
+        m = np.array([[-0.125, 0.625], [0.625, -0.125]])
+        assert pol.residual(m) == dense_residual(pol, m) == 0.0
+        assert not pol.contains(m) and pol.contains(m, tol=0.125)
+
+    @staticmethod
+    def one_gap_cases():
+        """(kind, polytope, matrix) whose only nonzero dense gap is of that kind."""
+        point = PermutationSystem((0,), (F(1),))
+        still = PermutationSystem((0, 1), (F(1, 4), F(3, 4)))
+        two, three = rotation(2), rotation(3)
+        # the product coupling with a 2 x 2 bump keeps every row and column sum
+        bumped = np.full((2, 3), 1 / 6) + np.array([[1, -1, 0], [-1, 1, 0]]) / 8
+        diagonal = FactorSpec(((("1", "0"), ("0", "1")),), (F(1, 4), F(3, 4)))
+        return [
+            ("rows", joining_polytope(still, point), np.array([[0.5], [0.5]])),
+            ("columns", joining_polytope(point, still), np.array([[0.5, 0.5]])),
+            ("invariance", joining_polytope(two, three), bumped),
+            ("cells", joining_polytope(two, two, diagonal), np.full((2, 2), 0.25)),
+        ]
+
+    def test_each_gap_alone(self):
+        kinds = []
+        for kind, pol, m in self.one_gap_cases():
+            a, b = dense_constraints(pol)
+            na, nb, cells = pol.left.size, pol.right.size, len(pol.cells)
+            blocks = {
+                "rows": range(na),
+                "columns": range(na, na + nb),
+                "invariance": range(na + nb, len(b) - cells),
+                "cells": range(len(b) - cells, len(b)),
+            }
+            gaps = np.abs(a @ m.reshape(-1) - b)
+            assert set(np.flatnonzero(gaps > 1e-12)) <= set(blocks[kind]), kind
+            assert gaps.max() >= 0.1, kind
+            assert pol.residual(m) == pytest.approx(gaps.max(), rel=0.0, abs=1e-15), kind
+            assert not pol.contains(m, tol=0.05), kind
+            kinds.append(kind)
+        assert kinds == ["rows", "columns", "invariance", "cells"]
 
 
 class TestFactors:

@@ -1,8 +1,10 @@
 """Brute-force vertex enumeration, kept as an independent oracle for the simplex.
 
-It shares no code with ``ergolab.lp``: it solves every square subsystem of
-the float constraints by least squares and keeps the feasible basic
-solutions, so it checks the exact certificates of
+It shares no code with ``ergolab.lp`` or with the library's constraint
+assembly: ``dense_constraints`` writes the joining equalities out over all
+na·nb cells, as floats, from the two systems and the factor cells, and
+``polytope_vertices`` solves every square subsystem by least squares and
+keeps the feasible basic solutions.  So it checks the exact certificates of
 ``joinings.relative_disjointness`` from outside, within ``FEASIBILITY_TOL``.
 """
 
@@ -10,7 +12,7 @@ from __future__ import annotations
 
 from itertools import combinations
 from math import comb
-from typing import List
+from typing import List, Tuple
 
 import numpy as np
 
@@ -53,7 +55,46 @@ def polytope_vertices(a_eq, b_eq, max_bases: int = 200000) -> List[np.ndarray]:
     return list(seen.values())
 
 
+def dense_constraints(polytope) -> Tuple[np.ndarray, np.ndarray]:
+    """(A, b) over the flat (row-major) cells of a ``JoiningPolytope``: one row
+    per marginal point, one e_dst - e_src per point that the product
+    permutation moves, and one per factor cell."""
+    left, right = polytope.left, polytope.right
+    na, nb = left.size, right.size
+    rows, rhs = [], []
+    for x in range(na):
+        row = np.zeros(na * nb)
+        row[x * nb : (x + 1) * nb] = 1.0
+        rows.append(row)
+        rhs.append(float(left.measure[x]))
+    for y in range(nb):
+        row = np.zeros(na * nb)
+        row[y::nb] = 1.0
+        rows.append(row)
+        rhs.append(float(right.measure[y]))
+    for x in range(na):
+        for y in range(nb):
+            src, dst = x * nb + y, left.permutation[x] * nb + right.permutation[y]
+            if src != dst:
+                row = np.zeros(na * nb)
+                row[dst], row[src] = 1.0, -1.0
+                rows.append(row)
+                rhs.append(0.0)
+    for cell, mass in zip(polytope.cells, polytope.cell_masses):
+        row = np.zeros(na * nb)
+        row[list(cell)] = 1.0
+        rows.append(row)
+        rhs.append(float(mass))
+    return np.array(rows), np.array(rhs)
+
+
+def dense_residual(polytope, matrix) -> float:
+    """max|Ax - b| of a matrix over ``dense_constraints``."""
+    a, b = dense_constraints(polytope)
+    return float(np.max(np.abs(a @ np.asarray(matrix, dtype=float).reshape(-1) - b)))
+
+
 def joining_vertices(polytope) -> List[np.ndarray]:
     """Vertex list of a ``JoiningPolytope``, each as an na x nb matrix."""
     na, nb = polytope.left.size, polytope.right.size
-    return [v.reshape(na, nb) for v in polytope_vertices(polytope.a_eq, polytope.b_eq)]
+    return [v.reshape(na, nb) for v in polytope_vertices(*dense_constraints(polytope))]
