@@ -8,24 +8,29 @@ and rows are emitted in a fixed order.  The JSON summary is encoded in one
 pass by ``_json_text``: two-space indent, sorted keys, ASCII-escaped strings,
 floats in their shortest ``repr`` (``NaN``, ``Infinity``, ``-Infinity`` where
 not finite) and a trailing newline, the stdlib ``json`` text with
-``indent=2, sort_keys=True``.  It is encoded before either file is opened,
-so a value JSON cannot encode is a ``ConfigError`` that writes nothing.
-Identical configs produce byte-identical artifacts.
+``indent=2, sort_keys=True``.  Both artifacts are encoded in memory before
+either file is opened, so a value JSON cannot encode is a ``ConfigError``
+that writes nothing.  Each file is then overwritten in place and cut to
+length by ``_overwrite``; neither write is atomic.  Identical configs produce
+byte-identical artifacts.
 
 Each kind is declared once, with its runner, by ``@_experiment``: the
 top-level fields it requires and accepts, and its description.
 ``run_experiment`` checks a config against that declaration, which is also
 what ``ergolab list --json`` prints, and is the one place where a domain
 ``ValueError`` raised by a runner becomes a :class:`ConfigError`; ``main``
-prints a ``ConfigError`` as a single ``error:`` line.
+prints a ``ConfigError``, or an ``OSError`` from writing the artifacts, as a
+single ``error:`` line.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import math
+import os
 import sys
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
@@ -435,6 +440,18 @@ def _parse_factor(obj: Any) -> FactorSpec:
         return FactorSpec(generators=generators, cell_masses=masses)
 
 
+def _matches(got: Any, wanted: Any) -> bool:
+    """Numbers match within 1e-12, lists entry by entry, all else (bools too) exactly."""
+    if isinstance(wanted, list):
+        same_length = isinstance(got, list) and len(got) == len(wanted)
+        return same_length and all(map(_matches, got, wanted))
+    if isinstance(got, bool) or isinstance(wanted, bool):
+        return got is wanted
+    if isinstance(got, (int, float)) and isinstance(wanted, (int, float)):
+        return abs(float(got) - float(wanted)) <= 1e-12
+    return got == wanted
+
+
 def _apply_expectations(config: Dict, results: Dict, passed: bool) -> Tuple[bool, Dict]:
     expect = config.get("expect")
     if expect is None:
@@ -446,14 +463,8 @@ def _apply_expectations(config: Dict, results: Dict, passed: bool) -> Tuple[bool
         if key not in results:
             failures.append({"key": key, "reason": "absent"})
             continue
-        got = results[key]
-        if isinstance(wanted, (int, float)) and not isinstance(wanted, bool) and isinstance(
-            got, (int, float)
-        ):
-            if abs(float(got) - float(wanted)) > 1e-12:
-                failures.append({"key": key, "wanted": wanted, "got": got})
-        elif got != wanted:
-            failures.append({"key": key, "wanted": wanted, "got": got})
+        if not _matches(results[key], wanted):
+            failures.append({"key": key, "wanted": wanted, "got": results[key]})
     if failures:
         results = dict(results)
         results["expect_failures"] = failures
@@ -871,6 +882,15 @@ def list_experiments(as_json: bool = False) -> str:
     return "\n".join(lines)
 
 
+def _overwrite(path: Path, text: str) -> None:
+    """Write ``text`` to ``path`` as ``open(path, "w", newline="")`` does, but
+    over the old bytes and then cut to length: without ``O_TRUNC``, ext4 does
+    not start writeback of a truncated file on close.  Not atomic."""
+    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "w", newline="") as handle:
+        handle.write(text)
+        handle.truncate()
+
+
 def run_experiment(config: Dict, out_dir: Path, quiet: bool = False) -> int:
     if not isinstance(config, dict):
         raise ConfigError("config must be a JSON object")
@@ -904,15 +924,16 @@ def run_experiment(config: Dict, out_dir: Path, quiet: bool = False) -> int:
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"config: cannot be written as JSON: {exc}") from exc
 
+    table = io.StringIO()
+    writer = csv.writer(table, lineterminator="\r\n", quoting=csv.QUOTE_MINIMAL)
+    writer.writerow(header)
+    writer.writerows(rows)
+
     out_dir.mkdir(parents=True, exist_ok=True)
     csv_path = out_dir / f"{kind}.csv"
-    with open(csv_path, "w", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\r\n", quoting=csv.QUOTE_MINIMAL)
-        writer.writerow(header)
-        writer.writerows(rows)
+    _overwrite(csv_path, table.getvalue())
     json_path = out_dir / f"{kind}.json"
-    with open(json_path, "w") as handle:
-        handle.write(text)
+    _overwrite(json_path, text)
     if not quiet:
         print(f"{kind}: {'pass' if passed else 'FAIL'} -> {csv_path}, {json_path}")
     return 0 if passed else 2
@@ -949,6 +970,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return run_experiment(config, args.out, quiet=args.quiet)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except OSError as exc:  # the runners do no I/O: this is the output's
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
         return 1
 
 

@@ -375,6 +375,9 @@ def _tensor_sweep(left: MarkovSystem, right: MarkovSystem, w: np.ndarray):
     na, nb = fa.shape[0], fb.shape[0]
     chunk = max(1, TENSOR_CHUNK_ELEMENTS // (na * da * nb * db))
     acc = np.zeros(na * da * nb * db)
+    # one product buffer for every chunk, and a real one for a complex modulus
+    product = np.empty((min(chunk, len(w)), na * da, nb * db), dtype=fa.dtype)
+    modulus = np.empty(product.shape) if product.dtype.kind == "c" else product
     p, q = fa, fb
     for start in range(0, len(w), chunk):
         steps = min(chunk, len(w) - start)
@@ -385,7 +388,8 @@ def _tensor_sweep(left: MarkovSystem, right: MarkovSystem, w: np.ndarray):
             ps[k], qs[k] = p, q
         u = np.stack([ps @ ca, ps @ ea], axis=-1).reshape(steps, na * da, 2)
         r = np.stack([qs, qs @ cb], axis=1).reshape(steps, 2, nb * db)
-        acc += w[start : start + steps] @ np.abs(u @ r).reshape(steps, -1)
+        np.abs(np.matmul(u, r, out=product[:steps]), out=modulus[:steps])
+        acc += w[start : start + steps] @ modulus[:steps].reshape(steps, -1)
     defects = acc.reshape(na, da, nb, db).transpose(0, 2, 1, 3).reshape(na * nb, da * db)
 
     def orbit(fi: int, vi: int):

@@ -1,8 +1,10 @@
+import builtins
 import copy
 import importlib.util
 import json
 import math
 import os
+import stat
 import subprocess
 import sys
 import time
@@ -246,6 +248,19 @@ class TestEveryKind:
             assert summary["pass"] is True
         assert outputs[0] == outputs[1]
 
+    def test_rerun_over_longer_stale_artifacts(self, kind, tmp_path):
+        # artifacts are overwritten in place: a longer old file must be cut off
+        config = base_configs()[kind]
+        fresh, stale = tmp_path / "fresh", tmp_path / "stale"
+        run_experiment(config, fresh, quiet=True)
+        stale.mkdir()
+        for name in (f"{kind}.csv", f"{kind}.json"):
+            size = (fresh / name).stat().st_size
+            (stale / name).write_bytes(b"junk\n" * (size // 5 + 20))
+        run_experiment(config, stale, quiet=True)
+        for name in (f"{kind}.csv", f"{kind}.json"):
+            assert (stale / name).read_bytes() == (fresh / name).read_bytes()
+
     def test_unknown_field_rejected(self, kind, tmp_path):
         config = dict(base_configs()[kind])
         config["bogus_field"] = 1
@@ -268,15 +283,30 @@ class TestEveryKind:
         assert summary["results"]["expect_failures"]
 
 
-@pytest.mark.parametrize("value, code", [(1 / 6, 0), (0.1, 2)], ids=["matching", "wrong"])
-def test_expectation_on_an_array_result(tmp_path, value, code):
-    # an array result is compared as the JSON holds it, a list of lists
-    wanted = [[value] * 3] * 2
+SIXTH = [[1 / 6] * 3] * 2
+
+
+@pytest.mark.parametrize(
+    "key, wanted, code",
+    [
+        ("unique_joining", SIXTH, 0),
+        ("unique_joining", [[1 / 6 + 3e-16] * 3] * 2, 0),
+        ("unique_joining", [[0.1] * 3] * 2, 2),
+        ("unique_joining", [[1 / 6 + 1e-9] * 3] * 2, 2),
+        ("unique_joining", SIXTH[:1], 2),
+        ("unique_joining", [1 / 6] * 6, 2),
+        ("disjoint", 1, 2),
+    ],
+    ids=["matching", "within-tolerance", "wrong", "off-by-1e-9", "short", "flat", "bool-against-1"],
+)
+def test_expectation_on_an_array_result(tmp_path, key, wanted, code):
+    # an array result is compared as the JSON holds it, a list of lists, entry
+    # by entry within the scalar tolerance; a bool matches only a bool
     config = {
         "experiment": "joinings",
         "left": {"permutation": [1, 0], "measure": ["1/2", "1/2"]},
         "right": {"permutation": [1, 2, 0], "measure": ["1/3", "1/3", "1/3"]},
-        "expect": {"unique_joining": wanted},
+        "expect": {key: wanted},
     }
     path = tmp_path / "config.json"
     path.write_text(json.dumps(config))
@@ -284,8 +314,9 @@ def test_expectation_on_an_array_result(tmp_path, value, code):
     proc = run_cli(["run", str(path), "--out", str(out), "--quiet"], tmp_path)
     assert proc.returncode == code, proc.stderr + proc.stdout
     results = json.loads((out / "joinings.json").read_text())["results"]
-    assert results["unique_joining"] == [[1 / 6] * 3] * 2
-    failures = [{"key": "unique_joining", "wanted": wanted, "got": [[1 / 6] * 3] * 2}]
+    assert results["unique_joining"] == SIXTH
+    assert results["disjoint"] is True
+    failures = [{"key": key, "wanted": wanted, "got": results[key]}]
     assert results.get("expect_failures") == (failures if code else None)
 
 
@@ -301,6 +332,22 @@ class TestErrorPaths:
     def test_missing_file(self, tmp_path):
         proc = run_cli(["run", str(tmp_path / "absent.json")], tmp_path)
         assert_cli_error(proc)
+
+    def test_out_is_a_file(self, tmp_path):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(base_configs()["folner-defect"]))
+        (tmp_path / "taken").write_text("")
+        proc = run_cli(["run", str(path), "--out", str(tmp_path / "taken")], tmp_path)
+        assert_cli_error(proc)
+        assert proc.stderr.startswith("error: cannot write output:"), proc.stderr
+
+    def test_artifact_is_a_directory(self, tmp_path):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(base_configs()["folner-defect"]))
+        (tmp_path / "out" / "folner-defect.csv").mkdir(parents=True)
+        proc = run_cli(["run", str(path), "--out", str(tmp_path / "out")], tmp_path)
+        assert_cli_error(proc)
+        assert proc.stderr.startswith("error: cannot write output:"), proc.stderr
 
     def test_malformed_json(self, tmp_path):
         path = tmp_path / "config.json"
@@ -876,6 +923,61 @@ class TestJsonWriter:
             run_experiment(config, tmp_path, quiet=True)
         assert not (tmp_path / "section4.csv").exists()
         assert not (tmp_path / "section4.json").exists()
+
+
+class TestArtifactWriter:
+    CONFIG = {"experiment": "section4", "p": 0.5, "sweep": 100}
+
+    def test_artifacts_are_never_truncated_on_open(self, tmp_path, monkeypatch):
+        # ext4 flushes a file truncated on open when it is closed; the writer
+        # opens without O_TRUNC and cuts the file after writing instead
+        opened = []
+        real_os_open, real_open = os.open, builtins.open
+
+        def spy_os_open(path, flags, *args, **kwargs):
+            opened.append((path, "flags", flags))
+            return real_os_open(path, flags, *args, **kwargs)
+
+        def spy_open(file, mode="r", *args, **kwargs):
+            opened.append((file, "mode", mode))
+            return real_open(file, mode, *args, **kwargs)
+
+        monkeypatch.setattr(os, "open", spy_os_open)
+        monkeypatch.setattr(builtins, "open", spy_open)
+        for _ in range(2):  # create, then overwrite
+            run_experiment(self.CONFIG, tmp_path, quiet=True)
+        monkeypatch.undo()
+        artifacts = {tmp_path / "section4.csv", tmp_path / "section4.json"}
+        by_path = [
+            (Path(file), how, value)
+            for file, how, value in opened
+            if isinstance(file, (str, os.PathLike)) and Path(file) in artifacts
+        ]
+        assert {path for path, _, _ in by_path} == artifacts
+        for path, how, value in by_path:
+            if how == "flags":
+                assert not value & os.O_TRUNC, path
+            else:
+                assert "w" not in value, (path, value)
+        umask = os.umask(0)
+        os.umask(umask)
+        for path in artifacts:
+            assert stat.S_IMODE(path.stat().st_mode) == 0o666 & ~umask
+
+    def test_links_are_written_through(self, tmp_path):
+        fresh, out, elsewhere = tmp_path / "fresh", tmp_path / "out", tmp_path / "elsewhere"
+        run_experiment(self.CONFIG, fresh, quiet=True)
+        out.mkdir()
+        elsewhere.mkdir()
+        (elsewhere / "table").write_bytes(b"stale " * 4000)
+        (elsewhere / "summary").write_bytes(b"stale " * 4000)
+        (out / "section4.csv").symlink_to(elsewhere / "table")
+        os.link(elsewhere / "summary", out / "section4.json")
+        run_experiment(self.CONFIG, out, quiet=True)
+        assert (out / "section4.csv").is_symlink()
+        assert (elsewhere / "table").read_bytes() == (fresh / "section4.csv").read_bytes()
+        assert (elsewhere / "summary").samefile(out / "section4.json")
+        assert (elsewhere / "summary").read_bytes() == (fresh / "section4.json").read_bytes()
 
 
 class TestContracts:
