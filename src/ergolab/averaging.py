@@ -61,11 +61,11 @@ class IllConditionedError(RuntimeError):
 class WeightScheme:
     """A weight family together with its domain.
 
-    ``exponent`` is used by the power and voronoi families and must satisfy
-    -1 < s <= 4: above -1 the weights are integrable at the window's singular
-    endpoint, and 4 is the largest exponent the closed forms and the
+    ``exponent`` is taken by the power and voronoi families only and must
+    satisfy -1 < s <= 4: above -1 the weights are integrable at the window's
+    singular endpoint, and 4 is the largest exponent the closed forms and the
     quadrature are tested to.
-    ``samples`` backs the custom family, which is discrete-only.
+    ``samples`` is taken by the custom family only, which is discrete-only.
     """
 
     domain: str
@@ -79,18 +79,19 @@ class WeightScheme:
         if self.family in ("power", "voronoi"):
             if self.exponent is None or not -1.0 < self.exponent <= 4.0:
                 raise SchemeError("power/voronoi exponent must satisfy -1 < s <= 4")
-        elif self.family in ("uniform", "log"):
-            if self.exponent is not None:
-                raise SchemeError(f"{self.family} takes no exponent")
-        elif self.family == "custom":
-            if self.domain != DISCRETE:
-                raise SchemeError("custom weights are discrete-only")
-            if not self.samples or any(w < 0 for w in self.samples):
-                raise SchemeError("custom weights must be nonnegative and nonempty")
-            if sum(self.samples) <= 0:
-                raise SchemeError("custom weights must have positive total")
-        else:
+        elif self.family not in ("uniform", "log", "custom"):
             raise SchemeError(f"unknown family {self.family!r}")
+        elif self.exponent is not None:
+            raise SchemeError(f"{self.family} takes no exponent")
+        if self.family != "custom":
+            if self.samples is not None:
+                raise SchemeError(f"{self.family} takes no samples")
+        elif self.domain != DISCRETE:
+            raise SchemeError("custom weights are discrete-only")
+        elif not self.samples or any(w < 0 for w in self.samples):
+            raise SchemeError("custom weights must be nonnegative and nonempty")
+        elif sum(self.samples) <= 0:
+            raise SchemeError("custom weights must have positive total")
 
     @property
     def label(self) -> str:

@@ -319,17 +319,16 @@ def _parse_state(alphabet: Alphabet, obj: Any, where: str = "state") -> State:
     kind = block["kind"]
     with _at(where):
         if kind == "trace":
+            _take(block, f"{where}: trace state", ["kind"])
             return State.trace()
         if kind == "vector":
-            if "amplitudes" not in block:
-                raise ConfigError(f"{where}: vector state needs amplitudes")
+            _take(block, f"{where}: vector state", ["kind", "amplitudes"], ["normalize"])
             normalize = _flag(block.get("normalize", True), f"{where}.normalize")
             return State.vector_state(
                 _parse_vector(alphabet, block["amplitudes"], where, normalize)
             )
         if kind == "mixture":
-            if "components" not in block:
-                raise ConfigError(f"{where}: mixture needs components")
+            _take(block, f"{where}: mixture", ["kind", "components"])
             pairs = []
             for comp in _list(block["components"], f"{where}.components"):
                 e = _take(comp, f"{where}.components[]", ["weight", "amplitudes"], ["normalize"])
@@ -402,14 +401,13 @@ def _four_state(block: Dict, where: str) -> FourStateSystem:
 
 
 def _parse_markov(obj: Any, where: str) -> MarkovSystem:
-    block = _take(
-        obj, where, ["type"],
-        ["transition", "idempotent", "functionals", "p", "projection", "family_points",
-         "normalization"],
-    )
+    four_state = ["p", "projection", "family_points", "normalization"]
+    matrix = ["transition", "idempotent", "functionals"]
+    block = _take(obj, where, ["type"], four_state + matrix)
     kind = block["type"]
     with _at(where):
         if kind == "section4":
+            _take(block, f"{where}: section4 system", ["type"], four_state)
             sys4 = _four_state(block, f"{where}.")
             which = block.get("projection", "EL")
             if which == "EL":
@@ -418,7 +416,8 @@ def _parse_markov(obj: Any, where: str) -> MarkovSystem:
                 return sys4.as_markov(sys4.proj_fixed, np.eye(4))
             raise ConfigError(f"{where}: projection must be 'EL' or 'Efix'")
         if kind == "matrix":
-            for key in ("transition", "idempotent", "functionals"):
+            _take(block, f"{where}: matrix system", ["type"], matrix)
+            for key in matrix:
                 if key not in block:
                     raise ConfigError(f"{where}: matrix system needs {key}")
             return MarkovSystem(
@@ -513,8 +512,7 @@ def _run_mean_ergodic(config: Dict) -> _Outcome:
         key, flow_class = "matrix", PowerContraction
     else:
         raise ConfigError("flow kind must be 'continuous' or 'discrete'")
-    if key not in flow_block:
-        raise ConfigError(f"flow: {domain} flow needs a {key}")
+    _take(flow_block, f"flow: {domain} flow", ["kind", key])
     matrix = _parse_matrix(flow_block[key], f"flow.{key}")
     with _at("flow"):
         flow = flow_class(matrix)
@@ -810,6 +808,9 @@ def _run_thm215(config: Dict) -> _Outcome:
              ["factor", "couplings", "scheme", "sweep", "average_tolerance"],
              "relative disjointness certificate and coupling orbit averages")
 def _run_joinings(config: Dict) -> _Outcome:
+    if "couplings" not in config:  # scheme, sweep and average_tolerance weigh couplings
+        _take(config, "config without couplings", ["experiment", "left", "right"],
+              ["factor", "expect"])
     left = _parse_classical(config["left"], "left")
     right = _parse_classical(config["right"], "right")
     factor = _parse_factor(config["factor"]) if "factor" in config else None

@@ -621,8 +621,12 @@ def furstenberg_average(
     """Trace average of a * shift^n(a) * ... * shift^{kn}(a) for a = factor factor*.
 
     Positivity of a holds by construction from the supplied factor.  Returns
-    the running data and the trace of the (order+1)-th power of the
-    finite-orbit part, which the average should dominate for large sweeps.
+    the running data and ``comparison`` = τ(E(a)^(order+1)), the trace of the
+    (order+1)-th power of the finite-orbit part, reported as is: no inequality
+    between it and the average is claimed.  Once E(a) holds cycle letters the
+    average can lie below it at every sweep: for the factor 1 + c[0] with c a
+    3-cycle, the average at sweep 300 is 14/3 against 6 at order 1, 12
+    against 20 at order 2, and 39.3 against 70 at order 3.
 
     The product is split and never formed: with h = (order+2)//2 and the
     prefixes P_1 = a, P_j = P_{j-1} shift^{(j-1)n}(a), each value is the trace

@@ -13,6 +13,7 @@ from ergolab import (
     PowerSubstitution,
     SchemeError,
     UnitaryFlow,
+    WeightScheme,
     custom,
     discrete_weights,
     fixed_space_projection,
@@ -132,6 +133,22 @@ class TestSchemes:
             custom([-1.0, 2.0])
         with pytest.raises(SchemeError):
             custom([0.0, 0.0])
+
+    @pytest.mark.parametrize(
+        "family, fields, message",
+        [
+            ("custom", {"exponent": 2.0, "samples": (1.0, 1.0)}, "custom takes no exponent"),
+            ("uniform", {"samples": (1.0, 1.0)}, "uniform takes no samples"),
+            ("log", {"samples": (1.0,)}, "log takes no samples"),
+            ("power", {"exponent": 1.0, "samples": (1.0,)}, "power takes no samples"),
+            ("voronoi", {"exponent": 1.0, "samples": ()}, "voronoi takes no samples"),
+        ],
+        ids=["custom-exponent", "uniform-samples", "log-samples", "power-samples", "voronoi-samples"],
+    )
+    def test_a_family_keeps_only_its_fields(self, family, fields, message):
+        # accepted, custom(2) would label weights that ignore the exponent
+        with pytest.raises(SchemeError, match=message):
+            WeightScheme(DISCRETE, family, **fields)
 
     def test_weights_positive(self):
         for scheme in ALL_DISCRETE():

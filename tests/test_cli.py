@@ -1,6 +1,7 @@
 import builtins
 import copy
 import importlib.util
+import io
 import json
 import math
 import os
@@ -8,6 +9,8 @@ import stat
 import subprocess
 import sys
 import time
+import warnings
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from pathlib import Path
 
@@ -15,6 +18,7 @@ import numpy as np
 import pytest
 
 import ergolab
+from ergolab import cli
 from ergolab.cli import ConfigError, _json_text, list_experiments, run_experiment
 
 # The child runs in tmp_path, where a relative PYTHONPATH such as "src" points
@@ -124,6 +128,16 @@ def base_configs():
     }
 
 
+# joinings of two rotations, with no couplings
+ROTATIONS = {
+    "experiment": "joinings",
+    "left": {"permutation": [1, 0], "measure": ["1/2", "1/2"]},
+    "right": {"permutation": [1, 2, 0], "measure": ["1/3", "1/3", "1/3"]},
+}
+MIXTURE = {"kind": "mixture", "components": [{"weight": 1.0, "amplitudes": [term("")]}]}
+IDENTITY = [[1.0, 0.0], [0.0, 1.0]]
+ONE_STATE = {"type": "matrix", "transition": [[1.0]], "idempotent": [[1.0]], "functionals": [[1.0]]}
+
 # values of the wrong type or range for almost any field
 BAD_VALUES = ["x", "", None, True, 0, -1, 1.5, 5, [], [5], [["a", 1]], {}, {"a": 1}]
 REMOVED = object()
@@ -202,6 +216,41 @@ def run_cli_measured(args, cwd, timeout):
     return proc, elapsed, int(peak_kib) / 1024
 
 
+def run_main(args, cwd):
+    """``run_cli`` in this process: ``cli.main`` in the working directory ``cwd``,
+    with stdout and stderr captured and each warning written to stderr as a
+    child prints it.  argparse's ``SystemExit`` gives the exit code; any other
+    exception escapes ``main`` and fails the test with its traceback."""
+    out, err = io.StringIO(), io.StringIO()
+
+    def show(message, category, filename, lineno, file=None, line=None):
+        err.write(warnings.formatwarning(message, category, filename, lineno, line))
+
+    home = os.getcwd()
+    os.chdir(cwd)
+    try:
+        with redirect_stdout(out), redirect_stderr(err), warnings.catch_warnings():
+            warnings.simplefilter("default")
+            warnings.showwarning = show
+            try:
+                code = cli.main(list(args))
+            except SystemExit as exc:
+                code = exc.code
+    finally:
+        os.chdir(home)
+    return subprocess.CompletedProcess(["ergolab", *args], code, out.getvalue(), err.getvalue())
+
+
+def run_config(config, cwd, *options, timeout=None):
+    """Write ``config`` to ``cwd/config.json`` and run it with ``options``: in
+    this process, or in a child killed after ``timeout`` s, so that a regressed
+    work cap fails the test instead of hanging it or exhausting its memory."""
+    path = cwd / "config.json"
+    path.write_text(json.dumps(config))
+    args = ["run", str(path), *options]
+    return run_main(args, cwd) if timeout is None else run_cli(args, cwd, timeout)
+
+
 def assert_cli_error(proc):
     """The CLI's contract for a bad config: exit 1, an ``error:`` line, no traceback."""
     assert proc.returncode == 1, proc.stderr + proc.stdout
@@ -209,9 +258,51 @@ def assert_cli_error(proc):
     assert "Traceback" not in proc.stderr, proc.stderr
 
 
+class TestHarness:
+    @pytest.mark.parametrize(
+        "config, code",
+        [
+            (base_configs()["folner-defect"], 0),
+            (dict(ROTATIONS, expect={"disjoint": False}), 2),
+            (dict(ROTATIONS, sweep=5), 1),
+            (None, 2),  # no config path: argparse exits
+        ],
+        ids=["pass", "expectation-fails", "config-error", "usage"],
+    )
+    def test_in_process_run_matches_a_child(self, tmp_path, config, code):
+        # run_main stands in for a child wherever the process is not the subject
+        runs = []
+        for name, harness in (("child", run_cli), ("main", run_main)):
+            cwd = tmp_path / name
+            cwd.mkdir()
+            args = ["run"]
+            if config is not None:
+                (cwd / "config.json").write_text(json.dumps(config))
+                args += ["config.json", "--out", "out"]
+            proc = harness(args, cwd)
+            files = {p.relative_to(cwd): p.read_bytes() for p in cwd.rglob("*") if p.is_file()}
+            runs.append((proc.returncode, proc.stdout, proc.stderr, files))
+        assert runs[0] == runs[1]
+        assert runs[0][0] == code, runs[0]
+
+    def test_run_main_writes_warnings_and_restores_the_directory(self, tmp_path, monkeypatch):
+        def noisy_main(argv):
+            warnings.warn("loud", RuntimeWarning)
+            print("error: after the warning", file=sys.stderr)
+            return 1
+
+        monkeypatch.setattr(cli, "main", noisy_main)
+        home = os.getcwd()
+        proc = run_main(["run"], tmp_path)
+        assert os.getcwd() == home
+        assert proc.returncode == 1
+        lines = proc.stderr.splitlines()
+        assert "RuntimeWarning: loud" in lines[0] and lines[-1] == "error: after the warning", lines
+
+
 class TestList:
     def test_lists_eleven_kinds(self, tmp_path):
-        proc = run_cli(["list"], tmp_path)
+        proc = run_main(["list"], tmp_path)
         assert proc.returncode == 0
         kinds = [
             line.split()[0]
@@ -222,7 +313,7 @@ class TestList:
         assert set(kinds) == set(base_configs())
 
     def test_json_schema(self, tmp_path):
-        proc = run_cli(["list", "--json"], tmp_path)
+        proc = run_main(["list", "--json"], tmp_path)
         schema = json.loads(proc.stdout)
         assert set(schema) == set(base_configs())
         for entry in schema.values():
@@ -232,13 +323,15 @@ class TestList:
 @pytest.mark.parametrize("kind", sorted(base_configs()))
 class TestEveryKind:
     def test_runs_and_is_deterministic(self, kind, tmp_path):
+        # the child hashes str with a fresh seed, this process with its own,
+        # so set order can differ between the two runs (c12 runs two children)
         config = base_configs()[kind]
         path = tmp_path / "config.json"
         path.write_text(json.dumps(config))
         outputs = []
-        for run in ("a", "b"):
+        for run, harness in (("a", run_cli), ("b", run_main)):
             out = tmp_path / run
-            proc = run_cli(["run", str(path), "--out", str(out), "--quiet"], tmp_path)
+            proc = harness(["run", str(path), "--out", str(out), "--quiet"], tmp_path)
             assert proc.returncode == 0, proc.stderr + proc.stdout
             csv_bytes = (out / f"{kind}.csv").read_bytes()
             json_bytes = (out / f"{kind}.json").read_bytes()
@@ -264,19 +357,15 @@ class TestEveryKind:
     def test_unknown_field_rejected(self, kind, tmp_path):
         config = dict(base_configs()[kind])
         config["bogus_field"] = 1
-        path = tmp_path / "config.json"
-        path.write_text(json.dumps(config))
-        proc = run_cli(["run", str(path)], tmp_path)
+        proc = run_config(config, tmp_path)
         assert proc.returncode == 1
         assert "bogus_field" in proc.stderr
 
     def test_expectation_failure_exits_two(self, kind, tmp_path):
         config = dict(base_configs()[kind])
         config["expect"] = {"no_such_result_key": 1.0}
-        path = tmp_path / "config.json"
-        path.write_text(json.dumps(config))
         out = tmp_path / "out"
-        proc = run_cli(["run", str(path), "--out", str(out), "--quiet"], tmp_path)
+        proc = run_config(config, tmp_path, "--out", str(out), "--quiet")
         assert proc.returncode == 2
         summary = json.loads((out / f"{kind}.json").read_text())
         assert summary["pass"] is False
@@ -302,16 +391,9 @@ SIXTH = [[1 / 6] * 3] * 2
 def test_expectation_on_an_array_result(tmp_path, key, wanted, code):
     # an array result is compared as the JSON holds it, a list of lists, entry
     # by entry within the scalar tolerance; a bool matches only a bool
-    config = {
-        "experiment": "joinings",
-        "left": {"permutation": [1, 0], "measure": ["1/2", "1/2"]},
-        "right": {"permutation": [1, 2, 0], "measure": ["1/3", "1/3", "1/3"]},
-        "expect": {key: wanted},
-    }
-    path = tmp_path / "config.json"
-    path.write_text(json.dumps(config))
+    config = dict(ROTATIONS, expect={key: wanted})
     out = tmp_path / "out"
-    proc = run_cli(["run", str(path), "--out", str(out), "--quiet"], tmp_path)
+    proc = run_config(config, tmp_path, "--out", str(out), "--quiet")
     assert proc.returncode == code, proc.stderr + proc.stdout
     results = json.loads((out / "joinings.json").read_text())["results"]
     assert results["unique_joining"] == SIXTH
@@ -322,37 +404,31 @@ def test_expectation_on_an_array_result(tmp_path, key, wanted, code):
 
 class TestErrorPaths:
     def test_unknown_kind(self, tmp_path):
-        path = tmp_path / "config.json"
-        path.write_text(json.dumps({"experiment": "nonsense"}))
-        proc = run_cli(["run", str(path)], tmp_path)
+        proc = run_config({"experiment": "nonsense"}, tmp_path)
         assert proc.returncode == 1
         for kind in base_configs():
             assert kind in proc.stderr
 
     def test_missing_file(self, tmp_path):
-        proc = run_cli(["run", str(tmp_path / "absent.json")], tmp_path)
+        proc = run_main(["run", str(tmp_path / "absent.json")], tmp_path)
         assert_cli_error(proc)
 
     def test_out_is_a_file(self, tmp_path):
-        path = tmp_path / "config.json"
-        path.write_text(json.dumps(base_configs()["folner-defect"]))
         (tmp_path / "taken").write_text("")
-        proc = run_cli(["run", str(path), "--out", str(tmp_path / "taken")], tmp_path)
+        proc = run_config(base_configs()["folner-defect"], tmp_path, "--out", str(tmp_path / "taken"))
         assert_cli_error(proc)
         assert proc.stderr.startswith("error: cannot write output:"), proc.stderr
 
     def test_artifact_is_a_directory(self, tmp_path):
-        path = tmp_path / "config.json"
-        path.write_text(json.dumps(base_configs()["folner-defect"]))
         (tmp_path / "out" / "folner-defect.csv").mkdir(parents=True)
-        proc = run_cli(["run", str(path), "--out", str(tmp_path / "out")], tmp_path)
+        proc = run_config(base_configs()["folner-defect"], tmp_path, "--out", str(tmp_path / "out"))
         assert_cli_error(proc)
         assert proc.stderr.startswith("error: cannot write output:"), proc.stderr
 
     def test_malformed_json(self, tmp_path):
         path = tmp_path / "config.json"
         path.write_text("{not json")
-        proc = run_cli(["run", str(path)], tmp_path)
+        proc = run_main(["run", str(path)], tmp_path)
         assert_cli_error(proc)
 
     @pytest.mark.parametrize(
@@ -366,9 +442,7 @@ class TestErrorPaths:
     )
     def test_mean_ergodic_domain_errors(self, tmp_path, flow, vector):
         config = dict(base_configs()["mean-ergodic"], flow=flow, vector=vector)
-        path = tmp_path / "config.json"
-        path.write_text(json.dumps(config))
-        proc = run_cli(["run", str(path), "--out", str(tmp_path / "out")], tmp_path)
+        proc = run_config(config, tmp_path, "--out", str(tmp_path / "out"))
         assert_cli_error(proc)
 
     @pytest.mark.parametrize(
@@ -379,9 +453,7 @@ class TestErrorPaths:
     def test_thm215_refuses_non_markov_transition(self, tmp_path, first_row):
         config = base_configs()["thm215"]
         config["transition"] = [first_row] + config["transition"][1:]
-        path = tmp_path / "config.json"
-        path.write_text(json.dumps(config))
-        proc = run_cli(["run", str(path), "--out", str(tmp_path / "out")], tmp_path)
+        proc = run_config(config, tmp_path, "--out", str(tmp_path / "out"))
         assert_cli_error(proc)
 
     def test_thm215_refuses_complex_transition(self, tmp_path):
@@ -392,9 +464,7 @@ class TestErrorPaths:
             "transition": [[[0.5, 0.5], [0.5, -0.5]], [0.0, 1.0]],
             "sweep": 500,
         }
-        path = tmp_path / "config.json"
-        path.write_text(json.dumps(config))
-        proc = run_cli(["run", str(path), "--out", str(tmp_path / "out")], tmp_path)
+        proc = run_config(config, tmp_path, "--out", str(tmp_path / "out"))
         assert_cli_error(proc)
 
     def test_discrete_mean_refuses_fractional_index(self, tmp_path):
@@ -404,9 +474,7 @@ class TestErrorPaths:
             flow={"kind": "discrete", "matrix": [[1.0, 0.0], [0.0, -1.0]]},
             indices=[2.5, 3],
         )
-        path = tmp_path / "config.json"
-        path.write_text(json.dumps(config))
-        proc = run_cli(["run", str(path), "--out", str(tmp_path / "out")], tmp_path)
+        proc = run_config(config, tmp_path, "--out", str(tmp_path / "out"))
         assert_cli_error(proc)
         assert proc.stderr == "error: a discrete index must be an integer, got 2.5\n"
 
@@ -418,9 +486,7 @@ class TestErrorPaths:
             shift=shift,
             indices=[10, 20],
         )
-        path = tmp_path / "config.json"
-        path.write_text(json.dumps(config))
-        proc = run_cli(["run", str(path), "--out", str(tmp_path / "out")], tmp_path)
+        proc = run_config(config, tmp_path, "--out", str(tmp_path / "out"))
         assert_cli_error(proc)
         assert proc.stderr == f"error: a discrete shift must be an integer, got {shift:g}\n"
 
@@ -428,9 +494,7 @@ class TestErrorPaths:
     def test_sweep_over_weight_cap(self, tmp_path, kind):
         # 10**12 weights would be 8 TB; the count is refused before any allocation
         config = dict(base_configs()[kind], sweep=10**12)
-        path = tmp_path / "config.json"
-        path.write_text(json.dumps(config))
-        proc = run_cli(["run", str(path), "--out", str(tmp_path / "out")], tmp_path, timeout=60)
+        proc = run_config(config, tmp_path, "--out", str(tmp_path / "out"), timeout=60)
         assert_cli_error(proc)
         assert "discrete weights exceed the cap" in proc.stderr
 
@@ -447,9 +511,7 @@ class TestErrorPaths:
         # 10**12 values (10**24 Bergelson cells) would be 16 TB; the length is
         # refused before any value
         config = dict(base_configs()[kind], **{field: 10**12})
-        path = tmp_path / "config.json"
-        path.write_text(json.dumps(config))
-        proc = run_cli(["run", str(path), "--out", str(tmp_path / "out")], tmp_path, timeout=60)
+        proc = run_config(config, tmp_path, "--out", str(tmp_path / "out"), timeout=60)
         assert_cli_error(proc)
         assert proc.stderr == f"error: {field} 1000000000000 exceeds the cap 1000000\n"
 
@@ -457,9 +519,7 @@ class TestErrorPaths:
         # a one-term factor gives a one-term a, whose half product never
         # reaches its cap: the order alone must stop 10**12 factors
         config = dict(base_configs()["furstenberg"], factor=[term("s[0]")], order=10**12, sweep=1)
-        path = tmp_path / "config.json"
-        path.write_text(json.dumps(config))
-        proc = run_cli(["run", str(path), "--out", str(tmp_path / "out")], tmp_path, timeout=60)
+        proc = run_config(config, tmp_path, "--out", str(tmp_path / "out"), timeout=60)
         assert_cli_error(proc)
         assert proc.stderr == "error: order 1000000000000 exceeds the cap 1000000\n"
 
@@ -467,9 +527,7 @@ class TestErrorPaths:
         # 10**9 functionals would be 7.45 GiB of grid points alone; the family
         # is refused before any point is allocated
         config = dict(base_configs()["section4"], family_points=10**9)
-        path = tmp_path / "config.json"
-        path.write_text(json.dumps(config))
-        proc = run_cli(["run", str(path), "--out", str(tmp_path / "out")], tmp_path, timeout=60)
+        proc = run_config(config, tmp_path, "--out", str(tmp_path / "out"), timeout=60)
         assert_cli_error(proc)
         assert proc.stderr == "error: functional family 4000000000 exceeds the cap 4194304\n"
 
@@ -480,9 +538,7 @@ class TestErrorPaths:
             scheme={"family": "power", "exponent": 1.0},
             indices=[1e15],
         )
-        path = tmp_path / "config.json"
-        path.write_text(json.dumps(config))
-        proc = run_cli(["run", str(path), "--out", str(tmp_path / "out")], tmp_path, timeout=60)
+        proc = run_config(config, tmp_path, "--out", str(tmp_path / "out"), timeout=60)
         assert_cli_error(proc)
         assert "Simpson quadrature on [0, 1e+15] needs more than 20000000 nodes" in proc.stderr
 
@@ -491,9 +547,7 @@ class TestErrorPaths:
         # the grid is refused before any allocation
         side = {"type": "section4", "p": 0.5, "projection": "EL", "family_points": 10**5}
         config = dict(base_configs()["tensor"], left=side, right=side)
-        path = tmp_path / "config.json"
-        path.write_text(json.dumps(config))
-        proc = run_cli(["run", str(path), "--out", str(tmp_path / "out")], tmp_path, timeout=60)
+        proc = run_config(config, tmp_path, "--out", str(tmp_path / "out"), timeout=60)
         assert_cli_error(proc)
         assert proc.stderr == "error: tensor functional grid 160000000000 exceeds the cap 4194304\n"
 
@@ -535,9 +589,7 @@ class TestErrorPaths:
         # tens of ms, so 10**4 steps are refused before the first one
         side = {"type": "section4", "p": 0.5, "projection": "EL", "family_points": 512}
         config = dict(base_configs()["tensor"], left=side, right=side, sweep=10**4)
-        path = tmp_path / "config.json"
-        path.write_text(json.dumps(config))
-        proc = run_cli(["run", str(path), "--out", str(tmp_path / "out")], tmp_path, timeout=60)
+        proc = run_config(config, tmp_path, "--out", str(tmp_path / "out"), timeout=60)
         assert_cli_error(proc)
         assert proc.stderr == "error: power-mean work 84295680000 exceeds the cap 10000000000\n"
 
@@ -549,9 +601,7 @@ class TestErrorPaths:
             operators=[[term("c[0]"), term("s[0]")], [term("c[1]"), term("s[0]^-1")]],
             gap_max=10**9,
         )
-        path = tmp_path / "config.json"
-        path.write_text(json.dumps(config))
-        proc = run_cli(["run", str(path), "--out", str(tmp_path / "out")], tmp_path, timeout=60)
+        proc = run_config(config, tmp_path, "--out", str(tmp_path / "out"), timeout=60)
         assert_cli_error(proc)
         assert proc.stderr == "error: gap lattice 10000000000 exceeds the cap 100000000\n"
 
@@ -560,9 +610,7 @@ class TestErrorPaths:
         # for many minutes; the sweep is refused before its first step
         identity = [[float(i == j) for j in range(100)] for i in range(100)]
         config = dict(base_configs()["thm215"], transition=identity, sweep=10**6)
-        path = tmp_path / "config.json"
-        path.write_text(json.dumps(config))
-        proc = run_cli(["run", str(path), "--out", str(tmp_path / "out")], tmp_path, timeout=60)
+        proc = run_config(config, tmp_path, "--out", str(tmp_path / "out"), timeout=60)
         assert_cli_error(proc)
         assert proc.stderr == "error: power-mean work 2000000000000 exceeds the cap 10000000000\n"
 
@@ -570,9 +618,7 @@ class TestErrorPaths:
         # exact harmonic sums take quadratic time: 10**6 log weights would run
         # for hours; the count is refused before any Fraction is built
         config = dict(base_configs()["joinings"], scheme={"family": "log"}, sweep=10**6)
-        path = tmp_path / "config.json"
-        path.write_text(json.dumps(config))
-        proc = run_cli(["run", str(path), "--out", str(tmp_path / "out")], tmp_path, timeout=60)
+        proc = run_config(config, tmp_path, "--out", str(tmp_path / "out"), timeout=60)
         assert_cli_error(proc)
         assert proc.stderr == "error: 1000000 exact log weights exceed the cap 20000\n"
 
@@ -586,9 +632,7 @@ class TestErrorPaths:
             scheme={"family": "power", "exponent": 4},
             sweep=10**7,
         )
-        path = tmp_path / "config.json"
-        path.write_text(json.dumps(config))
-        proc = run_cli(["run", str(path), "--out", str(tmp_path / "out")], tmp_path, timeout=60)
+        proc = run_config(config, tmp_path, "--out", str(tmp_path / "out"), timeout=60)
         assert proc.returncode == 2, proc.stderr
         results = json.loads((tmp_path / "out" / "joinings.json").read_text())["results"]
         assert results["disjoint"] and not results["average_in_polytope"]
@@ -604,10 +648,8 @@ class TestErrorPaths:
                 scheme={"family": "custom", "samples": [sample]},
                 sweep=1,
             )
-            path = tmp_path / "config.json"
-            path.write_text(json.dumps(config))
             out = tmp_path / f"out-{sample}"
-            proc = run_cli(["run", str(path), "--out", str(out)], tmp_path)
+            proc = run_config(config, tmp_path, "--out", str(out))
             # one step averages to the coupling itself, which is not invariant
             assert proc.returncode == 2, proc.stderr
             assert "Traceback" not in proc.stderr
@@ -617,15 +659,9 @@ class TestErrorPaths:
     def test_joinings_infeasible_factor(self, tmp_path):
         # every coupling gives the cell of row x the mass 1/2 of x, so the
         # masses 9/10 and 1/10 admit no joining
-        config = {
-            "experiment": "joinings",
-            "left": {"permutation": [1, 0], "measure": ["1/2", "1/2"]},
-            "right": {"permutation": [1, 2, 0], "measure": ["1/3", "1/3", "1/3"]},
-            "factor": {"generators": [[[0, 0, 0], [1, 1, 1]]], "cell_masses": ["9/10", "1/10"]},
-        }
-        path = tmp_path / "config.json"
-        path.write_text(json.dumps(config))
-        proc = run_cli(["run", str(path), "--out", str(tmp_path / "out")], tmp_path)
+        factor = {"generators": [[[0, 0, 0], [1, 1, 1]]], "cell_masses": ["9/10", "1/10"]}
+        config = dict(ROTATIONS, factor=factor)
+        proc = run_config(config, tmp_path, "--out", str(tmp_path / "out"))
         assert proc.returncode == 2, proc.stderr
         summary = json.loads((tmp_path / "out" / "joinings.json").read_text())
         assert summary["results"]["feasible"] is False
@@ -637,9 +673,7 @@ class TestErrorPaths:
         config = dict(
             base_configs()["joinings"], scheme={"family": "custom", "samples": [1, 1]}, sweep=5
         )
-        path = tmp_path / "config.json"
-        path.write_text(json.dumps(config))
-        proc = run_cli(["run", str(path), "--out", str(tmp_path / "out")], tmp_path)
+        proc = run_config(config, tmp_path, "--out", str(tmp_path / "out"))
         assert_cli_error(proc)
         assert "custom scheme has 2 samples, needs 5" in proc.stderr
 
@@ -709,6 +743,19 @@ class TestErrorPaths:
             ("mean-ergodic", {"indices": ["50"]}),
             ("folner-defect", {"shift": "1.0"}),
             ("gap-search", {"zero_tol": -1}),
+            (None, dict(ROTATIONS, scheme={"family": "nonsense"})),
+            (None, dict(ROTATIONS, sweep=-5)),
+            (None, dict(ROTATIONS, average_tolerance="abc")),
+            ("multitime", {"state": {"kind": "trace", "amplitudes": "garbage", "normalize": 7}}),
+            ("multitime", {"state": dict(MIXTURE, kind="vector", amplitudes=[term("")])}),
+            ("multitime", {"state": dict(MIXTURE, amplitudes=[term("")])}),
+            ("multitime", {"state": dict(MIXTURE, normalize=False)}),
+            ("mean-ergodic", {"flow": dict(base_configs()["mean-ergodic"]["flow"], matrix=[[1.0]])}),
+            ("mean-ergodic", {"flow": {"kind": "discrete", "matrix": IDENTITY, "generator": [[0.0]]}}),
+            ("tensor", {"left": dict(base_configs()["tensor"]["left"], transition=[[1.0]])}),
+            ("tensor", {"right": dict(ONE_STATE, p=0.5)}),
+            ("tensor", {"right": dict(ONE_STATE, projection="EL")}),
+            ("folner-defect", {"scheme": {"family": "uniform", "samples": [1.0]}}),
         ],
         ids=[
             "element-re-not-number",
@@ -743,13 +790,24 @@ class TestErrorPaths:
             "index-as-string",
             "shift-as-string",
             "zero-tol-negative",
+            "scheme-without-couplings",
+            "sweep-without-couplings",
+            "average-tolerance-without-couplings",
+            "trace-with-amplitudes",
+            "vector-with-components",
+            "mixture-with-amplitudes",
+            "mixture-with-normalize",
+            "continuous-flow-with-matrix",
+            "discrete-flow-with-generator",
+            "section4-system-with-transition",
+            "matrix-system-with-p",
+            "matrix-system-with-projection",
+            "uniform-with-samples",
         ],
     )
     def test_malformed_fields(self, tmp_path, kind, changes):
         config = dict(base_configs()[kind] if kind else {}, **changes)
-        path = tmp_path / "config.json"
-        path.write_text(json.dumps(config))
-        proc = run_cli(["run", str(path), "--out", str(tmp_path / "out")], tmp_path)
+        proc = run_config(config, tmp_path, "--out", str(tmp_path / "out"))
         assert_cli_error(proc)
 
     @pytest.mark.parametrize("kind", sorted(base_configs()))
@@ -782,9 +840,7 @@ class TestErrorPaths:
     )
     def test_system_error_names_its_side_once(self, tmp_path, left, message):
         config = dict(base_configs()["tensor"], left=left)
-        path = tmp_path / "config.json"
-        path.write_text(json.dumps(config))
-        proc = run_cli(["run", str(path), "--out", str(tmp_path / "out")], tmp_path)
+        proc = run_config(config, tmp_path, "--out", str(tmp_path / "out"))
         assert_cli_error(proc)
         assert proc.stderr == message
 
@@ -983,10 +1039,8 @@ class TestArtifactWriter:
 class TestContracts:
     def test_section4_summary_keys(self, tmp_path):
         config = base_configs()["section4"]
-        path = tmp_path / "config.json"
-        path.write_text(json.dumps(config))
         out = tmp_path / "out"
-        proc = run_cli(["run", str(path), "--out", str(out), "--quiet"], tmp_path)
+        proc = run_config(config, tmp_path, "--out", str(out), "--quiet")
         assert proc.returncode == 0
         results = json.loads((out / "section4.json").read_text())["results"]
         assert results["weak_mixing_EL"] is True
@@ -994,10 +1048,8 @@ class TestContracts:
 
     def test_furstenberg_average_is_eight(self, tmp_path):
         config = base_configs()["furstenberg"]
-        path = tmp_path / "config.json"
-        path.write_text(json.dumps(config))
         out = tmp_path / "out"
-        proc = run_cli(["run", str(path), "--out", str(out), "--quiet"], tmp_path)
+        proc = run_config(config, tmp_path, "--out", str(out), "--quiet")
         assert proc.returncode == 0
         results = json.loads((out / "furstenberg.json").read_text())["results"]
         assert results["average"] == 8.0
@@ -1011,10 +1063,8 @@ class TestContracts:
             "scheme": {"family": "uniform"},
             "indices": [10, 20, 40],
         }
-        path = tmp_path / "config.json"
-        path.write_text(json.dumps(config))
         out = tmp_path / "out"
-        proc = run_cli(["run", str(path), "--out", str(out), "--quiet"], tmp_path)
+        proc = run_config(config, tmp_path, "--out", str(out), "--quiet")
         assert proc.returncode == 0
         rows = (out / "mean-ergodic.csv").read_text().splitlines()
         assert rows[0] == "N,scheme,error"
@@ -1036,10 +1086,8 @@ class TestContracts:
             "scheme": {"family": "uniform"},
             "indices": [n],
         }
-        path = tmp_path / "config.json"
-        path.write_text(json.dumps(config))
         out = tmp_path / "out"
-        proc = run_cli(["run", str(path), "--out", str(out), "--quiet"], tmp_path, timeout=60)
+        proc = run_config(config, tmp_path, "--out", str(out), "--quiet", timeout=60)
         assert proc.returncode == 0, proc.stderr + proc.stdout
         error = json.loads((out / "mean-ergodic.json").read_text())["results"]["final_error"]
         expected = math.sqrt(
@@ -1051,10 +1099,8 @@ class TestContracts:
         # each continuous defect is a closed-form mass ratio, so N = 1e12 costs
         # what N = 10 does; a quadrature grid there would hold 1e14 nodes
         config = dict(base_configs()["folner-defect"], indices=[10, 1e12])
-        path = tmp_path / "config.json"
-        path.write_text(json.dumps(config))
         out = tmp_path / "out"
-        proc = run_cli(["run", str(path), "--out", str(out), "--quiet"], tmp_path, timeout=60)
+        proc = run_config(config, tmp_path, "--out", str(out), "--quiet", timeout=60)
         assert proc.returncode == 0, proc.stderr + proc.stdout
         defects = json.loads((out / "folner-defect.json").read_text())["results"]["defects"]
         assert len(defects) == 2 and all(math.isfinite(d) and d > 0 for d in defects)
@@ -1064,20 +1110,16 @@ class TestContracts:
 
     def test_csv_uses_crlf(self, tmp_path):
         config = base_configs()["folner-defect"]
-        path = tmp_path / "config.json"
-        path.write_text(json.dumps(config))
         out = tmp_path / "out"
-        proc = run_cli(["run", str(path), "--out", str(out), "--quiet"], tmp_path)
+        proc = run_config(config, tmp_path, "--out", str(out), "--quiet")
         assert proc.returncode == 0, proc.stderr + proc.stdout
         raw = (out / "folner-defect.csv").read_bytes()
         assert b"\r\n" in raw
 
     def test_gap_search_threshold_reported(self, tmp_path):
         config = base_configs()["gap-search"]
-        path = tmp_path / "config.json"
-        path.write_text(json.dumps(config))
         out = tmp_path / "out"
-        proc = run_cli(["run", str(path), "--out", str(out), "--quiet"], tmp_path)
+        proc = run_config(config, tmp_path, "--out", str(out), "--quiet")
         assert proc.returncode == 0
         results = json.loads((out / "gap-search.json").read_text())["results"]
         assert results["threshold"] is not None
