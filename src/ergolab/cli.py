@@ -21,6 +21,13 @@ what ``ergolab list --json`` prints, and is the one place where a domain
 ``ValueError`` raised by a runner becomes a :class:`ConfigError`; ``main``
 prints a ``ConfigError``, or an ``OSError`` from writing the artifacts, as a
 single ``error:`` line.
+
+Only the word layers (``words``, ``dual``, ``mixing``) are imported with this
+module.  The six matrix kinds (``mean-ergodic``, ``folner-defect``,
+``section4``, ``tensor``, ``thm215``, ``joinings``) import ``averaging``,
+``finite``, ``joinings`` and numpy inside their runners and parsers, on every
+call, so ``ergolab list`` and the five word-layer kinds run without numpy,
+and a callable rebound in its module is the one called.
 """
 
 from __future__ import annotations
@@ -34,47 +41,17 @@ import os
 import sys
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
-from typing import Any, Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
-import numpy as np
-
-from . import averaging, mixing
-from .averaging import (
-    CONTINUOUS,
-    DISCRETE,
-    PowerContraction,
-    UnitaryFlow,
-    WeightScheme,
-    fixed_space_projection,
-    folner_defect,
-    weighted_mean_flow,
-)
+from . import mixing
 from .dual import AlgebraElement, L2Vector, State
-from .finite import (
-    FIXED,
-    PERIPHERAL,
-    FourStateSystem,
-    MarkovSystem,
-    NonConvergenceError,
-    four_state_invariant_mean,
-    four_state_system,
-    four_state_unique_ergodicity,
-    four_state_weak_mixing,
-    invariant_mean_projection,
-    tensor_product,
-    unique_ergodicity_check,
-    weak_mixing_check,
-)
-from .joinings import (
-    FactorSpec,
-    JoiningInfeasibleError,
-    PermutationSystem,
-    coupling_of,
-    joining_polytope,
-    relative_disjointness,
-    weighted_coupling_average,
-)
 from .words import Alphabet, Word
+
+if TYPE_CHECKING:  # the matrix layers load numpy: each runner imports them as it runs
+    import numpy as np
+    from .averaging import WeightScheme
+    from .finite import FourStateSystem, MarkovSystem
+    from .joinings import FactorSpec, PermutationSystem
 
 
 class ConfigError(ValueError):
@@ -92,15 +69,20 @@ def _plain(value: Any) -> Any:
         return {str(k): _plain(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
         return [_plain(v) for v in value]
-    if isinstance(value, np.ndarray):
+    # a value can be of a numpy type only once numpy is loaded
+    np = sys.modules.get("numpy")
+    if np is not None and isinstance(value, np.ndarray):
         return [_plain(v) for v in value.tolist()]
-    if isinstance(value, (bool, np.bool_)):
+    np_bool, np_int, np_float, np_complex = (
+        (np.bool_, np.integer, np.floating, np.complexfloating) if np else ((),) * 4
+    )
+    if isinstance(value, (bool, np_bool)):
         return bool(value)
-    if isinstance(value, (int, np.integer)):
+    if isinstance(value, (int, np_int)):
         return int(value)
-    if isinstance(value, (float, np.floating)):
+    if isinstance(value, (float, np_float)):
         return float(value)
-    if isinstance(value, (complex, np.complexfloating)):
+    if isinstance(value, (complex, np_complex)):
         return {"re": float(value.real), "im": float(value.imag)}
     return value
 
@@ -341,6 +323,8 @@ def _parse_state(alphabet: Alphabet, obj: Any, where: str = "state") -> State:
 
 def _parse_scheme(config: Dict, default_domain: str) -> WeightScheme:
     """The config's ``scheme`` block; uniform weights when it has none."""
+    from .averaging import WeightScheme
+
     block = _take(
         config.get("scheme", {"family": "uniform"}), "scheme", ["family"],
         ["domain", "exponent", "samples"],
@@ -364,6 +348,8 @@ def _parse_complex_cell(value: Any, where: str) -> complex:
 
 
 def _parse_matrix(obj: Any, where: str) -> np.ndarray:
+    import numpy as np
+
     if not isinstance(obj, list) or not obj or not all(isinstance(r, list) for r in obj):
         raise ConfigError(f"{where}: expected a dense row-major matrix")
     rows = [[_parse_complex_cell(v, where) for v in row] for row in obj]
@@ -382,6 +368,8 @@ def _parse_rational_matrix(obj: Any, where: str) -> Tuple:
 
 
 def _parse_classical(obj: Any, where: str) -> PermutationSystem:
+    from .joinings import PermutationSystem
+
     block = _take(obj, where, ["permutation", "measure"])
     permutation = tuple(
         _integer(i, f"{where}.permutation[]")
@@ -393,6 +381,8 @@ def _parse_classical(obj: Any, where: str) -> PermutationSystem:
 
 
 def _four_state(block: Dict, where: str) -> FourStateSystem:
+    from .finite import four_state_system
+
     return four_state_system(
         _number(block.get("p", 0.5), f"{where}p"),
         family_points=_integer(block.get("family_points", 20), f"{where}family_points"),
@@ -401,6 +391,9 @@ def _four_state(block: Dict, where: str) -> FourStateSystem:
 
 
 def _parse_markov(obj: Any, where: str) -> MarkovSystem:
+    import numpy as np
+    from .finite import MarkovSystem
+
     four_state = ["p", "projection", "family_points", "normalization"]
     matrix = ["transition", "idempotent", "functionals"]
     block = _take(obj, where, ["type"], four_state + matrix)
@@ -429,6 +422,8 @@ def _parse_markov(obj: Any, where: str) -> MarkovSystem:
 
 
 def _parse_factor(obj: Any) -> FactorSpec:
+    from .joinings import FactorSpec
+
     block = _take(obj, "factor", ["generators", "cell_masses"])
     generators = tuple(
         _parse_rational_matrix(g, "factor.generators[]")
@@ -504,6 +499,10 @@ def _experiment(kind: str, required: Sequence[str], optional: Sequence[str], des
 @_experiment("mean-ergodic", ["flow", "vector", "scheme", "indices"], ["tolerance"],
              "weighted flow averages against the fixed-space projection")
 def _run_mean_ergodic(config: Dict) -> _Outcome:
+    import numpy as np
+    from .averaging import (CONTINUOUS, DISCRETE, PowerContraction, UnitaryFlow,
+                            fixed_space_projection, weighted_mean_flow)
+
     flow_block = _take(config["flow"], "flow", ["kind"], ["generator", "matrix"])
     domain = flow_block["kind"]
     if domain == CONTINUOUS:
@@ -549,6 +548,8 @@ def _run_mean_ergodic(config: Dict) -> _Outcome:
 @_experiment("folner-defect", ["scheme", "shift", "indices"], [],
              "normalized shift defects of a weight family")
 def _run_folner_defect(config: Dict) -> _Outcome:
+    from .averaging import CONTINUOUS, folner_defect
+
     scheme = _parse_scheme(config, CONTINUOUS)
     shift = config["shift"]
     if _number(shift, "shift") <= 0:
@@ -694,6 +695,10 @@ def _run_bergelson(config: Dict) -> _Outcome:
 @_experiment("section4", ["p", "sweep"], ["family_points", "normalization", "tolerances"],
              "the 4-state example: spectrum, both mean checks, invariant mean")
 def _run_section4(config: Dict) -> _Outcome:
+    import numpy as np
+    from .finite import (FIXED, PERIPHERAL, NonConvergenceError, four_state_invariant_mean,
+                         four_state_unique_ergodicity, four_state_weak_mixing)
+
     tols = _take(
         config.get("tolerances", {}), "tolerances", [],
         ["weak_mixing", "ergodic", "limit"],
@@ -748,6 +753,9 @@ def _run_section4(config: Dict) -> _Outcome:
 @_experiment("tensor", ["left", "right", "check", "sweep", "tolerance"], ["scheme"],
              "mean checks on a Kronecker product system")
 def _run_tensor(config: Dict) -> _Outcome:
+    from .averaging import DISCRETE
+    from .finite import tensor_product, unique_ergodicity_check, weak_mixing_check
+
     left = _parse_markov(config["left"], "left")
     right = _parse_markov(config["right"], "right")
     system = tensor_product(left, right)
@@ -776,6 +784,9 @@ def _run_tensor(config: Dict) -> _Outcome:
 @_experiment("thm215", ["transition", "sweep"], ["scheme", "law_tolerance", "cauchy_tolerance"],
              "weighted power mean certified as the invariant projection")
 def _run_thm215(config: Dict) -> _Outcome:
+    from .averaging import DISCRETE
+    from .finite import NonConvergenceError, invariant_mean_projection
+
     transition = _parse_matrix(config["transition"], "transition")
     scheme = _parse_scheme(config, DISCRETE)
     sweep = _positive_int(config["sweep"], "sweep")
@@ -808,6 +819,11 @@ def _run_thm215(config: Dict) -> _Outcome:
              ["factor", "couplings", "scheme", "sweep", "average_tolerance"],
              "relative disjointness certificate and coupling orbit averages")
 def _run_joinings(config: Dict) -> _Outcome:
+    import numpy as np
+    from .averaging import DISCRETE
+    from .joinings import (JoiningInfeasibleError, coupling_of, joining_polytope,
+                           relative_disjointness, weighted_coupling_average)
+
     if "couplings" not in config:  # scheme, sweep and average_tolerance weigh couplings
         _take(config, "config without couplings", ["experiment", "left", "right"],
               ["factor", "expect"])

@@ -251,6 +251,15 @@ def run_config(config, cwd, *options, timeout=None):
     return run_main(args, cwd) if timeout is None else run_cli(args, cwd, timeout)
 
 
+def perfbench_workloads():
+    """``perfbench/workloads.py``, loaded from its file: the benchmark's catalogues."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return workloads
+
+
 def assert_cli_error(proc):
     """The CLI's contract for a bad config: exit 1, an ``error:`` line, no traceback."""
     assert proc.returncode == 1, proc.stderr + proc.stdout
@@ -318,6 +327,54 @@ class TestList:
         assert set(schema) == set(base_configs())
         for entry in schema.values():
             assert "required" in entry and "optional" in entry
+
+
+WORD_LAYER_KINDS = ("mixing-decay", "multitime", "gap-search", "furstenberg", "bergelson")
+
+# Runs each config named on its command line through cli.main, then ergolab
+# list and list --json, and prints the exit codes and whether numpy is loaded;
+# then runs the one matrix config given first, and prints the same again.
+NUMPY_PROBE = """
+import io, json, sys
+from contextlib import redirect_stdout
+from ergolab import cli
+
+def report(*commands):
+    with redirect_stdout(io.StringIO()):
+        codes = [cli.main(command) for command in commands]
+    print(json.dumps({"codes": codes, "numpy": "numpy" in sys.modules}))
+
+matrix, *words = sys.argv[1:]
+report(*(["run", path, "--out", "out", "--quiet"] for path in words), ["list"], ["list", "--json"])
+report(["run", matrix, "--out", "out", "--quiet"])
+"""
+
+
+class TestStartup:
+    def test_word_layer_runs_load_no_numpy(self, tmp_path):
+        # one child runs a catalogue config of each word-layer kind, and then
+        # one matrix config, so that the probe is seen to detect numpy
+        workloads = perfbench_workloads()
+        first = {}
+        for workload in ("gap-scan", "recurrence", "matrix"):
+            for _, config in workloads.catalogue(workload):
+                first.setdefault(config["experiment"], config)
+        paths = []
+        for kind in ("tensor", *WORD_LAYER_KINDS):
+            path = tmp_path / f"{kind}.config.json"
+            path.write_text(json.dumps(first[kind]))
+            paths.append(str(path))
+        proc = subprocess.run(
+            [sys.executable, "-c", NUMPY_PROBE, *paths],
+            capture_output=True, text=True, cwd=tmp_path, env=cli_env(), timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        words, matrix = map(json.loads, proc.stdout.splitlines())
+        assert all(code in (0, 2) for code in words["codes"] + matrix["codes"]), proc.stdout
+        assert words["numpy"] is False
+        assert matrix["numpy"] is True
+        for kind in WORD_LAYER_KINDS:
+            assert (tmp_path / "out" / f"{kind}.json").is_file()
 
 
 @pytest.mark.parametrize("kind", sorted(base_configs()))
@@ -873,10 +930,7 @@ def json_oracle(value):
 
 def catalogue_parameters():
     """The echoed ``parameters`` of every benchmark catalogue config; nothing is run."""
-    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
-    workloads = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(workloads)
+    workloads = perfbench_workloads()
     return [
         (item_id, {k: v for k, v in config.items() if k != "experiment"})
         for workload in ("gap-scan", "recurrence", "matrix")
