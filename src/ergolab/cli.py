@@ -17,9 +17,11 @@ byte-identical artifacts.
 Each kind is declared once, with its runner, by ``@_experiment``: the
 top-level fields it requires and accepts, and its description.
 ``run_experiment`` checks a config against that declaration, which is also
-what ``ergolab list --json`` prints, and is the one place where a domain
-``ValueError`` raised by a runner becomes a :class:`ConfigError`; ``main``
-prints a ``ConfigError``, or an ``OSError`` from writing the artifacts, as a
+what ``ergolab list --json`` prints, and turns a domain ``ValueError`` raised
+by a runner into a :class:`ConfigError`; ``_at`` does so inside a block,
+adding the location, and also for the ``ZeroDivisionError`` of a fraction
+string such as ``"1/0"``.  ``main`` prints a ``ConfigError``, a config it
+cannot read or decode, or an ``OSError`` from writing the artifacts, as a
 single ``error:`` line.
 
 Only the word layers (``words``, ``dual``, ``mixing``) are imported with this
@@ -63,27 +65,26 @@ def _fmt(x: float) -> str:
     return "%.17g" % float(x)
 
 
+def _matrix_rows(matrix: Any, complex_cells: bool = False) -> List[List[str]]:
+    """Row-major CSV rows ``i, j, cell`` of a 2-D array, a complex cell as ``re, im``."""
+    return [
+        [str(i), str(j), *map(_fmt, (cell.real, cell.imag) if complex_cells else (cell,))]
+        for i, row in enumerate(matrix.tolist())
+        for j, cell in enumerate(row)
+    ]
+
+
 def _plain(value: Any) -> Any:
-    """Recursively convert results to JSON-native, deterministic values."""
+    """Results as JSON-native values: a numpy array or scalar through its own
+    ``tolist()``, tuples as lists, keys as strings, a complex as ``{"re", "im"}``."""
+    if hasattr(value, "tolist"):
+        value = value.tolist()
     if isinstance(value, dict):
         return {str(k): _plain(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
         return [_plain(v) for v in value]
-    # a value can be of a numpy type only once numpy is loaded
-    np = sys.modules.get("numpy")
-    if np is not None and isinstance(value, np.ndarray):
-        return [_plain(v) for v in value.tolist()]
-    np_bool, np_int, np_float, np_complex = (
-        (np.bool_, np.integer, np.floating, np.complexfloating) if np else ((),) * 4
-    )
-    if isinstance(value, (bool, np_bool)):
-        return bool(value)
-    if isinstance(value, (int, np_int)):
-        return int(value)
-    if isinstance(value, (float, np_float)):
-        return float(value)
-    if isinstance(value, (complex, np_complex)):
-        return {"re": float(value.real), "im": float(value.imag)}
+    if isinstance(value, complex):
+        return {"re": value.real, "im": value.imag}
     return value
 
 
@@ -435,10 +436,14 @@ def _parse_factor(obj: Any) -> FactorSpec:
 
 
 def _matches(got: Any, wanted: Any) -> bool:
-    """Numbers match within 1e-12, lists entry by entry, all else (bools too) exactly."""
+    """Numbers within 1e-12, lists entry by entry, objects (a complex result's
+    ``{"re", "im"}``) key by key over the same keys, all else (bools too) exactly."""
     if isinstance(wanted, list):
         same_length = isinstance(got, list) and len(got) == len(wanted)
         return same_length and all(map(_matches, got, wanted))
+    if isinstance(wanted, dict):
+        same_keys = isinstance(got, dict) and got.keys() == wanted.keys()
+        return same_keys and all(_matches(got[key], wanted[key]) for key in wanted)
     if isinstance(got, bool) or isinstance(wanted, bool):
         return got is wanted
     if isinstance(got, (int, float)) and isinstance(wanted, (int, float)):
@@ -552,8 +557,7 @@ def _run_folner_defect(config: Dict) -> _Outcome:
 
     scheme = _parse_scheme(config, CONTINUOUS)
     shift = config["shift"]
-    if _number(shift, "shift") <= 0:
-        raise ConfigError("shift must be positive")
+    _number(shift, "shift")  # folner_defect refuses a shift that is not positive
     indices = _parse_indices(config["indices"])
     defects = [folner_defect(scheme, shift, index) for index in indices]
     rows = [[_fmt(i), scheme.label, _fmt(d)] for i, d in zip(indices, defects)]
@@ -638,7 +642,7 @@ def _run_gap_search(config: Dict) -> _Outcome:
         "threshold": result.threshold,
         "violation_count": len(result.violations),
         "scanned": result.scanned,
-        "counterexample": list(result.counterexample) if result.counterexample else None,
+        "counterexample": result.counterexample or None,
     }
     return results, header, rows, result.threshold is not None
 
@@ -726,13 +730,13 @@ def _run_section4(config: Dict) -> _Outcome:
         "weak_mixing_EL_defect": wm_el.max_defect,
         "weak_mixing_Efix": wm_fix.passed,
         "weak_mixing_Efix_defect": wm_fix.max_defect,
-        "weak_mixing_Efix_witness": list(wm_fix.witness),
+        "weak_mixing_Efix_witness": wm_fix.witness,
         "weak_mixing_Efix_tail_min": wm_fix.witness_tail_min,
         "ergodic_Efix": erg_fix.passed,
         "ergodic_Efix_defect": erg_fix.max_defect,
         "limit_projection_error": limit_error,
         "limit_lawful": report.lawful,
-        "family_unital": list(sys4.family_unital),
+        "family_unital": sys4.family_unital,
     }
     passed = (
         eigen_ok
@@ -742,11 +746,7 @@ def _run_section4(config: Dict) -> _Outcome:
         and limit_error <= tol_limit
         and report.lawful
     )
-    rows = [
-        [str(i), str(j), _fmt(report.mean[i, j].real), _fmt(report.mean[i, j].imag)]
-        for i in range(4)
-        for j in range(4)
-    ]
+    rows = _matrix_rows(report.mean, complex_cells=True)
     return results, ["row", "col", "mean_re", "mean_im"], rows, passed
 
 
@@ -798,12 +798,6 @@ def _run_thm215(config: Dict) -> _Outcome:
         )
     except NonConvergenceError as exc:
         return {"converged": False, "error": str(exc)}, ["row", "col", "mean_re", "mean_im"], [], False
-    d = transition.shape[0]
-    rows = [
-        [str(i), str(j), _fmt(report.mean[i, j].real), _fmt(report.mean[i, j].imag)]
-        for i in range(d)
-        for j in range(d)
-    ]
     results = {
         "converged": True,
         "idempotency_residual": report.idempotency_residual,
@@ -812,6 +806,7 @@ def _run_thm215(config: Dict) -> _Outcome:
         "refinement_distance": report.refinement_distance,
         "lawful": report.lawful,
     }
+    rows = _matrix_rows(report.mean, complex_cells=True)
     return results, ["row", "col", "mean_re", "mean_im"], rows, report.lawful
 
 
@@ -819,7 +814,6 @@ def _run_thm215(config: Dict) -> _Outcome:
              ["factor", "couplings", "scheme", "sweep", "average_tolerance"],
              "relative disjointness certificate and coupling orbit averages")
 def _run_joinings(config: Dict) -> _Outcome:
-    import numpy as np
     from .averaging import DISCRETE
     from .joinings import (JoiningInfeasibleError, coupling_of, joining_polytope,
                            relative_disjointness, weighted_coupling_average)
@@ -848,12 +842,10 @@ def _run_joinings(config: Dict) -> _Outcome:
     }
     rows: List[List[str]] = []
     if report.disjoint:
-        for x in range(left.size):
-            for y in range(right.size):
-                rows.append([str(x), str(y), _fmt(report.unique_joining[x, y])])
+        rows = _matrix_rows(report.unique_joining)
         results["unique_joining"] = report.unique_joining
     else:
-        results["witnesses"] = [w.tolist() for w in report.witnesses]
+        results["witnesses"] = report.witnesses
     passed = True
     if "couplings" in config:
         family = []
@@ -866,18 +858,14 @@ def _run_joinings(config: Dict) -> _Outcome:
         sweep = _positive_int(config.get("sweep", 1), "sweep")
         average = weighted_coupling_average(left, right, family, scheme, sweep)
         avg = average.as_array()
-        rows = [
-            [str(x), str(y), _fmt(avg[x, y])]
-            for x in range(left.size)
-            for y in range(right.size)
-        ]
+        rows = _matrix_rows(avg)
         # a finite average reaches the joining polytope only in the limit;
         # the membership tolerance is therefore configurable
         avg_tol = _number(config.get("average_tolerance", 1e-9), "average_tolerance")
         results["average_in_polytope"] = polytope.contains(avg, tol=avg_tol)
         results["average_residual"] = polytope.residual(avg)
         if report.disjoint:
-            dist = float(np.max(np.abs(avg - report.unique_joining)))
+            dist = float(abs(avg - report.unique_joining).max())
             results["average_distance_to_unique"] = dist
         passed = bool(results["average_in_polytope"])
     return results, ["x", "y", "value"], rows, passed
@@ -938,7 +926,7 @@ def run_experiment(config: Dict, out_dir: Path, quiet: bool = False) -> int:
     try:
         # encoded before either file is opened: a refused value writes nothing
         text = _json_text(summary)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, RecursionError) as exc:
         raise ConfigError(f"config: cannot be written as JSON: {exc}") from exc
 
     table = io.StringIO()
@@ -975,12 +963,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         parser.print_usage(sys.stderr)
         return 1
     try:
-        with open(args.config) as handle:
+        with open(args.config, "rb") as handle:  # UTF-8, -16 or -32, whatever the locale
             config = json.load(handle)
     except OSError as exc:
         print(f"error: cannot read config: {exc}", file=sys.stderr)
         return 1
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # undecodable bytes and deep nesting too
         print(f"error: config is not valid JSON: {exc}", file=sys.stderr)
         return 1
     try:

@@ -1,8 +1,10 @@
 """The exhaustive gap walk, kept as an independent oracle for ``gap_scan``.
 
 This is the gap scan as it was before candidate-tuple pruning: it evaluates
-every tuple of the lattice with the same leaf arithmetic, so the pruned scan
-must reproduce its violations, thresholds and counterexamples exactly.  Its
+every tuple of the lattice with one leaf, which multiplies every term triple
+(left product, shifted last operator, right product) out, for the operators
+and, with a live E-side, for their finite-orbit parts.  The pruned scan must
+reproduce its violations, thresholds and counterexamples exactly.  Its
 ``evaluated`` count is the lattice size.
 """
 
@@ -86,33 +88,14 @@ def exhaustive_gap_scan(
     for si, prof in enumerate(profiles):
         for runs, value in prof.items():
             pooled.setdefault(runs, []).append((si, value))
-    target_lens = frozenset(len(runs) for runs in pooled)
 
     slot_pos = [perm.index(r) for r in range(k)]
-    single = [len(op._terms) == 1 for op in ops]
     violations: List[Violation] = []
     times = [0] * k
     n_states = len(state_list)
-
     unit = {(): 1.0 + 0.0j}
-    fast_tables = [None] * k
-    for pos in range(k):
-        if single[pos]:
-            rows = [None]
-            for n in range(1, horizon + 1):
-                ((m_runs, m_c),) = shift_tables[pos][n].items()
-                rows.append(
-                    (
-                        m_runs,
-                        m_c,
-                        m_runs[0][:2] if m_runs else None,
-                        m_runs[-1][:2] if m_runs else None,
-                        len(m_runs),
-                    )
-                )
-            fast_tables[pos] = rows
 
-    def leaf_general(base_n: int, lo_width: int, pos: int, fq: list, fe) -> None:
+    def leaf(base_n: int, lo_width: int, pos: int, fq: list, fe) -> None:
         idx = fq.index(pos)
         left = fq[idx - 1] if idx > 0 else unit
         right = fq[idx + 1] if idx + 1 < len(fq) else unit
@@ -160,55 +143,11 @@ def exhaustive_gap_scan(
                         snapshot = tuple(times)
                     violations.append(Violation(snapshot, si, mag))
 
-    def leaf_fast(base_n: int, lo_width: int, pos: int, fq: list) -> None:
-        idx = fq.index(pos)
-        left = fq[idx - 1] if idx > 0 else None
-        right = fq[idx + 1] if idx + 1 < len(fq) else None
-        ((a_runs, a_c),) = left.items() if left else (((), 1.0),)
-        ((b_runs, b_c),) = right.items() if right else (((), 1.0),)
-        a_last = a_runs[-1][:2] if a_runs else None
-        b_first = b_runs[0][:2] if b_runs else None
-        len_ab = len(a_runs) + len(b_runs)
-        base_c = a_c * b_c
-        fast = fast_tables[pos]
-        pooled_get = pooled.get
-        lens = target_lens
-        last = k - 1
-        for g in range(1, lo_width + 1):
-            n = base_n + g
-            m_runs, m_c, m_first, m_last, m_len = fast[n]
-            if m_len and a_last != m_first and m_last != b_first:
-                if len_ab + m_len not in lens:
-                    continue
-                w = a_runs + m_runs + b_runs
-            else:
-                w = merge_runs(a_runs, m_runs, b_runs)
-            hits = pooled_get(w)
-            if hits:
-                times[last] = n
-                snapshot = tuple(times)
-                c = base_c * m_c
-                for si, v in hits:
-                    mag = abs(c * v)
-                    if mag > zero_tol:
-                        violations.append(Violation(snapshot, si, mag))
-
     def walk(r: int, n_prev: int, fq: list, fe) -> None:
         pos = slot_pos[r]
         width = scan_window if r == 0 else gap_max
         if r == k - 1:
-            fast_ok = (
-                e_dead
-                and single[pos]
-                and all(
-                    isinstance(f, dict) and len(f) == 1 for f in fq if not isinstance(f, int)
-                )
-            )
-            if fast_ok:
-                leaf_fast(n_prev, width, pos, fq)
-            else:
-                leaf_general(n_prev, width, pos, fq, fe)
-            return
+            return leaf(n_prev, width, pos, fq, fe)
         table = shift_tables[pos]
         etable = e_tables[pos] if fe is not None else None
         for g in range(1, width + 1):

@@ -430,31 +430,52 @@ class TestEveryKind:
 
 
 SIXTH = [[1 / 6] * 3] * 2
+# a multitime value of (0.3 + 0.7i)(0.1 + 0.2i), which the JSON holds as
+# {"re": -0.10999999999999999, "im": 0.13}
+COMPLEX_VALUE = dict(
+    base_configs()["multitime"],
+    operators=[[term("s[0]", 0.3, 0.7)], [term("s[0]^-1", 0.1, 0.2)]],
+)
+# what each config's results hold, whatever its expect block
+COMPUTED = {
+    "joinings": {"unique_joining": SIXTH, "disjoint": True},
+    "multitime": {"value": {"re": -0.10999999999999999, "im": 0.13}},
+}
 
 
 @pytest.mark.parametrize(
-    "key, wanted, code",
+    "config, key, wanted, code",
     [
-        ("unique_joining", SIXTH, 0),
-        ("unique_joining", [[1 / 6 + 3e-16] * 3] * 2, 0),
-        ("unique_joining", [[0.1] * 3] * 2, 2),
-        ("unique_joining", [[1 / 6 + 1e-9] * 3] * 2, 2),
-        ("unique_joining", SIXTH[:1], 2),
-        ("unique_joining", [1 / 6] * 6, 2),
-        ("disjoint", 1, 2),
+        (ROTATIONS, "unique_joining", SIXTH, 0),
+        (ROTATIONS, "unique_joining", [[1 / 6 + 3e-16] * 3] * 2, 0),
+        (ROTATIONS, "unique_joining", [[0.1] * 3] * 2, 2),
+        (ROTATIONS, "unique_joining", [[1 / 6 + 1e-9] * 3] * 2, 2),
+        (ROTATIONS, "unique_joining", SIXTH[:1], 2),
+        (ROTATIONS, "unique_joining", [1 / 6] * 6, 2),
+        (ROTATIONS, "disjoint", 1, 2),
+        (COMPLEX_VALUE, "value", {"re": -0.11 + 1e-15, "im": 0.13}, 0),
+        (COMPLEX_VALUE, "value", {"re": -0.11, "im": 0.13 + 1e-9}, 2),
+        (COMPLEX_VALUE, "value", {"re": -0.11}, 2),
+        (COMPLEX_VALUE, "value", -0.11, 2),
     ],
-    ids=["matching", "within-tolerance", "wrong", "off-by-1e-9", "short", "flat", "bool-against-1"],
+    ids=[
+        "matching", "within-tolerance", "wrong", "off-by-1e-9", "short", "flat", "bool-against-1",
+        "complex-within-1e-15", "complex-off-by-1e-9", "complex-missing-im", "number-against-complex",
+    ],
 )
-def test_expectation_on_an_array_result(tmp_path, key, wanted, code):
+def test_expectation_on_an_array_result(tmp_path, config, key, wanted, code):
     # an array result is compared as the JSON holds it, a list of lists, entry
-    # by entry within the scalar tolerance; a bool matches only a bool
-    config = dict(ROTATIONS, expect={key: wanted})
+    # by entry within the scalar tolerance, and a complex result, the object
+    # {"re", "im"}, key by key; a bool matches only a bool
+    kind = config["experiment"]
+    config = dict(config, expect={key: wanted})
     out = tmp_path / "out"
     proc = run_config(config, tmp_path, "--out", str(out), "--quiet")
     assert proc.returncode == code, proc.stderr + proc.stdout
-    results = json.loads((out / "joinings.json").read_text())["results"]
-    assert results["unique_joining"] == SIXTH
-    assert results["disjoint"] is True
+    results = json.loads((out / f"{kind}.json").read_text())["results"]
+    # as JSON text, so that 1 does not pass for true nor 1.0 for 1
+    computed = {k: results[k] for k in COMPUTED[kind]}
+    assert json.dumps(computed, sort_keys=True) == json.dumps(COMPUTED[kind], sort_keys=True)
     failures = [{"key": key, "wanted": wanted, "got": results[key]}]
     assert results.get("expect_failures") == (failures if code else None)
 
@@ -487,6 +508,43 @@ class TestErrorPaths:
         path.write_text("{not json")
         proc = run_main(["run", str(path)], tmp_path)
         assert_cli_error(proc)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            # not UTF-8: the config is read as bytes, so the locale does not matter
+            b'{"experiment": "\xff"}',
+            # json.load refuses this depth whatever the stack
+            b'{"experiment": "multitime", "expect": ' + b"[" * 100_000 + b"]" * 100_000 + b"}",
+        ],
+        ids=["undecodable-bytes", "nested-past-the-decoder"],
+    )
+    def test_unreadable_config_text(self, tmp_path, text):
+        path = tmp_path / "config.json"
+        path.write_bytes(text)
+        proc = run_main(["run", str(path), "--out", str(tmp_path / "out")], tmp_path)
+        assert_cli_error(proc)
+        assert proc.stderr.startswith("error: config is not valid JSON: "), proc.stderr
+        assert not (tmp_path / "out").exists()
+
+    def test_config_is_decoded_by_its_own_encoding(self, tmp_path):
+        # UTF-16 is detected from the bytes, as RFC 8259 allows, not taken from the locale
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(base_configs()["multitime"]), encoding="utf-16")
+        proc = run_main(["run", str(path), "--out", str(tmp_path / "out"), "--quiet"], tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        assert (tmp_path / "out" / "multitime.json").exists()
+
+    def test_expectation_nested_past_the_writer(self, tmp_path):
+        # parsed, but too deep for the JSON writer: refused like any value
+        # that JSON cannot encode, before anything is written
+        deep = 1.0
+        for _ in range(5000):
+            deep = [deep]
+        config = dict(base_configs()["folner-defect"], expect={"no_such_result_key": deep})
+        with pytest.raises(ConfigError, match="config: cannot be written as JSON: "):
+            run_experiment(config, tmp_path / "out", quiet=True)
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
         "flow, vector",
@@ -546,6 +604,22 @@ class TestErrorPaths:
         proc = run_config(config, tmp_path, "--out", str(tmp_path / "out"))
         assert_cli_error(proc)
         assert proc.stderr == f"error: a discrete shift must be an integer, got {shift:g}\n"
+
+    @pytest.mark.parametrize(
+        "domain, shift", [("continuous", 0), ("continuous", -1), ("discrete", 0), ("discrete", -2)]
+    )
+    def test_folner_refuses_non_positive_shift(self, tmp_path, domain, shift):
+        # the sign check is folner_defect's; it reaches the user as a config error
+        config = dict(
+            base_configs()["folner-defect"],
+            scheme={"family": "uniform", "domain": domain},
+            shift=shift,
+            indices=[10, 20],
+        )
+        proc = run_config(config, tmp_path, "--out", str(tmp_path / "out"))
+        assert_cli_error(proc)
+        assert proc.stderr == "error: shift must be positive\n"
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("kind", ["section4", "thm215", "tensor", "joinings"])
     def test_sweep_over_weight_cap(self, tmp_path, kind):
@@ -1021,6 +1095,22 @@ class TestJsonWriter:
         with pytest.raises(type(expected.value)) as raised:
             _json_text(make())
         assert str(raised.value) == str(expected.value)
+
+    def test_numpy_values_become_json_native(self):
+        # each as its tolist() gives it, a complex as {"re", "im"}; a 0-d
+        # array is a scalar, not a sequence
+        cases = [
+            (np.float32(0.1), 0.10000000149011612),
+            (np.int8(-7), -7),
+            (np.bool_(True), True),
+            (np.complex64(0.5 - 0.25j), {"re": 0.5, "im": -0.25}),
+            (np.array(2.5), 2.5),
+            (np.array([[1 + 2j], [3j]]), [[{"re": 1.0, "im": 2.0}], [{"re": 0.0, "im": 3.0}]]),
+        ]
+        for value, wanted in cases:
+            plain = cli._plain(value)
+            assert plain == wanted, (value, plain)
+            assert _json_text(plain) == json_oracle(wanted), value
 
     def test_shared_values_are_not_cycles(self):
         shared = [1.5, {"a": None}]
