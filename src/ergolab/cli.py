@@ -74,6 +74,20 @@ def _matrix_rows(matrix: Any, complex_cells: bool = False) -> List[List[str]]:
     ]
 
 
+def _value_rows(values: Sequence[complex]) -> List[List[str]]:
+    """CSV rows ``n, re, im, abs`` of a sequence, n from 1.  A value object
+    that recurs (a copy past a horizon) is formatted once: the memo is keyed
+    by ``id``, not by value, since ``-0.0 == 0.0`` prints differently."""
+    memo: Dict[int, Tuple[str, str, str]] = {}
+    rows = []
+    for n, v in enumerate(values, 1):
+        cells = memo.get(id(v))
+        if cells is None:
+            cells = memo[id(v)] = (_fmt(v.real), _fmt(v.imag), _fmt(abs(v)))
+        rows.append([str(n), *cells])
+    return rows
+
+
 def _plain(value: Any) -> Any:
     """Results as JSON-native values: a numpy array or scalar through its own
     ``tolist()``, tuples as lists, keys as strings, a complex as ``{"re", "im"}``."""
@@ -574,9 +588,7 @@ def _run_mixing_decay(config: Dict) -> _Outcome:
     state = _parse_state(alphabet, config["state"])
     n_max = _positive_int(config["n_max"], "n_max")
     seq = mixing.decay_sequence(state, operator, n_max)
-    rows = [
-        [str(n + 1), _fmt(v.real), _fmt(v.imag), _fmt(abs(v))] for n, v in enumerate(seq)
-    ]
+    rows = _value_rows(seq)
     nonzero = [n + 1 for n, v in enumerate(seq) if abs(v) > 1e-12]
     last = nonzero[-1] if nonzero else None
     results = {
@@ -656,10 +668,7 @@ def _run_furstenberg(config: Dict) -> _Outcome:
     sweep = _positive_int(config["sweep"], "sweep")
     absolute = _flag(config.get("absolute", True), "absolute")
     result = mixing.furstenberg_average(factor, order, sweep, absolute=absolute)
-    rows = [
-        [str(n + 1), _fmt(v.real), _fmt(v.imag), _fmt(abs(v))]
-        for n, v in enumerate(result.values)
-    ]
+    rows = _value_rows(result.values)
     results = {
         "average": result.average,
         "comparison": result.comparison,

@@ -29,11 +29,16 @@ def _pruned(terms: Dict[tuple, complex]) -> Dict[tuple, complex]:
 
 
 def _convolve(left: Dict[tuple, complex], right: Dict[tuple, complex]) -> Dict[tuple, complex]:
-    """Pruned term table of sum_u sum_v left[u] right[v] [u v]: products and the action."""
+    """Pruned term table of sum_u sum_v left[u] right[v] [u v]: products and the action.
+
+    Keys are canonical (``_TermTable``), so [u v] is u + v unless u's last
+    symbol is v's first; only those pairs go through ``merge_runs``.
+    """
     acc: Dict[tuple, complex] = {}
     for ru, cu in left.items():
+        last = ru[-1][:2] if ru else None
         for rv, cv in right.items():
-            w = merge_runs(ru, rv)
+            w = merge_runs(ru, rv) if rv and rv[0][:2] == last else ru + rv
             acc[w] = acc.get(w, 0.0) + cu * cv
     return _pruned(acc)
 
@@ -42,7 +47,10 @@ class _TermTable:
     """Finite complex combination of group elements keyed by reduced runs.
 
     The linear structure shared by algebra elements and l2 vectors; a table
-    not marked ``_trusted`` is read as complex and pruned.
+    not marked ``_trusted`` is read as complex and pruned.  Every key is a
+    canonical run tuple, which ``_convolve`` relies on: keys are the runs of
+    words (``Alphabet.word``, ``letter`` and ``identity``) or come from
+    ``merge_runs``, ``shift_runs`` and ``invert_runs``, all canonical.
     """
 
     __slots__ = ("alphabet", "_terms")

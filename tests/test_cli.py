@@ -1,5 +1,6 @@
 import builtins
 import copy
+import csv
 import importlib.util
 import io
 import json
@@ -20,6 +21,7 @@ import pytest
 import ergolab
 from ergolab import cli
 from ergolab.cli import ConfigError, _json_text, list_experiments, run_experiment
+from ergolab.mixing import RecurrenceAverage
 
 # The child runs in tmp_path, where a relative PYTHONPATH such as "src" points
 # at nothing, so it is handed the directory that holds the package imported here.
@@ -1178,6 +1180,37 @@ class TestArtifactWriter:
         assert (elsewhere / "table").read_bytes() == (fresh / "section4.csv").read_bytes()
         assert (elsewhere / "summary").samefile(out / "section4.json")
         assert (elsewhere / "summary").read_bytes() == (fresh / "section4.json").read_bytes()
+
+
+class TestValueRows:
+    """The ``n, re, im, abs`` rows of furstenberg and mixing-decay format a
+    recurring value object once; the bytes are those of formatting each row."""
+
+    ZERO, NEGATIVE_ZERO, VALUE = 0j, complex(0.0, -0.0), complex(0.1, -2.5)
+    # recurring objects, and zeros that are equal but print differently
+    VALUES = (
+        ZERO, NEGATIVE_ZERO, ZERO, NEGATIVE_ZERO, complex(-0.0, 0.0),
+        VALUE, VALUE, complex(0.1, -2.5), ZERO, NEGATIVE_ZERO,
+    )
+
+    @pytest.mark.parametrize(
+        "kind, kernel",
+        [("furstenberg", "furstenberg_average"), ("mixing-decay", "decay_sequence")],
+    )
+    def test_csv_matches_row_by_row(self, tmp_path, monkeypatch, kind, kernel):
+        values = list(self.VALUES)
+        if kind == "furstenberg":
+            values = RecurrenceAverage(1 + 0j, 0.5, self.VALUES)
+        monkeypatch.setattr(cli.mixing, kernel, lambda *args, **kwargs: values)
+        run_experiment(base_configs()[kind], tmp_path, quiet=True)
+        table = io.StringIO()
+        writer = csv.writer(table, lineterminator="\r\n")
+        writer.writerow(["n", "re", "im", "abs"])
+        for n, v in enumerate(self.VALUES, 1):
+            writer.writerow([str(n), "%.17g" % v.real, "%.17g" % v.imag, "%.17g" % abs(v)])
+        written = (tmp_path / f"{kind}.csv").read_bytes()
+        assert written == table.getvalue().encode()
+        assert b"\r\n2,0,-0,0\r\n" in written and b"\r\n3,0,0,0\r\n" in written
 
 
 class TestContracts:

@@ -3,8 +3,10 @@ import random
 
 import pytest
 
+import ergolab.dual
 from ergolab import AlgebraElement, Alphabet, AlphabetError, L2Vector, State, matrix_element
 from conftest import random_element, random_vector_state, random_word
+from gap_oracle import _mul_terms
 
 
 @pytest.fixture
@@ -273,3 +275,79 @@ class TestMatrixElements:
                 if matrix_element(f, lam(g).shifted(n), h) != 0.0:
                     hits += 1
             assert hits <= 1
+
+
+class TestProductKernel:
+    """``__mul__`` and ``apply`` against a product that merges every term pair.
+
+    ``gap_oracle._mul_terms`` reduces each pair with ``merge_runs``; the
+    kernel concatenates where the junction cannot reduce.  Term tables must
+    agree bit for bit, in insertion order, and ``merge_runs`` must be called
+    exactly for the pairs whose junction meets on one symbol.
+    """
+
+    @staticmethod
+    def corpus():
+        ab = Alphabet({"s": None, "t": None, "c": 3})
+        rng = random.Random(20261020)
+
+        def coeff():
+            return complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+
+        def word():
+            return random_word(rng, ab, max_letters=4, idx_span=1)
+
+        for _ in range(150):
+            left = [word() for _ in range(rng.randint(1, 4))]
+            right = [word() for _ in range(rng.randint(0, 3))]
+            # junctions that cancel a left word in full, or down to a tail
+            for g in rng.sample(left, rng.randint(1, len(left))):
+                right.append(g.inverse() * word())
+                right.append(g.inverse())
+            if rng.random() < 0.5:
+                left.append(ab.identity())
+            if rng.random() < 0.5:
+                right.append(ab.identity())
+            yield (
+                AlgebraElement.from_terms(ab, [(w, coeff()) for w in left]),
+                AlgebraElement.from_terms(ab, [(w, coeff()) for w in right]),
+            )
+        # two junctions cancel to one word whose coefficients cancel: pruned
+        g, h, x = ab.word("s[0] c[1]"), ab.word("t[1]^-1"), ab.word("c[2] s[1]")
+        yield lam(g) + lam(h), lam(g.inverse() * x) - lam(h.inverse() * x)
+
+    @staticmethod
+    def bits(terms):
+        return [(runs, c.real.hex(), c.imag.hex()) for runs, c in terms.items()]
+
+    def test_matches_merge_every_pair(self, monkeypatch):
+        calls = [0]
+        merge_runs = ergolab.dual.merge_runs
+
+        def counted(*parts):
+            calls[0] += 1
+            return merge_runs(*parts)
+
+        monkeypatch.setattr(ergolab.dual, "merge_runs", counted)
+        seen = dict.fromkeys(("identity", "cycle", "cancelled", "pruned", "concatenated"), 0)
+        for left, right in self.corpus():
+            meeting = [
+                (u, v) for u in left._terms for v in right._terms
+                if u and v and u[-1][:2] == v[0][:2]
+            ]
+            want = self.bits(_mul_terms(left._terms, right._terms))
+            vector = L2Vector(left.alphabet, right._terms)
+            calls[0] = 0
+            assert self.bits((left * right)._terms) == want
+            assert calls[0] == len(meeting)
+            calls[0] = 0
+            assert self.bits(left.apply(vector)._terms) == want
+            assert calls[0] == len(meeting)
+            seen["identity"] += () in left._terms or () in right._terms
+            seen["cycle"] += any(v[0][0] == "c" for _, v in meeting)
+            seen["cancelled"] += any(u[-1][2] == -v[0][2] for u, v in meeting)
+            seen["pruned"] += len(want) < len(
+                {merge_runs(u, v) for u in left._terms for v in right._terms}
+            )
+            seen["concatenated"] += len(meeting) < len(left) * len(right)
+        assert min(seen.values()) >= 1, seen

@@ -178,7 +178,8 @@ def test_order3_merge_count_is_one_half_product_per_n(ab, monkeypatch):
     ea = a.finite_orbit_part()
     setup = len(factor) ** 2 + sum(len(ea) ** (j + 1) for j in range(1, order + 1))
     # s[0] and s[1] span R = 1 and the cycle c has L = 3: only n <= R + L
-    # is multiplied out, one half product of len(a)**2 merges each
+    # is multiplied out, one half product of len(a)**2 term pairs each; only
+    # the pairs that meet on one symbol call merge_runs, so this bounds them
     assert separation(a) == (1, 3)
 
     calls = [0]
