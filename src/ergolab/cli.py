@@ -693,9 +693,15 @@ def _run_bergelson(config: Dict) -> _Outcome:
     result = mixing.bergelson_average(
         a0, a1, a2, a3, m_base, n_base, _positive_int(config["count"], "count")
     )
-    rows = [
-        [str(m), str(n), _fmt(v), _fmt(ev)] for m, n, v, ev in result.values
-    ]
+    # the projected value of a residue pair is one object, formatted once;
+    # keyed by id, as in ``_value_rows``
+    projected: Dict[int, str] = {}
+    rows = []
+    for m, n, v, ev in result.values:
+        cell = projected.get(id(ev))
+        if cell is None:
+            cell = projected[id(ev)] = _fmt(ev)
+        rows.append([str(m), str(n), _fmt(v), cell])
     results = {
         "average": result.average,
         "projected_average": result.projected_average,

@@ -15,7 +15,7 @@ cancellations stay exact.
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, Iterator, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, Optional, Sequence, Tuple
 
 from .words import Alphabet, AlphabetError, Word, invert_runs, merge_runs, shift_runs
 
@@ -25,22 +25,59 @@ UNIT_TOL = 1e-9  # states: largest deviation of a norm, or of a weight total, fr
 
 
 def _pruned(terms: Dict[tuple, complex]) -> Dict[tuple, complex]:
-    return {runs: c for runs, c in terms.items() if abs(c) > PRUNE_TOL}
+    """The table, pruned in place of its coefficients not above ``PRUNE_TOL``;
+    the kept terms keep their order and no key is hashed again."""
+    for runs in [runs for runs, c in terms.items() if not abs(c) > PRUNE_TOL]:
+        del terms[runs]
+    return terms
 
 
-def _convolve(left: Dict[tuple, complex], right: Dict[tuple, complex]) -> Dict[tuple, complex]:
+def _term_rows(terms: Dict[tuple, complex]) -> list:
+    """(runs, coefficient, first symbol, last symbol, run count) per term, in
+    term order; a symbol is ``(family, index)``, None for the identity word."""
+    return [
+        (runs, c, runs[0][:2] if runs else None, runs[-1][:2] if runs else None, len(runs))
+        for runs, c in terms.items()
+    ]
+
+
+def _convolve(left: list, right: list) -> Dict[tuple, complex]:
     """Pruned term table of sum_u sum_v left[u] right[v] [u v]: products and the action.
 
-    Keys are canonical (``_TermTable``), so [u v] is u + v unless u's last
-    symbol is v's first; only those pairs go through ``merge_runs``.
+    Both factors come as ``_term_rows``, so their junction symbols are read
+    once per table, not once per pair.  Keys are canonical (``_TermTable``),
+    so [u v] is u + v unless u's last symbol is v's first; only those pairs
+    go through ``merge_runs``.
     """
     acc: Dict[tuple, complex] = {}
-    for ru, cu in left.items():
-        last = ru[-1][:2] if ru else None
-        for rv, cv in right.items():
-            w = merge_runs(ru, rv) if rv and rv[0][:2] == last else ru + rv
+    for ru, cu, _, last, _ in left:
+        for rv, cv, first, _, _ in right:
+            w = ru + rv if first != last or first is None else merge_runs(ru, rv)
             acc[w] = acc.get(w, 0.0) + cu * cv
     return _pruned(acc)
+
+
+def _trace_of(left: Dict[tuple, complex], right: Dict[tuple, complex],
+              right_inverses: Optional[Sequence[tuple]] = None) -> complex:
+    """Trace of the product of two term tables, sum_u L[u] R[u^-1], not formed.
+
+    The smaller side (left on a tie) is walked in its term order and the
+    other looked up at the inverted runs; ``right_inverses``, right's keys
+    inverted in its term order, spares inverting them when right is walked.
+    A total within ``PRUNE_TOL`` of zero is exactly zero, as the identity
+    coefficient of the pruned product would be.
+    """
+    if len(left) <= len(right):
+        walked, inverses, other = left, map(invert_runs, left), right
+    else:
+        walked, other = right, left
+        inverses = map(invert_runs, right) if right_inverses is None else right_inverses
+    total = 0.0
+    for inverse, c in zip(inverses, walked.values()):
+        d = other.get(inverse)
+        if d is not None:
+            total += c * d
+    return complex(total) if abs(total) > PRUNE_TOL else 0.0 + 0.0j
 
 
 class _TermTable:
@@ -155,7 +192,7 @@ class AlgebraElement(_TermTable):
     def __mul__(self, other) -> "AlgebraElement":
         if isinstance(other, AlgebraElement):
             self._check_compatible(other)
-            terms = _convolve(self._terms, other._terms)
+            terms = _convolve(_term_rows(self._terms), _term_rows(other._terms))
             return AlgebraElement(self.alphabet, terms, _trusted=True)
         return self.__rmul__(other)
 
@@ -195,7 +232,8 @@ class AlgebraElement(_TermTable):
     def apply(self, vec: "L2Vector") -> "L2Vector":
         """Left action extending unitary(g) delta_h = delta_{g h}."""
         self._check_compatible(vec)
-        return L2Vector(self.alphabet, _convolve(self._terms, vec._terms), _trusted=True)
+        terms = _convolve(_term_rows(self._terms), _term_rows(vec._terms))
+        return L2Vector(self.alphabet, terms, _trusted=True)
 
 
 class L2Vector(_TermTable):
@@ -306,24 +344,13 @@ class State:
         return total
 
     def on_product(self, left: AlgebraElement, right: AlgebraElement) -> complex:
-        """The state's value on ``left * right``, without forming the product.
-
-        For the trace this is sum_u L[u] R[u^-1]: the smaller side is walked
-        and the other looked up at the inverted runs, and a total within
-        ``PRUNE_TOL`` of zero is exactly zero, as the identity coefficient of
-        the pruned product would be.  Vector and mixture states evaluate the
-        formed product.
-        """
+        """The state's value on ``left * right``, without forming the product
+        for the trace (``_trace_of``).  Vector and mixture states evaluate the
+        formed product."""
         if self.kind != self._TRACE:
             return self(left * right)
         left._check_compatible(right)
-        small, big = (left, right) if len(left) <= len(right) else (right, left)
-        total = 0.0
-        for runs, c in small._terms.items():
-            d = big._terms.get(invert_runs(runs))
-            if d is not None:
-                total += c * d
-        return complex(total) if abs(total) > PRUNE_TOL else 0.0 + 0.0j
+        return _trace_of(left._terms, right._terms)
 
     def profile(self, alphabet: Alphabet) -> Dict[Word, complex]:
         """Values of the state on group unitaries, as a finite word table."""
@@ -338,10 +365,14 @@ class State:
             return {(): 1.0 + 0.0j}
         acc: Dict[tuple, complex] = {}
         for p, x in self.components:
+            # each h^-1 once; as in ``_convolve``, only junctions that meet merge
+            inverses = [(invert_runs(rh), ch) for rh, ch in x._terms.items()]
             for rf, cf in x._terms.items():
-                for rh, ch in x._terms.items():
-                    w = merge_runs(rf, invert_runs(rh))
-                    acc[w] = acc.get(w, 0.0) + p * cf.conjugate() * ch
+                last = rf[-1][:2] if rf else None
+                pc = p * cf.conjugate()
+                for ri, ch in inverses:
+                    w = merge_runs(rf, ri) if ri and ri[0][:2] == last else rf + ri
+                    acc[w] = acc.get(w, 0.0) + pc * ch
         return _pruned(acc)
 
     def __repr__(self) -> str:

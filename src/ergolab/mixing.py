@@ -4,7 +4,9 @@ Everything here evaluates states on products of shifted algebra elements:
 decay of a single shifted element toward its finite-orbit part, multitime
 correlations, an exhaustive gap scan certifying where a correlation
 difference vanishes, and the diagonal / double recurrence averages against
-the canonical trace.
+the canonical trace.  A double average traces each cell from raw term tables
+with the kernel behind ``State.on_product``, building no algebra element per
+cell, and builds each shift of a3 once with its inverted keys.
 
 Every shortcut rests on one separation lemma, proved in ``_separation``.
 By it decay sequences stop at a horizon H, Furstenberg sweeps at R + L,
@@ -24,8 +26,8 @@ import math
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
-from .dual import AlgebraElement, State
-from .words import merge_runs
+from .dual import AlgebraElement, State, _convolve, _term_rows, _trace_of
+from .words import invert_runs, merge_runs
 
 StateOrStates = Union[State, Sequence[State]]
 
@@ -222,7 +224,8 @@ class GapScanResult:
 
 
 class _ShiftMemo(dict):
-    """Time n -> build(element.shifted(n)), built the first time n is looked up."""
+    """Time n -> element.shifted(n), or build(its term table), built the first
+    time n is looked up."""
 
     def __init__(self, element: AlgebraElement, build=None):
         super().__init__()
@@ -232,7 +235,7 @@ class _ShiftMemo(dict):
     def __missing__(self, n: int):
         value = self.element.shifted(n)
         if self.build is not None:
-            value = self.build(value)
+            value = self.build(value._terms)
         self[n] = value
         return value
 
@@ -421,28 +424,21 @@ def gap_scan(
     worst = 0
     witness: Optional[Tuple[int, ...]] = None
 
-    def term_rows(element: AlgebraElement) -> list:
-        """(runs, coefficient, first symbol, last symbol, run count) per term."""
-        return [
-            (runs, c, runs[0][:2] if runs else None, runs[-1][:2] if runs else None, len(runs))
-            for runs, c in element._terms.items()
-        ]
-
     shifts = [_ShiftMemo(op) for op in ops]
     e_shifts = None if e_dead else [_ShiftMemo(part) for part in e_parts]
     # one operator ever sits in the last slot: only its shifts get term rows
     last = slot_pos[k - 1]
-    q_rows = _ShiftMemo(ops[last], term_rows)
-    e_rows = None if e_dead else _ShiftMemo(e_parts[last], term_rows)
+    q_rows = _ShiftMemo(ops[last], _term_rows)
+    e_rows = None if e_dead else _ShiftMemo(e_parts[last], _term_rows)
     unit = [((), 1.0 + 0.0j, None, None, 0)]
 
     def side(factors: list, rows: _ShiftMemo, negate: bool):
         """(left, middle, right) term rows around the last slot."""
         idx = factors.index(last)
-        left = term_rows(factors[idx - 1]) if idx > 0 else unit
+        left = _term_rows(factors[idx - 1]._terms) if idx > 0 else unit
         if negate:
             left = [(runs, -c, *ends) for runs, c, *ends in left]
-        right = term_rows(factors[idx + 1]) if idx + 1 < len(factors) else unit
+        right = _term_rows(factors[idx + 1]._terms) if idx + 1 < len(factors) else unit
         return left, rows, right
 
     def leaf_sides(fq: list, fe) -> tuple:
@@ -703,31 +699,37 @@ def bergelson_average(
 
     The grid runs m in m_base+1..m_base+count, n likewise from n_base; the
     projected average replaces every operator by its finite-orbit part.  The
-    four-fold product is never formed: the trace is read off the pair
-    (a0 shift^m(a1) shift^n(a2), shift^{m+n}(a3)), each shift of a2 and a3
-    built once.  The parts hold only cycle letters, so by ``_separation`` a
-    projected value depends on (m mod L, n mod L) alone and is computed once
-    per residue pair.  A count**2 above ``SEQUENCE_LENGTH_CAP`` is refused.
+    four-fold product is never formed: each cell's trace is read off the pair
+    (a0 shift^m(a1) shift^n(a2), shift^{m+n}(a3)) by the trace kernel of
+    ``State.on_product`` (``dual._trace_of``), the first half a raw term
+    table and no algebra element.  Each lead a0 shift^m(a1) and each shift
+    of a2 is built once as term rows, so its junction symbols are read once,
+    and each shift of a3 once with its inverted keys.  The parts hold only cycle letters, so by
+    ``_separation`` a projected value depends on (m mod L, n mod L) alone
+    and is computed once per residue pair.  A count**2 above
+    ``SEQUENCE_LENGTH_CAP`` is refused.
     """
     _check_length(count, "count")
     _check_length(count * count, "count**2")
+    for x in (a1, a2, a3):
+        a0._check_compatible(x)
     parts = [x.finite_orbit_part() for x in (a0, a1, a2, a3)]
     period = _separation([x._terms for x in parts], a0.alphabet._lengths)[1]
-    trace = State.trace()
-    shifts2, shifts3 = _ShiftMemo(a2), _ShiftMemo(a3)
+    rows2 = _ShiftMemo(a2, _term_rows)
+    shifts3 = _ShiftMemo(a3, lambda terms: (terms, [invert_runs(runs) for runs in terms]))
     projected: Dict[Tuple[int, int], float] = {}
     values = []
     total = 0.0
     etotal = 0.0
     for m in range(m_base + 1, m_base + count + 1):
-        lead = a0 * a1.shifted(m)
+        lead = _term_rows((a0 * a1.shifted(m))._terms)
         for n in range(n_base + 1, n_base + count + 1):
-            v = abs(trace.on_product(lead * shifts2[n], shifts3[m + n]))
+            v = abs(_trace_of(_convolve(lead, rows2[n]), *shifts3[m + n]))
             r, s = m % period, n % period
             ev = projected.get((r, s))
             if ev is None:
                 elead = parts[0] * parts[1].shifted(r) * parts[2].shifted(s)
-                ev = projected[r, s] = abs(trace.on_product(elead, parts[3].shifted(r + s)))
+                ev = projected[r, s] = abs(_trace_of(elead._terms, parts[3].shifted(r + s)._terms))
             total += v
             etotal += ev
             values.append((m, n, v, ev))

@@ -21,7 +21,7 @@ import pytest
 import ergolab
 from ergolab import cli
 from ergolab.cli import ConfigError, _json_text, list_experiments, run_experiment
-from ergolab.mixing import RecurrenceAverage
+from ergolab.mixing import DoubleAverage, RecurrenceAverage
 
 # The child runs in tmp_path, where a relative PYTHONPATH such as "src" points
 # at nothing, so it is handed the directory that holds the package imported here.
@@ -1211,6 +1211,26 @@ class TestValueRows:
         written = (tmp_path / f"{kind}.csv").read_bytes()
         assert written == table.getvalue().encode()
         assert b"\r\n2,0,-0,0\r\n" in written and b"\r\n3,0,0,0\r\n" in written
+
+    def test_bergelson_csv_matches_row_by_row(self, tmp_path, monkeypatch):
+        # projected values recur as one object per residue pair; the two
+        # zeros are equal but print differently
+        zero, negative_zero, value = 0.0, -0.0, 0.1
+        values = tuple(
+            (m, n, float(m - n), (zero, negative_zero, value, zero)[(m + n) % 4])
+            for m in range(1, 4) for n in range(1, 4)
+        ) + ((4, 4, -0.0, 0.1),)
+        average = DoubleAverage(0.5, 0.25, values)
+        monkeypatch.setattr(cli.mixing, "bergelson_average", lambda *args: average)
+        run_experiment(base_configs()["bergelson"], tmp_path, quiet=True)
+        table = io.StringIO()
+        writer = csv.writer(table, lineterminator="\r\n")
+        writer.writerow(["m", "n", "abs", "projected_abs"])
+        for m, n, v, ev in values:
+            writer.writerow([str(m), str(n), "%.17g" % v, "%.17g" % ev])
+        written = (tmp_path / "bergelson.csv").read_bytes()
+        assert written == table.getvalue().encode()
+        assert b"\r\n2,2,0,0\r\n" in written and b"\r\n2,3,-1,-0\r\n" in written
 
 
 class TestContracts:

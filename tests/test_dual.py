@@ -5,6 +5,8 @@ import pytest
 
 import ergolab.dual
 from ergolab import AlgebraElement, Alphabet, AlphabetError, L2Vector, State, matrix_element
+from ergolab.dual import _trace_of
+from ergolab.words import invert_runs, merge_runs
 from conftest import random_element, random_vector_state, random_word
 from gap_oracle import _mul_terms
 
@@ -350,4 +352,149 @@ class TestProductKernel:
                 {merge_runs(u, v) for u in left._terms for v in right._terms}
             )
             seen["concatenated"] += len(meeting) < len(left) * len(right)
+        assert min(seen.values()) >= 1, seen
+
+
+def walk_sum(walked, other):
+    """sum of walked[u] other[u^-1] in walked's term order."""
+    total = 0.0
+    for runs, c in walked.items():
+        d = other.get(invert_runs(runs))
+        if d is not None:
+            total += c * d
+    return total
+
+
+def reference_trace(left, right):
+    """``State.on_product``'s trace branch before it became ``_trace_of``, on
+    raw term tables: the kernel's oracle, a plain copy so as not to be circular."""
+    small, big = (left, right) if len(left) <= len(right) else (right, left)
+    total = walk_sum(small, big)
+    return complex(total) if abs(total) > ergolab.dual.PRUNE_TOL else 0.0 + 0.0j
+
+
+class TestTraceKernel:
+    """``_trace_of``, with and without right's inverted keys, against the old
+    branch bit for bit: side choice, walk order, and an exact zero in tolerance."""
+
+    @staticmethod
+    def corpus():
+        ab = Alphabet({"s": None, "t": None, "c": 3})
+        rng = random.Random(20261030)
+
+        def coeff():
+            return complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+
+        for case in range(300):
+            left = {random_word(rng, ab, 3, 1).runs: coeff() for _ in range(rng.randint(1, 6))}
+            # inverses of some left words, in shuffled order, among others
+            right = [invert_runs(runs) for runs in left if rng.random() < 0.7]
+            right += [random_word(rng, ab, 3, 1).runs for _ in range(rng.randint(0, 5))]
+            if case % 5 == 0:
+                right.append(())
+            rng.shuffle(right)
+            right = {runs: coeff() for runs in right}
+            yield (left, right) if case % 2 else (right, left)
+        # contributions 1 and -(1 + 2**-52) leave a total within PRUNE_TOL
+        g, h = ab.word("s[0] c[1]").runs, ab.word("t[1]^-1").runs
+        yield {g: 1 + 0j, h: -1 + 0j}, {invert_runs(g): 1 + 0j, invert_runs(h): 1 + 2**-52 + 0j}
+
+    @staticmethod
+    def bits(z):
+        return z.real.hex(), z.imag.hex()
+
+    def test_matches_old_branch(self):
+        sizes = ("left smaller", "equal", "right smaller")
+        seen = dict.fromkeys(sizes + ("identity", "zeroed"), 0)
+        seen.update(dict.fromkeys([f"order, {size}" for size in sizes], 0))
+        for left, right in self.corpus():
+            want = reference_trace(left, right)
+            inverses = [invert_runs(runs) for runs in right]
+            assert self.bits(_trace_of(left, right)) == self.bits(want)
+            assert self.bits(_trace_of(left, right, inverses)) == self.bits(want)
+            assert type(_trace_of(left, right)) is complex
+            size = sizes[(len(left) >= len(right)) + (len(left) > len(right))]
+            seen[size] += 1
+            seen["identity"] += () in left and () in right
+            # walking the other side would give other bits
+            small, big = (left, right) if len(left) <= len(right) else (right, left)
+            seen[f"order, {size}"] += self.bits(complex(walk_sum(big, small))) != self.bits(want)
+            seen["zeroed"] += want == 0 and any(invert_runs(runs) in right for runs in left)
+        assert min(seen.values()) >= 1, seen
+
+    def test_on_product_wraps_the_kernel(self):
+        ab = Alphabet({"s": None, "c": 3})
+        rng = random.Random(20261031)
+        for _ in range(50):
+            a, b = random_element(rng, ab, 4, 3), random_element(rng, ab, 2, 3)
+            want = reference_trace(a._terms, b._terms)
+            assert self.bits(State.trace().on_product(a, b)) == self.bits(want)
+            assert self.bits(State.trace().on_product(b, a)) == self.bits(
+                reference_trace(b._terms, a._terms)
+            )
+
+
+class TestRunsProfile:
+    """``State.runs_profile`` against merging every pair (f, h^-1) of a
+    component's support: the same table bit for bit, in key order, and
+    ``merge_runs`` called once per pair that meets on a symbol."""
+
+    @staticmethod
+    def states():
+        ab = Alphabet({"s": None, "t": None, "c": 3})
+        rng = random.Random(20261101)
+
+        def vector():
+            words = [random_word(rng, ab, 3, 1) for _ in range(rng.randint(1, 4))]
+            # a pair whose junction cancels down to a head, and the identity
+            x = random_word(rng, ab, 2, 1)
+            words += [words[0] * x, x] if rng.random() < 0.6 else []
+            words += [ab.identity()] if rng.random() < 0.5 else []
+            vec = L2Vector.from_terms(
+                ab, [(w, complex(rng.uniform(-1, 1), rng.uniform(-1, 1))) for w in words]
+            )
+            return vec.normalized()
+
+        for case in range(80):
+            if case % 2:
+                yield State.vector_state(vector())
+            else:
+                p = rng.uniform(0.1, 0.9)
+                yield State.mixture([(p, vector()), (1 - p, vector())])
+
+    @staticmethod
+    def merge_every_pair(state):
+        acc = {}
+        for p, x in state.components:
+            for rf, cf in x._terms.items():
+                for rh, ch in x._terms.items():
+                    w = merge_runs(rf, invert_runs(rh))
+                    acc[w] = acc.get(w, 0.0) + p * cf.conjugate() * ch
+        return {w: c for w, c in acc.items() if abs(c) > ergolab.dual.PRUNE_TOL}
+
+    def test_matches_merge_every_pair(self, monkeypatch):
+        calls = [0]
+
+        def counted(*parts):
+            calls[0] += 1
+            return merge_runs(*parts)
+
+        monkeypatch.setattr(ergolab.dual, "merge_runs", counted)
+        seen = dict.fromkeys(("identity", "cycle", "cancelled", "concatenated", "mixture"), 0)
+        for state in self.states():
+            meeting = [
+                (f, h) for _, x in state.components for f in x._terms for h in x._terms
+                if f and h and f[-1][:2] == h[-1][:2]
+            ]
+            calls[0] = 0
+            got = state.runs_profile()
+            assert calls[0] == len(meeting)
+            assert TestProductKernel.bits(got) == TestProductKernel.bits(
+                self.merge_every_pair(state)
+            )
+            seen["identity"] += any(() in x._terms for _, x in state.components)
+            seen["cycle"] += any(f[-1][0] == "c" for f, _ in meeting)
+            seen["cancelled"] += any(f != h for f, h in meeting)
+            seen["concatenated"] += len(meeting) < sum(len(x) ** 2 for _, x in state.components)
+            seen["mixture"] += len(state.components) > 1
         assert min(seen.values()) >= 1, seen

@@ -1,9 +1,11 @@
+import collections
 import itertools
 import math
 import random
 
 import pytest
 
+import ergolab.dual
 import ergolab.mixing
 from ergolab import (
     AlgebraElement,
@@ -371,26 +373,62 @@ class TestBergelson:
         a2 = lam(ab.word("d[0]")) + lam(ab.word("s[1]^-1"))
         a3 = one(ab) + lam(ab.word("s[-3]"))
         shifted = AlgebraElement.shifted
-        on_product = State.on_product
+        trace_of = ergolab.mixing._trace_of
+        invert_runs = ergolab.dual.invert_runs
         calls = []
         evaluations = [0]
+        inverted = collections.Counter()
 
         def counting_shift(self, n=1):
             calls.append((id(self), n))
             return shifted(self, n)
 
-        def counting_product(self, left, right):
+        def counting_trace(*args):
             evaluations[0] += 1
-            return on_product(self, left, right)
+            return trace_of(*args)
+
+        def counting_inverse(runs):
+            inverted[runs] += 1
+            return invert_runs(runs)
 
         with monkeypatch.context() as patch:
             patch.setattr(AlgebraElement, "shifted", counting_shift)
-            patch.setattr(State, "on_product", counting_product)
+            patch.setattr(ergolab.mixing, "_trace_of", counting_trace)
+            for module in (ergolab.dual, ergolab.mixing):
+                patch.setattr(module, "invert_runs", counting_inverse)
             bergelson_average(a0, a1, a2, a3, -4, 3, count)
         assert sorted(n for i, n in calls if i == id(a2)) == list(range(4, 4 + count))
         assert sorted(n for i, n in calls if i == id(a3)) == list(range(1, 2 * count))
         # count**2 plain values, and one projected value per residue pair
         assert evaluations[0] - count**2 == min(count, 6) ** 2
+        # the s-word of each a3 shift, the walked side of every cell, is
+        # inverted once per m + n, not once per cell
+        assert {runs: k for runs, k in inverted.items() if runs and runs[0][0] == "s"} == {
+            (("s", t - 3, 1),): 1 for t in range(1, 2 * count)
+        }
+
+    @pytest.mark.parametrize("fillers, want", [(5, 0.6000000000000001), (0, 0.6)])
+    def test_cell_walks_the_smaller_pruned_side_in_term_order(self, fillers, want):
+        """One cell, m = n = 1, with three trace contributions 0.1, 0.2, 0.3:
+        summed in the cell table's order they give (0.1 + 0.2) + 0.3, in the
+        order of shift^2(a3) (0.3 + 0.2) + 0.1, two different doubles.
+
+        The table lead shift(a2) has 8 terms once the pair on t[1] cancels to
+        exactly 0, and 9 unpruned; shift^2(a3) has 3 + fillers.  With 5
+        fillers the sides tie and the table is walked, so an unpruned table,
+        or a tie that walks the right side, reads 0.6; with none the right
+        side is walked."""
+        ab = Alphabet({"s": None, "t": None})
+        a0 = one(ab) + lam(ab.word("t[0]"))
+        a2 = (
+            lam(ab.word("s[0]"), 0.1) + lam(ab.word("s[1]"), 0.2) + lam(ab.word("s[2]"), 0.3)
+            + lam(ab.word("t[-1]^-1 t[0]")) - lam(ab.word("t[0]"))
+        )
+        a3 = lam(ab.word("s[1]^-1")) + lam(ab.word("s[0]^-1")) + lam(ab.word("s[-1]^-1"))
+        for i in range(fillers):
+            a3 = a3 + lam(ab.word(f"t[{3 + i}]"))
+        res = bergelson_average(a0, one(ab), a2, a3, 0, 0, 1)
+        assert res.values == ((1, 1, want, 0.0),)
 
     def test_count_validation(self, ab):
         ops = [one(ab)] * 4
