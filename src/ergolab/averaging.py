@@ -53,8 +53,9 @@ class SchemeError(ValueError):
     """Invalid weight-scheme declaration or use."""
 
 
-class IllConditionedError(RuntimeError):
-    """Eigenproblem has spectrum too close to the fixed-space threshold."""
+class IllConditionedError(ValueError):
+    """Eigenproblem has spectrum too close to the fixed-space threshold: a
+    fault of the input, so the runner reports it as a config error."""
 
 
 @dataclass(frozen=True)

@@ -35,15 +35,19 @@ and a callable rebound in its module is the one called.
 from __future__ import annotations
 
 import argparse
+import cmath
+import contextlib
 import csv
 import io
 import json
 import math
 import os
 import sys
+import warnings
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import (TYPE_CHECKING, Any, Callable, Dict, Iterable, Iterator, List, NamedTuple,
+                    Optional, Sequence, Tuple)
 
 from . import mixing
 from .dual import AlgebraElement, L2Vector, State
@@ -74,29 +78,33 @@ def _matrix_rows(matrix: Any, complex_cells: bool = False) -> List[List[str]]:
     ]
 
 
+def _once(fmt: Callable[[Any], Any], values: Iterable[Any]) -> list:
+    """``fmt`` of each value, run once per value object (a copy past a horizon
+    recurs).  The memo is keyed by ``id``, since ``-0.0 == 0.0`` prints
+    differently, so the values must outlive the call; ``fmt``'s output is truthy."""
+    memo: Dict[int, Any] = {}
+    return [memo.get(id(v)) or memo.setdefault(id(v), fmt(v)) for v in values]
+
+
 def _value_rows(values: Sequence[complex]) -> List[List[str]]:
-    """CSV rows ``n, re, im, abs`` of a sequence, n from 1.  A value object
-    that recurs (a copy past a horizon) is formatted once: the memo is keyed
-    by ``id``, not by value, since ``-0.0 == 0.0`` prints differently."""
-    memo: Dict[int, Tuple[str, str, str]] = {}
-    rows = []
-    for n, v in enumerate(values, 1):
-        cells = memo.get(id(v))
-        if cells is None:
-            cells = memo[id(v)] = (_fmt(v.real), _fmt(v.imag), _fmt(abs(v)))
-        rows.append([str(n), *cells])
-    return rows
+    """CSV rows ``n, re, im, abs`` of a sequence, n from 1, each value formatted ``_once``."""
+    cells = _once(lambda v: (_fmt(v.real), _fmt(v.imag), _fmt(abs(v))), values)
+    return [[str(n), *c] for n, c in enumerate(cells, 1)]
 
 
-def _plain(value: Any) -> Any:
+def _plain(value: Any, where: str = "results") -> Any:
     """Results as JSON-native values: a numpy array or scalar through its own
-    ``tolist()``, tuples as lists, keys as strings, a complex as ``{"re", "im"}``."""
+    ``tolist()``, tuples as lists, keys as strings, a complex as ``{"re", "im"}``.
+    A float or complex value that is NaN or infinite is a ``ConfigError`` at its
+    key: the config's numbers overflowed, and no verdict is read off it."""
     if hasattr(value, "tolist"):
         value = value.tolist()
     if isinstance(value, dict):
-        return {str(k): _plain(v) for k, v in value.items()}
+        return {str(k): _plain(v, f"{where}.{k}") for k, v in value.items()}
     if isinstance(value, (list, tuple)):
-        return [_plain(v) for v in value]
+        return [_plain(v, where) for v in value]
+    if isinstance(value, (float, complex)) and not cmath.isfinite(value):
+        raise ConfigError(f"{where}: {value!r} is not finite; the input overflows floating point")
     if isinstance(value, complex):
         return {"re": value.real, "im": value.imag}
     return value
@@ -167,19 +175,16 @@ def _json_text(value: Any) -> str:
     return "".join(chunks) + "".join(parts)
 
 
-class _at:
+@contextlib.contextmanager
+def _at(where: str) -> Iterator[None]:
     """``with _at(where):`` reports a domain error raised inside as a config
     error at ``where``; a ``ConfigError`` passes through unchanged."""
-
-    def __init__(self, where: str):
-        self.where = where
-
-    def __enter__(self) -> None:
-        pass
-
-    def __exit__(self, kind, exc, tb) -> None:
-        if isinstance(exc, (ValueError, ZeroDivisionError)) and not isinstance(exc, ConfigError):
-            raise ConfigError(f"{self.where}: {exc}") from exc
+    try:
+        yield
+    except ConfigError:
+        raise
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
 
 
 # -- field readers ---------------------------------------------------------------
@@ -201,6 +206,11 @@ def _list(value: Any, where: str) -> list:
     if not isinstance(value, list):
         raise ConfigError(f"{where}: expected a list")
     return value
+
+
+def _each(read: Callable[[Any, str], Any], value: Any, where: str) -> tuple:
+    """``read(entry, where[])`` of each entry of the list ``value``."""
+    return tuple(read(entry, f"{where}[]") for entry in _list(value, where))
 
 
 def _positive_int(value: Any, where: str) -> int:
@@ -252,11 +262,11 @@ def _parse_indices(value: Any) -> List[float]:
     return out
 
 
-def _parse_permutation(config: Dict) -> Optional[List[int]]:
+def _parse_permutation(config: Dict) -> Optional[Tuple[int, ...]]:
     perm = config.get("permutation")
     if perm is None:
         return None
-    return [_integer(p, "permutation[]") for p in _list(perm, "permutation")]
+    return _each(_integer, perm, "permutation")
 
 
 # -- block parsers ---------------------------------------------------------------
@@ -306,8 +316,12 @@ def _parse_elements(alphabet: Alphabet, obj: Any, where: str) -> List[AlgebraEle
     ]
 
 
-def _parse_vector(alphabet: Alphabet, obj: Any, where: str, normalize: bool) -> L2Vector:
-    vec = L2Vector.from_terms(alphabet, _parse_terms(alphabet, obj, where, "amplitudes"))
+def _parse_vector(alphabet: Alphabet, block: Dict, where: str) -> L2Vector:
+    """A vector state's or a mixture component's ``amplitudes``, normalized
+    unless its ``normalize`` is false."""
+    normalize = _flag(block.get("normalize", True), f"{where}.normalize")
+    terms = _parse_terms(alphabet, block["amplitudes"], where, "amplitudes")
+    vec = L2Vector.from_terms(alphabet, terms)
     return vec.normalized() if normalize else vec
 
 
@@ -320,17 +334,13 @@ def _parse_state(alphabet: Alphabet, obj: Any, where: str = "state") -> State:
             return State.trace()
         if kind == "vector":
             _take(block, f"{where}: vector state", ["kind", "amplitudes"], ["normalize"])
-            normalize = _flag(block.get("normalize", True), f"{where}.normalize")
-            return State.vector_state(
-                _parse_vector(alphabet, block["amplitudes"], where, normalize)
-            )
+            return State.vector_state(_parse_vector(alphabet, block, where))
         if kind == "mixture":
             _take(block, f"{where}: mixture", ["kind", "components"])
             pairs = []
             for comp in _list(block["components"], f"{where}.components"):
                 e = _take(comp, f"{where}.components[]", ["weight", "amplitudes"], ["normalize"])
-                normalize = _flag(e.get("normalize", True), f"{where}.normalize")
-                vec = _parse_vector(alphabet, e["amplitudes"], where, normalize)
+                vec = _parse_vector(alphabet, e, where)
                 pairs.append((_number(e["weight"], f"{where}.weight"), vec))
             return State.mixture(pairs)
     raise ConfigError(f"{where}: unknown state kind {kind!r}")
@@ -348,9 +358,7 @@ def _parse_scheme(config: Dict, default_domain: str) -> WeightScheme:
     if "exponent" in block:
         kwargs["exponent"] = _number(block["exponent"], "scheme.exponent")
     if "samples" in block:
-        kwargs["samples"] = tuple(
-            _number(w, "scheme.samples[]") for w in _list(block["samples"], "scheme.samples")
-        )
+        kwargs["samples"] = _each(_number, block["samples"], "scheme.samples")
     return WeightScheme(block.get("domain", default_domain), block["family"], **kwargs)
 
 
@@ -375,21 +383,18 @@ def _parse_matrix(obj: Any, where: str) -> np.ndarray:
 
 
 def _parse_rationals(obj: Any, where: str) -> Tuple:
-    return tuple(_rational(v, f"{where}[]") for v in _list(obj, where))
+    return _each(_rational, obj, where)
 
 
 def _parse_rational_matrix(obj: Any, where: str) -> Tuple:
-    return tuple(_parse_rationals(row, f"{where}[]") for row in _list(obj, where))
+    return _each(_parse_rationals, obj, where)
 
 
 def _parse_classical(obj: Any, where: str) -> PermutationSystem:
     from .joinings import PermutationSystem
 
     block = _take(obj, where, ["permutation", "measure"])
-    permutation = tuple(
-        _integer(i, f"{where}.permutation[]")
-        for i in _list(block["permutation"], f"{where}.permutation")
-    )
+    permutation = _each(_integer, block["permutation"], f"{where}.permutation")
     measure = _parse_rationals(block["measure"], f"{where}.measure")
     with _at(where):
         return PermutationSystem(permutation=permutation, measure=measure)
@@ -440,10 +445,7 @@ def _parse_factor(obj: Any) -> FactorSpec:
     from .joinings import FactorSpec
 
     block = _take(obj, "factor", ["generators", "cell_masses"])
-    generators = tuple(
-        _parse_rational_matrix(g, "factor.generators[]")
-        for g in _list(block["generators"], "factor.generators")
-    )
+    generators = _each(_parse_rational_matrix, block["generators"], "factor.generators")
     masses = _parse_rationals(block["cell_masses"], "factor.cell_masses")
     with _at("factor"):
         return FactorSpec(generators=generators, cell_masses=masses)
@@ -486,6 +488,9 @@ def _apply_expectations(config: Dict, results: Dict, passed: bool) -> Tuple[bool
 
 
 # -- experiments -----------------------------------------------------------------
+
+# the CSV header of an invariant mean's cells
+_MEAN_HEADER = ["row", "col", "mean_re", "mean_im"]
 
 _Outcome = Tuple[Dict[str, Any], List[str], List[Sequence[Any]], bool]
 
@@ -534,10 +539,7 @@ def _run_mean_ergodic(config: Dict) -> _Outcome:
     matrix = _parse_matrix(flow_block[key], f"flow.{key}")
     with _at("flow"):
         flow = flow_class(matrix)
-    vector = np.array(
-        [_parse_complex_cell(v, "vector") for v in _list(config["vector"], "vector")],
-        dtype=complex,
-    )
+    vector = np.array(_each(_parse_complex_cell, config["vector"], "vector"), dtype=complex)
     if len(vector) != flow.dimension:
         raise ConfigError(
             f"vector: expected {flow.dimension} entries for the flow, got {len(vector)}"
@@ -693,15 +695,9 @@ def _run_bergelson(config: Dict) -> _Outcome:
     result = mixing.bergelson_average(
         a0, a1, a2, a3, m_base, n_base, _positive_int(config["count"], "count")
     )
-    # the projected value of a residue pair is one object, formatted once;
-    # keyed by id, as in ``_value_rows``
-    projected: Dict[int, str] = {}
-    rows = []
-    for m, n, v, ev in result.values:
-        cell = projected.get(id(ev))
-        if cell is None:
-            cell = projected[id(ev)] = _fmt(ev)
-        rows.append([str(m), str(n), _fmt(v), cell])
+    # the projected value of a residue pair is one object
+    projected = _once(_fmt, (ev for *_, ev in result.values))
+    rows = [[str(m), str(n), _fmt(v), p] for (m, n, v, _), p in zip(result.values, projected)]
     results = {
         "average": result.average,
         "projected_average": result.projected_average,
@@ -737,7 +733,7 @@ def _run_section4(config: Dict) -> _Outcome:
     try:
         report = four_state_invariant_mean(sys4, sweep)
     except NonConvergenceError as exc:
-        return {"converged": False, "error": str(exc)}, ["row", "col", "mean_re", "mean_im"], [], False
+        return {"converged": False, "error": str(exc)}, _MEAN_HEADER, [], False
     limit_error = float(np.max(np.abs(report.mean - sys4.proj_fixed)))
     results = {
         "eigenvalues_ok": eigen_ok,
@@ -762,7 +758,7 @@ def _run_section4(config: Dict) -> _Outcome:
         and report.lawful
     )
     rows = _matrix_rows(report.mean, complex_cells=True)
-    return results, ["row", "col", "mean_re", "mean_im"], rows, passed
+    return results, _MEAN_HEADER, rows, passed
 
 
 @_experiment("tensor", ["left", "right", "check", "sweep", "tolerance"], ["scheme"],
@@ -812,7 +808,7 @@ def _run_thm215(config: Dict) -> _Outcome:
             transition, scheme, sweep, law_tolerance=law_tol, cauchy_tolerance=cauchy_tol
         )
     except NonConvergenceError as exc:
-        return {"converged": False, "error": str(exc)}, ["row", "col", "mean_re", "mean_im"], [], False
+        return {"converged": False, "error": str(exc)}, _MEAN_HEADER, [], False
     results = {
         "converged": True,
         "idempotency_residual": report.idempotency_residual,
@@ -822,7 +818,7 @@ def _run_thm215(config: Dict) -> _Outcome:
         "lawful": report.lawful,
     }
     rows = _matrix_rows(report.mean, complex_cells=True)
-    return results, ["row", "col", "mean_re", "mean_im"], rows, report.lawful
+    return results, _MEAN_HEADER, rows, report.lawful
 
 
 @_experiment("joinings", ["left", "right"],
@@ -987,7 +983,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"error: config is not valid JSON: {exc}", file=sys.stderr)
         return 1
     try:
-        return run_experiment(config, args.out, quiet=args.quiet)
+        with warnings.catch_warnings():
+            # numpy's floating-point reports: ``_plain`` refuses a result left
+            # NaN or infinite, so they would only repeat that on stderr
+            warnings.filterwarnings("ignore", ".* encountered in ", RuntimeWarning)
+            return run_experiment(config, args.out, quiet=args.quiet)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

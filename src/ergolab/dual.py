@@ -26,17 +26,22 @@ UNIT_TOL = 1e-9  # states: largest deviation of a norm, or of a weight total, fr
 
 def _pruned(terms: Dict[tuple, complex]) -> Dict[tuple, complex]:
     """The table, pruned in place of its coefficients not above ``PRUNE_TOL``;
-    the kept terms keep their order and no key is hashed again."""
-    for runs in [runs for runs, c in terms.items() if not abs(c) > PRUNE_TOL]:
+    the kept terms keep their order and no key is hashed again.  A modulus
+    past the float range is read as ``hypot``'s infinity, not raised."""
+    try:
+        small = [runs for runs, c in terms.items() if not abs(c) > PRUNE_TOL]
+    except OverflowError:
+        small = [runs for runs, c in terms.items() if not math.hypot(c.real, c.imag) > PRUNE_TOL]
+    for runs in small:
         del terms[runs]
     return terms
 
 
 def _term_rows(terms: Dict[tuple, complex]) -> list:
-    """(runs, coefficient, first symbol, last symbol, run count) per term, in
-    term order; a symbol is ``(family, index)``, None for the identity word."""
+    """(runs, coefficient, first symbol, last symbol) per term, in term order;
+    a symbol is ``(family, index)``, None for the identity word."""
     return [
-        (runs, c, runs[0][:2] if runs else None, runs[-1][:2] if runs else None, len(runs))
+        (runs, c, runs[0][:2] if runs else None, runs[-1][:2] if runs else None)
         for runs, c in terms.items()
     ]
 
@@ -50,8 +55,8 @@ def _convolve(left: list, right: list) -> Dict[tuple, complex]:
     go through ``merge_runs``.
     """
     acc: Dict[tuple, complex] = {}
-    for ru, cu, _, last, _ in left:
-        for rv, cv, first, _, _ in right:
+    for ru, cu, _, last in left:
+        for rv, cv, first, _ in right:
             w = ru + rv if first != last or first is None else merge_runs(ru, rv)
             acc[w] = acc.get(w, 0.0) + cu * cv
     return _pruned(acc)
@@ -191,10 +196,14 @@ class AlgebraElement(_TermTable):
 
     def __mul__(self, other) -> "AlgebraElement":
         if isinstance(other, AlgebraElement):
-            self._check_compatible(other)
-            terms = _convolve(_term_rows(self._terms), _term_rows(other._terms))
-            return AlgebraElement(self.alphabet, terms, _trusted=True)
+            return self._times(other)
         return self.__rmul__(other)
+
+    def _times(self, other: "_TermTable") -> "_TermTable":
+        """The convolution ``self * other``, of ``other``'s type: products and the action."""
+        self._check_compatible(other)
+        terms = _convolve(_term_rows(self._terms), _term_rows(other._terms))
+        return type(other)(self.alphabet, terms, _trusted=True)
 
     def adjoint(self) -> "AlgebraElement":
         """Conjugate coefficients on inverted words."""
@@ -231,9 +240,7 @@ class AlgebraElement(_TermTable):
 
     def apply(self, vec: "L2Vector") -> "L2Vector":
         """Left action extending unitary(g) delta_h = delta_{g h}."""
-        self._check_compatible(vec)
-        terms = _convolve(_term_rows(self._terms), _term_rows(vec._terms))
-        return L2Vector(self.alphabet, terms, _trusted=True)
+        return self._times(vec)
 
 
 class L2Vector(_TermTable):
@@ -264,12 +271,23 @@ class L2Vector(_TermTable):
         return total
 
     def norm(self) -> float:
-        return math.sqrt(sum(abs(c) ** 2 for c in self._terms.values()))
+        """The l2 norm, infinite only where the true norm is: a sum of squares
+        past the float range is redone by ``hypot``.  No square underflows,
+        since coefficients are above ``PRUNE_TOL``."""
+        try:
+            squares = sum(abs(c) ** 2 for c in self._terms.values())
+        except OverflowError:
+            squares = math.inf
+        if squares < math.inf:
+            return math.sqrt(squares)
+        return math.hypot(*(part for c in self._terms.values() for part in (c.real, c.imag)))
 
     def normalized(self) -> "L2Vector":
         n = self.norm()
         if n == 0.0:
             raise ValueError("cannot normalize the zero vector")
+        if not n < math.inf:
+            raise ValueError(f"cannot normalize a vector of norm {n!r}")
         return (1.0 / n) * self
 
     def __repr__(self) -> str:
@@ -295,7 +313,7 @@ class State:
 
     Three kinds: the canonical trace (identity-word coefficient), a unit
     vector state, and a finite convex mixture of unit vector states.  A
-    vector state on x also keeps ``components`` ((1.0, x),).
+    vector state on x keeps ``components`` ((1.0, x),), as a mixture does.
     """
 
     __slots__ = ("kind", "vector", "components")
@@ -315,7 +333,7 @@ class State:
 
     @classmethod
     def vector_state(cls, x: L2Vector) -> "State":
-        if abs(x.norm() - 1.0) > UNIT_TOL:
+        if not abs(x.norm() - 1.0) <= UNIT_TOL:
             raise ValueError(f"vector state needs a unit vector, got norm {x.norm()!r}")
         return cls(cls._VECTOR, vector=x, components=((1.0, x),))
 
@@ -329,15 +347,13 @@ class State:
         if abs(sum(p for p, _ in pairs) - 1.0) > UNIT_TOL:
             raise ValueError("mixture weights must sum to 1")
         for _, x in pairs:
-            if abs(x.norm() - 1.0) > UNIT_TOL:
+            if not abs(x.norm() - 1.0) <= UNIT_TOL:
                 raise ValueError("mixture components must be unit vectors")
         return cls(cls._MIXTURE, components=tuple(pairs))
 
     def __call__(self, element: AlgebraElement) -> complex:
         if self.kind == self._TRACE:
             return element.trace
-        if self.kind == self._VECTOR:
-            return self.vector.inner(element.apply(self.vector))
         total = 0.0 + 0.0j
         for p, x in self.components:
             total += p * x.inner(element.apply(x))

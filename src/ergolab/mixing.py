@@ -298,7 +298,6 @@ def gap_scan(
     for si, state in enumerate(state_list):
         for runs, value in state.runs_profile().items():
             pooled.setdefault(runs, []).append((si, value))
-    target_lens = frozenset(len(runs) for runs in pooled)
 
     slot_pos = [perm.index(r) for r in range(k)]
 
@@ -430,7 +429,7 @@ def gap_scan(
     last = slot_pos[k - 1]
     q_rows = _ShiftMemo(ops[last], _term_rows)
     e_rows = None if e_dead else _ShiftMemo(e_parts[last], _term_rows)
-    unit = [((), 1.0 + 0.0j, None, None, 0)]
+    unit = [((), 1.0 + 0.0j, None, None)]
 
     def side(factors: list, rows: _ShiftMemo, negate: bool):
         """(left, middle, right) term rows around the last slot."""
@@ -489,7 +488,7 @@ def gap_scan(
         The node is the leaf's sides and its totals per reduced last time.
         The E-side runs through the same loop with its left coefficients
         negated.  A triple whose two junctions cannot reduce is the plain
-        concatenation, skipped unless its run count is a support length.
+        concatenation; only the others go through ``merge_runs``.
         A tuple with a violation updates (worst, witness) only on a strictly
         larger min gap, so the witness is the first such tuple in walk order.
         """
@@ -503,14 +502,12 @@ def gap_scan(
             if total is None:
                 total = {}
                 for left, rows, right in sides:
-                    for a_runs, a_c, _, a_last, a_len in left:
-                        for m_runs, m_c, m_first, m_last, m_len in rows[n]:
+                    for a_runs, a_c, _, a_last in left:
+                        for m_runs, m_c, m_first, m_last in rows[n]:
                             am_c = a_c * m_c
-                            open_left = m_len and a_last != m_first
-                            for b_runs, b_c, b_first, _, b_len in right:
+                            open_left = m_runs and a_last != m_first
+                            for b_runs, b_c, b_first, _ in right:
                                 if open_left and m_last != b_first:
-                                    if a_len + m_len + b_len not in target_lens:
-                                        continue
                                     w = a_runs + m_runs + b_runs
                                 else:
                                     w = merge_runs(a_runs, m_runs, b_runs)

@@ -1320,3 +1320,90 @@ class TestContracts:
         assert proc.returncode == 0
         results = json.loads((out / "gap-search.json").read_text())["results"]
         assert results["threshold"] is not None
+
+
+def assert_one_error_line(proc):
+    """A refused config: exit 1, one ``error:`` line and nothing else on stderr."""
+    assert_cli_error(proc)
+    assert proc.stderr.count("\n") == 1 and proc.stderr.endswith("\n"), proc.stderr
+
+
+SHIFT_ONLY = {"families": [{"name": "s", "kind": "shift"}]}
+
+
+def big_vector_state(re, im=0.0):
+    return {"kind": "vector", "amplitudes": [term("", re, im), term("s[0]", re, im)]}
+
+
+def uniform_mean(flow, vector):
+    return {
+        "experiment": "mean-ergodic",
+        "flow": flow,
+        "vector": vector,
+        "scheme": {"family": "uniform"},
+        "indices": [10, 100],
+    }
+
+
+class TestNumericBreaches:
+    """Inputs whose spectra or magnitudes the float range cannot carry end as
+    config errors, and a state whose norm it can carry runs to a verdict."""
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            uniform_mean({"kind": "continuous", "generator": [[1e-9, 0], [0, 1]]}, [1, 1]),
+            uniform_mean({"kind": "discrete", "matrix": [[0.999999999, 0], [0, 0.5]]}, [1, 1]),
+        ],
+        ids=["continuous", "discrete"],
+    )
+    def test_ill_conditioned_spectrum(self, tmp_path, config):
+        proc = run_config(config, tmp_path, "--out", str(tmp_path / "out"))
+        assert_one_error_line(proc)
+        assert "null threshold" in proc.stderr or "of zero" in proc.stderr
+
+    def test_vector_state_of_huge_amplitudes_runs(self, tmp_path):
+        config = dict(base_configs()["multitime"], alphabet=SHIFT_ONLY,
+                      state=big_vector_state(1e308))
+        out = tmp_path / "out"
+        proc = run_config(config, tmp_path, "--out", str(out))
+        assert proc.returncode == 0 and proc.stderr == "", proc.stderr
+        value = json.loads((out / "multitime.json").read_text())["results"]["value"]
+        assert math.isfinite(value["re"]) and math.isfinite(value["im"])
+
+    @pytest.mark.parametrize("im", [0.0, 1.5e308], ids=["real", "complex"])
+    def test_vector_state_past_the_float_range(self, tmp_path, im):
+        config = dict(base_configs()["multitime"], alphabet=SHIFT_ONLY,
+                      state=big_vector_state(1.5e308, im))
+        proc = run_config(config, tmp_path, "--out", str(tmp_path / "out"))
+        assert_one_error_line(proc)
+        assert "norm inf" in proc.stderr
+
+    @pytest.mark.parametrize(
+        "config, key",
+        [
+            (
+                uniform_mean({"kind": "discrete", "matrix": [[1, 0], [0, -1]]}, [1e308, 1e308]),
+                "results.errors",
+            ),
+            (
+                dict(
+                    base_configs()["tensor"],
+                    left={
+                        "type": "matrix",
+                        "transition": [[1e300, -1e300, 1], [0, 1, 0], [0, 0, 1]],
+                        "idempotent": [[1, 0, 0], [0, 1, 0], [0, 0, 1]],
+                        "functionals": [[1, 0, 0]],
+                    },
+                ),
+                "results.max_defect",
+            ),
+        ],
+        ids=["mean-ergodic", "tensor"],
+    )
+    def test_non_finite_result(self, tmp_path, config, key):
+        out = tmp_path / "out"
+        proc = run_config(config, tmp_path, "--out", str(out))
+        assert_one_error_line(proc)
+        assert proc.stderr.startswith(f"error: {key}: nan is not finite")
+        assert not out.exists()

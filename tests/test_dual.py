@@ -171,6 +171,32 @@ class TestVectors:
         with pytest.raises(ValueError):
             L2Vector(ab, {}).normalized()
 
+    def test_norm_overflows_only_with_the_true_norm(self, ab):
+        e, s0 = ab.identity(), ab.word("s[0]")
+
+        def vector(*amplitudes):
+            return L2Vector.from_terms(ab, zip((e, s0), amplitudes))
+
+        # in range, bit for bit the plain sum of squares
+        rng = random.Random(23)
+        for _ in range(200):
+            amps = [complex(rng.uniform(-9, 9), rng.uniform(-9, 9)) for _ in range(2)]
+            assert vector(*amps).norm() == math.sqrt(sum(abs(c) ** 2 for c in amps))
+        # squares past the float range where the norm is not
+        assert vector(1e308, 1e308).norm() == math.hypot(1e308, 1e308)
+        assert vector(1e308j, -1e308).norm() == math.hypot(1e308, 1e308)
+        assert vector(1e308).normalized().norm() == pytest.approx(1.0, abs=1e-15)
+        # a true norm past the float range is infinite, and refused
+        for amps in [(1.5e308, 1.5e308), (complex(1.5e308, 1.5e308),)]:
+            x = vector(*amps)
+            assert x.norm() == math.inf
+            with pytest.raises(ValueError, match="norm inf"):
+                x.normalized()
+            with pytest.raises(ValueError):
+                State.vector_state(x)
+            with pytest.raises(ValueError):
+                State.mixture([(1.0, x)])
+
     def test_sum_refuses_mixed_alphabets(self, ab):
         other = Alphabet({"s": None, "c": 4})
         x, y = L2Vector.basis(ab.word("s[1]")), L2Vector.basis(other.word("s[1]"))
@@ -238,6 +264,25 @@ class TestStates:
         mix = State.mixture([(0.3, s1.vector), (0.7, s2.vector)])
         a = random_element(rng, ab, terms=3)
         assert abs(mix(a) - (0.3 * s1(a) + 0.7 * s2(a))) <= 1e-12
+
+    def test_vector_state_is_its_one_component_mixture(self, ab):
+        """Bit for bit, signed zeros too, on values and on products; both are
+        also the inner product <x, a x> itself."""
+
+        def bits(z):
+            return z.real.hex(), z.imag.hex()
+
+        rng = random.Random(24)
+        for _ in range(60):
+            phi = random_vector_state(rng, ab, support=3)
+            x = phi.vector
+            mix = State.mixture([(1.0, x)])
+            for _ in range(5):
+                a, b = random_element(rng, ab, terms=3), random_element(rng, ab, terms=3)
+                for element in (a, a.adjoint() * a, 0.0 * a):
+                    value = bits(phi(element))
+                    assert value == bits(mix(element)) == bits(x.inner(element.apply(x)))
+                assert bits(phi.on_product(a, b)) == bits(mix.on_product(a, b))
 
     def test_profile_matches_direct_evaluation(self, ab):
         rng = random.Random(18)
