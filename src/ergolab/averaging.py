@@ -15,6 +15,10 @@ closed-form head cell so the integrable endpoint singularity never meets the
 grid.  Quadrature accumulates over fixed-size chunks in index order, so
 results are reproducible bit for bit, and a grid of more than
 ``QUAD_NODE_CAP`` nodes is refused before any node is allocated.
+
+Discrete means of matrix powers whose weights are a polynomial in n are
+summed by binary doubling in O(log N) products (``weighted_power_means``);
+the other weights step the powers one at a time (``power_means``).
 """
 
 from __future__ import annotations
@@ -174,6 +178,109 @@ def power_means(
             if w is not None:
                 acc += w * cur
     return tuple(acc / w.sum() for acc, w in zip(accs, weights))
+
+
+def weighted_power_means(
+    matrix: np.ndarray, start: np.ndarray, scheme: WeightScheme, *counts: int
+) -> Tuple[np.ndarray, ...]:
+    """One mean sum_n w_n M^n start / sum w over n = 1..N per count N, with the
+    scheme's discrete weights w.
+
+    Weights that are a polynomial of degree s in n -- uniform (s = 0), and
+    power n^s or voronoi (N + 1 - n)^s with an integer exponent 0 <= s <= 4
+    -- are summed by binary doubling (Paterson and Stockmeyer, SIAM J.
+    Comput. 2(1), 1973) in at most (s + 4)·log2 N products, when that work
+    count (``_doubling_work``, summed over the counts) is below the loop's
+    N·d·d·columns; it is then refused above ``POWER_MEAN_WORK_CAP`` before
+    the first product.  Every other family, and a sweep too short to gain,
+    steps ``power_means``.  The normalizer comes from ``discrete_weights``
+    either way.
+
+    Error bound of the doubled sum: to first order in the unit roundoff u,
+    each entry is off by at most ((N + 2L)·d + (s + 5)·L)·u times the same
+    entry of sum_n w_n |M|^n |start| / sum w, with L = N.bit_length().  The
+    N·d is the worst case of any computed power M^n, by squaring as by
+    stepping; the rest is the accumulation, which rounds O((s + 1)·log N)
+    terms per entry against the loop's N: the loop's bound is (N·d + 2N)·u.
+    """
+    weights = [discrete_weights(scheme, count) for count in counts]
+    degree = _polynomial_degree(scheme)
+    d = matrix.shape[0]
+    if degree is not None:
+        work = sum(_doubling_work(count, degree, d, start.size) for count in counts)
+        if work < max(counts) * d * start.size:
+            check_power_mean_work(work)
+            voronoi_sums = scheme.family == "voronoi"
+            return tuple(
+                _doubled_sum(matrix, start, voronoi_sums, degree, count) / w.sum()
+                for count, w in zip(counts, weights)
+            )
+    return power_means(matrix, start, *weights)
+
+
+def _polynomial_degree(scheme: WeightScheme) -> Optional[int]:
+    """The degree s of weights that are a polynomial in n, None for the rest."""
+    if scheme.family == "uniform":
+        return 0
+    s = scheme.exponent
+    if scheme.family in ("power", "voronoi") and s >= 0 and s == int(s):
+        return int(s)
+    return None
+
+
+def _doubling_work(count: int, degree: int, d: int, size: int) -> int:
+    """Multiply-adds of ``_doubled_sum`` at one count, for a start of ``size``
+    entries: M X, then per doubling M^k squared and the s + 1 sums times
+    M^k, per further set bit M^k times M and M^(k+1) X."""
+    cube, step = d * d * d, d * size
+    doublings, set_bits = count.bit_length() - 1, bin(count).count("1") - 1
+    return step + doublings * (cube + (degree + 1) * step) + set_bits * (cube + step)
+
+
+def _binomial(sums: np.ndarray, shift: int) -> np.ndarray:
+    """sum_i C(j, i) shift^(j - i) sums[i] for every j: the sums re-based by shift."""
+    size = len(sums)
+    coeff = np.array(
+        [[math.comb(j, i) * shift ** (j - i) if i <= j else 0 for i in range(size)]
+         for j in range(size)],
+        dtype=float,
+    )
+    return (coeff @ sums.reshape(size, -1)).reshape(sums.shape)
+
+
+def _doubled_sum(
+    matrix: np.ndarray, start: np.ndarray, voronoi_sums: bool, degree: int, count: int
+) -> np.ndarray:
+    """sum_n p(n) M^n start over n = 1..count, for p(n) = n^s or (count + 1 - n)^s.
+
+    Keeps M^k and, for j = 0..s, S_j(k) = sum_{n<=k} n^j M^n X, or the
+    reversed T_j(k) = sum_{n<=k} (k + 1 - n)^j M^n X, from k = 1 along the
+    bits of count:
+      doubling   S_j(2k) = S_j(k) + M^k sum_i C(j,i) k^(j-i) S_i(k),
+                 T_j(2k) = sum_i C(j,i) k^(j-i) T_i(k) + M^k T_j(k);
+      set bit    S_j(k+1) = S_j(k) + (k+1)^j M^(k+1) X,
+                 T_j(k+1) = sum_i C(j,i) T_i(k) + M^(k+1) X.
+    Every coefficient is positive, so nothing cancels.
+    """
+    cols = start.reshape(start.shape[0], -1)
+    power = matrix
+    sums = np.repeat((matrix @ cols)[np.newaxis], degree + 1, axis=0)  # S_j(1) = T_j(1) = M X
+    k = 1
+    for bit in bin(count)[3:]:
+        moved = _binomial(sums, k)
+        sums = moved + power @ sums if voronoi_sums else sums + power @ moved
+        power = power @ power
+        k *= 2
+        if bit == "1":
+            power = power @ matrix
+            fresh = power @ cols
+            k += 1
+            if voronoi_sums:
+                sums = _binomial(sums, 1) + fresh
+            else:
+                scale = np.array([k**j for j in range(degree + 1)], dtype=float)
+                sums = sums + scale[:, np.newaxis, np.newaxis] * fresh
+    return sums[degree].reshape(start.shape)
 
 
 def weighted_mean_scalar(values: Sequence[complex], scheme: WeightScheme, count: int) -> complex:
@@ -407,7 +514,7 @@ def weighted_mean_flow(flow: Flow, x: Sequence[complex], scheme: WeightScheme, i
         return _continuous_flow_mean(flow, vec, scheme, float(index))
     if scheme.domain != DISCRETE:
         raise SchemeError("a discrete flow needs a discrete scheme")
-    return power_means(flow.matrix, vec, discrete_weights(scheme, _whole(index, "index")))[0]
+    return weighted_power_means(flow.matrix, vec, scheme, _whole(index, "index"))[0]
 
 
 # -- transformed averages ------------------------------------------------------

@@ -36,7 +36,6 @@ from __future__ import annotations
 
 import argparse
 import cmath
-import contextlib
 import csv
 import io
 import json
@@ -46,7 +45,7 @@ import sys
 import warnings
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
-from typing import (TYPE_CHECKING, Any, Callable, Dict, Iterable, Iterator, List, NamedTuple,
+from typing import (TYPE_CHECKING, Any, Callable, Dict, Iterable, List, NamedTuple,
                     Optional, Sequence, Tuple)
 
 from . import mixing
@@ -175,16 +174,23 @@ def _json_text(value: Any) -> str:
     return "".join(chunks) + "".join(parts)
 
 
-@contextlib.contextmanager
-def _at(where: str) -> Iterator[None]:
+class _at:
     """``with _at(where):`` reports a domain error raised inside as a config
-    error at ``where``; a ``ConfigError`` passes through unchanged."""
-    try:
-        yield
-    except ConfigError:
-        raise
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ConfigError(f"{where}: {exc}") from exc
+    error at ``where``; a ``ConfigError`` passes through unchanged.  A class,
+    not a ``contextlib`` generator: the parsers enter a block per state and
+    operator, and a generator block costs twice as much."""
+
+    __slots__ = ("where",)
+
+    def __init__(self, where: str):
+        self.where = where
+
+    def __enter__(self) -> None:
+        pass
+
+    def __exit__(self, kind, exc, tb) -> None:
+        if isinstance(exc, (ValueError, ZeroDivisionError)) and not isinstance(exc, ConfigError):
+            raise ConfigError(f"{self.where}: {exc}") from exc
 
 
 # -- field readers ---------------------------------------------------------------

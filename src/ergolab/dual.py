@@ -25,13 +25,14 @@ UNIT_TOL = 1e-9  # states: largest deviation of a norm, or of a weight total, fr
 
 
 def _pruned(terms: Dict[tuple, complex]) -> Dict[tuple, complex]:
-    """The table, pruned in place of its coefficients not above ``PRUNE_TOL``;
+    """The table, pruned in place of its coefficients at most ``PRUNE_TOL``;
     the kept terms keep their order and no key is hashed again.  A modulus
-    past the float range is read as ``hypot``'s infinity, not raised."""
+    past the float range is read as ``hypot``'s infinity, not raised, and a
+    NaN coefficient is kept, so that the result carries it."""
     try:
-        small = [runs for runs, c in terms.items() if not abs(c) > PRUNE_TOL]
+        small = [runs for runs, c in terms.items() if abs(c) <= PRUNE_TOL]
     except OverflowError:
-        small = [runs for runs, c in terms.items() if not math.hypot(c.real, c.imag) > PRUNE_TOL]
+        small = [runs for runs, c in terms.items() if math.hypot(c.real, c.imag) <= PRUNE_TOL]
     for runs in small:
         del terms[runs]
     return terms
@@ -70,7 +71,7 @@ def _trace_of(left: Dict[tuple, complex], right: Dict[tuple, complex],
     other looked up at the inverted runs; ``right_inverses``, right's keys
     inverted in its term order, spares inverting them when right is walked.
     A total within ``PRUNE_TOL`` of zero is exactly zero, as the identity
-    coefficient of the pruned product would be.
+    coefficient of the pruned product would be; a NaN total stays NaN.
     """
     if len(left) <= len(right):
         walked, inverses, other = left, map(invert_runs, left), right
@@ -82,7 +83,7 @@ def _trace_of(left: Dict[tuple, complex], right: Dict[tuple, complex],
         d = other.get(inverse)
         if d is not None:
             total += c * d
-    return complex(total) if abs(total) > PRUNE_TOL else 0.0 + 0.0j
+    return 0.0 + 0.0j if abs(total) <= PRUNE_TOL else complex(total)
 
 
 class _TermTable:

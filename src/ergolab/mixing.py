@@ -275,7 +275,9 @@ def gap_scan(
     they can recur, with memory bounded by the window.  ``scanned`` reports
     the lattice size and ``evaluated`` the candidate tuples visited, memo
     hits included.  Raises ``ValueError`` when the lattice exceeds
-    ``GAP_LATTICE_CAP`` tuples or zero_tol is negative or NaN.
+    ``GAP_LATTICE_CAP`` tuples or zero_tol is negative or NaN, and when a
+    difference is NaN (coefficients that overflow), which no tolerance
+    could certify as zero.
     """
     ops = list(operators)
     state_list = _as_states(states)
@@ -528,6 +530,11 @@ def gap_scan(
                     mag = abs(total[si])
                     if mag > zero_tol:
                         violations.append(Violation(snapshot, si, mag))
+                    elif mag != mag:
+                        raise ValueError(
+                            f"difference at times {snapshot} on state {si} is NaN; "
+                            "the input overflows floating point"
+                        )
                 if len(violations) > found:
                     gap = _min_gap(snapshot)
                     if gap > worst:

@@ -26,15 +26,20 @@ from ergolab import (
     weighted_mean_flow,
     weighted_mean_scalar,
 )
+import ergolab.averaging as averaging
 from ergolab.averaging import (
     POWER_MEAN_WORK_CAP,
     _SUBSTEP,
+    _doubled_sum,
+    _doubling_work,
     _simpson_grid,
     _spectral_sum,
     _weight_values,
     power_means,
+    weighted_power_means,
     window,
 )
+from power_mean_oracle import doubling_tolerance, stepped_power_mean
 
 ALL_DISCRETE = lambda: [uniform(), power(1.0), power(-0.5), log_family(), voronoi(1.0)]
 ALL_CONTINUOUS = lambda: [
@@ -411,6 +416,83 @@ class TestFlowMeans:
         flow = UnitaryFlow(np.diag([0.0, 1.0]))
         with pytest.raises(SchemeError):
             weighted_mean_flow(flow, np.ones(2), log_family(CONTINUOUS), index)
+
+
+def _markov(seed: int, d: int) -> np.ndarray:
+    rows = np.random.default_rng(seed).random((d, d))
+    return rows / rows.sum(axis=1, keepdims=True)
+
+
+# the seeded corpus of the doubled power means: a dense chain, periodic chains
+# (peripheral roots of unity, real and complex), and a sub-dominant
+# eigenvalue 1 - 2e-4 that keeps the means far from their limit
+DOUBLING_MATRICES = {
+    "markov": _markov(5, 5),
+    "three-cycle": np.array(
+        [[0, 1, 0, 0], [0, 0, 1, 0], [1, 0, 0, 0], [0.5, 0, 0, 0.5]], dtype=float
+    ),
+    "roots-of-unity": np.diag(np.exp(2j * np.pi * np.array([0.0, 1 / 3, 1 / 2, 1 / 4]))),
+    "slow": np.array([[1 - 1e-4, 1e-4], [1e-4, 1 - 1e-4]]),
+}
+
+
+class TestDoubledPowerMeans:
+    """``weighted_power_means`` doubles polynomial weights; the stepped loop is
+    its oracle, within the bound its docstring states."""
+
+    @pytest.mark.parametrize("exponent", range(5))
+    @pytest.mark.parametrize("family", [power, voronoi])
+    @pytest.mark.parametrize("name", sorted(DOUBLING_MATRICES))
+    def test_doubled_sums_meet_the_loop(self, name, family, exponent):
+        m = DOUBLING_MATRICES[name]
+        d = m.shape[0]
+        scheme = family(exponent)
+        vector = np.random.default_rng(exponent).normal(size=d) + 0j
+        for start in (np.eye(d, dtype=complex), vector):
+            # odd counts need every set-bit step, powers of two none
+            for count in (1, 2, 3, 7, 64, 333, 1023, 1024):
+                w = discrete_weights(scheme, count)
+                doubled = _doubled_sum(m, start, family is voronoi, exponent, count) / w.sum()
+                assert doubled.shape == start.shape
+                gap = np.abs(doubled - stepped_power_mean(m, start, w))
+                assert np.all(gap <= doubling_tolerance(m, start, w, exponent)), (start, count)
+
+    def test_doubling_work_decides_the_path(self, monkeypatch):
+        stepped = []
+        loop = averaging.power_means
+        monkeypatch.setattr(averaging, "power_means", lambda *a: stepped.append(a) or loop(*a))
+        m = DOUBLING_MATRICES["markov"]
+        start = np.eye(5, dtype=complex)
+        for scheme in (log_family(), power(1.5), power(-0.5), custom([1.0, 2.0] * 50)):
+            means = weighted_power_means(m, start, scheme, 40, 80)
+            assert all(map(np.array_equal, means, loop(*stepped[-1])))
+        assert len(stepped) == 4
+        # 1000 steps of 125 multiply-adds against 10 squarings and doublings
+        assert _doubling_work(1000, 0, 5, 25) < 1000 * 125
+        weighted_power_means(m, start, uniform(), 1000)
+        weighted_power_means(m, start, voronoi(4.0), 1000)
+        assert len(stepped) == 4
+        # a vector start over 3 steps: the loop's 75 multiply-adds are fewer
+        vector = np.ones(5, dtype=complex)
+        assert _doubling_work(3, 0, 5, 5) > 3 * 25
+        (mean,) = weighted_power_means(m, vector, uniform(), 3)
+        assert len(stepped) == 5
+        assert np.array_equal(mean, loop(m, vector, discrete_weights(uniform(), 3))[0])
+
+    def test_doubled_work_over_cap_is_refused_before_the_first_product(self):
+        class NoProducts(np.ndarray):
+            def __matmul__(self, other):
+                raise AssertionError("a product ran")
+
+        # zero strides: nothing of size d * d is allocated
+        d, count = 2000, 2**20 - 1
+        matrix = np.broadcast_to(np.zeros(()), (d, d)).view(NoProducts)
+        start = np.broadcast_to(np.zeros((), dtype=complex), (d, d))
+        # M X, then 19 doublings and 19 set bits of 2 d^3 each
+        work = 77 * d**3
+        assert _doubling_work(count, 0, d, d * d) == work > 60 * POWER_MEAN_WORK_CAP
+        with pytest.raises(SchemeError, match=f"power-mean work {work} exceeds the cap"):
+            weighted_power_means(matrix, start, uniform(), count)
 
 
 class TestSubstitutions:

@@ -739,13 +739,26 @@ class TestErrorPaths:
         assert proc.stderr == "error: gap lattice 10000000000 exceeds the cap 100000000\n"
 
     def test_power_mean_over_work_cap(self, tmp_path):
-        # 2 * 10**6 steps of a 100 x 100 transition on 100 columns would run
-        # for many minutes; the sweep is refused before its first step
+        # log weights are stepped: 2 * 10**6 steps of a 100 x 100 transition
+        # on 100 columns would run for many minutes; the sweep is refused
+        # before its first step
         identity = [[float(i == j) for j in range(100)] for i in range(100)]
-        config = dict(base_configs()["thm215"], transition=identity, sweep=10**6)
+        config = dict(base_configs()["thm215"], transition=identity, sweep=10**6,
+                      scheme={"family": "log"})
         proc = run_config(config, tmp_path, "--out", str(tmp_path / "out"), timeout=60)
         assert_cli_error(proc)
         assert proc.stderr == "error: power-mean work 2000000000000 exceeds the cap 10000000000\n"
+
+    def test_uniform_power_mean_of_the_same_sweep_is_doubled(self, tmp_path):
+        # uniform weights double: about 100 products of 100 x 100 matrices in
+        # place of the 2 * 10**6 steps that the log sweep above would take
+        identity = [[float(i == j) for j in range(100)] for i in range(100)]
+        config = dict(base_configs()["thm215"], transition=identity, sweep=10**6)
+        out = tmp_path / "out"
+        proc = run_config(config, tmp_path, "--out", str(out), timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        results = json.loads((out / "thm215.json").read_text())["results"]
+        assert results["converged"] and results["lawful"] and results["cauchy_residual"] == 0.0
 
     def test_joinings_log_over_exact_cap(self, tmp_path):
         # exact harmonic sums take quadratic time: 10**6 log weights would run
@@ -1406,4 +1419,33 @@ class TestNumericBreaches:
         proc = run_config(config, tmp_path, "--out", str(out))
         assert_one_error_line(proc)
         assert proc.stderr.startswith(f"error: {key}: nan is not finite")
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "config, message",
+        [
+            (
+                dict(base_configs()["furstenberg"], alphabet=SHIFT_ONLY,
+                     factor=[term("", 1e308), term("s[0]", 1e308)], sweep=5),
+                "error: results.average: nan is not finite",
+            ),
+            (
+                dict(
+                    base_configs()["gap-search"],
+                    alphabet=SHIFT_ONLY,
+                    operators=[[term("", 1e308), term("s[0]", 1e308)]] * 2,
+                    states=[base_configs()["gap-search"]["states"][1]],
+                ),
+                "error: difference at times (1, 3) on state 0 is NaN",
+            ),
+        ],
+        ids=["furstenberg", "gap-search"],
+    )
+    def test_nan_on_the_word_side(self, tmp_path, config, message):
+        # 1e308 * 1e308 overflows and inf - inf is NaN: neither a product's
+        # pruning nor the gap scan's zero test may read it as 0
+        out = tmp_path / "out"
+        proc = run_config(config, tmp_path, "--out", str(out))
+        assert_one_error_line(proc)
+        assert proc.stderr.startswith(message), proc.stderr
         assert not out.exists()
