@@ -5,20 +5,24 @@ window of the half line: uniform weights, the power family t^s (s > -1), the
 logarithmic family 1/t on [1, N], the reversed-power family (N - t)^s, and
 user-supplied sampled weights on the discrete side.
 
-Continuous shift defects (``folner_defect``) are closed-form mass ratios,
-and the continuous uniform mean of a unitary flow is exact: each
-eigenvalue's mean of e^(i lambda t) over the window has a closed form.  The
-other continuous flow means use composite Simpson quadrature with a sub-step
-of at most 0.01; the logarithmic family integrates on a geometric grid
-(uniform in log t), and power weights with negative exponent get a
-closed-form head cell so the integrable endpoint singularity never meets the
-grid.  Quadrature accumulates over fixed-size chunks in index order, so
-results are reproducible bit for bit, and a grid of more than
-``QUAD_NODE_CAP`` nodes is refused before any node is allocated.
+Continuous shift defects (``folner_defect``) are closed-form mass ratios.
+The continuous uniform, power t^k and voronoi (N - t)^k means of a unitary
+flow, for an integer 0 <= k <= 4, are exact: each eigenvalue's mean of
+e^(i lambda t) over the window has a closed form (``_polynomial_means``, of
+which uniform is k = 0).  Log weights and non-integer exponents use
+composite Simpson quadrature with a sub-step of at most 0.01, as the
+reparametrized side of ``transformed_average_check`` does; the logarithmic
+family integrates on a geometric grid (uniform in log t), and power weights
+with negative exponent get a closed-form head cell so the integrable
+endpoint singularity never meets the grid.  Quadrature accumulates over
+fixed-size chunks in index order, so results are reproducible bit for bit,
+and a grid of more than ``QUAD_NODE_CAP`` nodes is refused before any node
+is allocated.
 
 Discrete means of matrix powers whose weights are a polynomial in n are
-summed by binary doubling in O(log N) products (``weighted_power_means``);
-the other weights step the powers one at a time (``power_means``).
+summed by binary doubling in O(log N) products, with the normalizer an
+exact integer sum (``weighted_power_means``); the other weights step the
+powers one at a time (``power_means``).
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import zip_longest
-from typing import Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -190,11 +194,12 @@ def weighted_power_means(
     power n^s or voronoi (N + 1 - n)^s with an integer exponent 0 <= s <= 4
     -- are summed by binary doubling (Paterson and Stockmeyer, SIAM J.
     Comput. 2(1), 1973) in at most (s + 4)·log2 N products, when that work
-    count (``_doubling_work``, summed over the counts) is below the loop's
-    N·d·d·columns; it is then refused above ``POWER_MEAN_WORK_CAP`` before
-    the first product.  Every other family, and a sweep too short to gain,
-    steps ``power_means``.  The normalizer comes from ``discrete_weights``
-    either way.
+    count (``_doubling_work``, summed over the bit walks of
+    ``_doubled_sums``) is below the loop's N·d·d·columns; it is then
+    refused above ``POWER_MEAN_WORK_CAP`` before the first product, and the
+    normalizer is the exact integer sum of n^s, so no weight is built.
+    Every other family, and a sweep too short to gain, steps
+    ``power_means`` on the weights of ``discrete_weights``.
 
     Error bound of the doubled sum: to first order in the unit roundoff u,
     each entry is off by at most ((N + 2L)·d + (s + 5)·L)·u times the same
@@ -203,19 +208,27 @@ def weighted_power_means(
     stepping; the rest is the accumulation, which rounds O((s + 1)·log N)
     terms per entry against the loop's N: the loop's bound is (N·d + 2N)·u.
     """
-    weights = [discrete_weights(scheme, count) for count in counts]
     degree = _polynomial_degree(scheme)
     d = matrix.shape[0]
-    if degree is not None:
-        work = sum(_doubling_work(count, degree, d, start.size) for count in counts)
+    if degree is not None and scheme.domain == DISCRETE:
+        for count in counts:
+            check_weight_count(count)
+        work = sum(_doubling_work(top, degree, d, start.size) for top in _walks(counts))
         if work < max(counts) * d * start.size:
             check_power_mean_work(work)
-            voronoi_sums = scheme.family == "voronoi"
-            return tuple(
-                _doubled_sum(matrix, start, voronoi_sums, degree, count) / w.sum()
-                for count, w in zip(counts, weights)
-            )
-    return power_means(matrix, start, *weights)
+            sums = _doubled_sums(matrix, start, scheme.family == "voronoi", degree, counts)
+            return tuple(sums[count] / float(_POWER_SUMS[degree](count)) for count in counts)
+    return power_means(matrix, start, *(discrete_weights(scheme, count) for count in counts))
+
+
+# sum_{n=1}^{N} n^s for s = 0..4 (Faulhaber), exact in integers
+_POWER_SUMS = (
+    lambda n: n,
+    lambda n: n * (n + 1) // 2,
+    lambda n: n * (n + 1) * (2 * n + 1) // 6,
+    lambda n: (n * (n + 1) // 2) ** 2,
+    lambda n: n * (n + 1) * (2 * n + 1) * (3 * n * n + 3 * n - 1) // 30,
+)
 
 
 def _polynomial_degree(scheme: WeightScheme) -> Optional[int]:
@@ -228,10 +241,20 @@ def _polynomial_degree(scheme: WeightScheme) -> Optional[int]:
     return None
 
 
+def _walks(counts: Sequence[int]) -> List[int]:
+    """The counts whose bit walks pass every count: a count whose bits begin a
+    larger count's is read off that walk, so N and 2N take one walk."""
+    tops: List[int] = []
+    for count in sorted(set(counts), reverse=True):
+        if all(top >> (top.bit_length() - count.bit_length()) != count for top in tops):
+            tops.append(count)
+    return tops
+
+
 def _doubling_work(count: int, degree: int, d: int, size: int) -> int:
-    """Multiply-adds of ``_doubled_sum`` at one count, for a start of ``size``
-    entries: M X, then per doubling M^k squared and the s + 1 sums times
-    M^k, per further set bit M^k times M and M^(k+1) X."""
+    """Multiply-adds of one ``_doubled_sums`` walk to count, for a start of
+    ``size`` entries: M X, then per doubling M^k squared and the s + 1 sums
+    times M^k, per further set bit M^k times M and M^(k+1) X."""
     cube, step = d * d * d, d * size
     doublings, set_bits = count.bit_length() - 1, bin(count).count("1") - 1
     return step + doublings * (cube + (degree + 1) * step) + set_bits * (cube + step)
@@ -248,39 +271,49 @@ def _binomial(sums: np.ndarray, shift: int) -> np.ndarray:
     return (coeff @ sums.reshape(size, -1)).reshape(sums.shape)
 
 
-def _doubled_sum(
-    matrix: np.ndarray, start: np.ndarray, voronoi_sums: bool, degree: int, count: int
-) -> np.ndarray:
-    """sum_n p(n) M^n start over n = 1..count, for p(n) = n^s or (count + 1 - n)^s.
+def _doubled_sums(
+    matrix: np.ndarray, start: np.ndarray, voronoi_sums: bool, degree: int,
+    counts: Sequence[int],
+) -> Dict[int, np.ndarray]:
+    """sum_n p(n) M^n start over n = 1..N for each count N, for p(n) = n^s or
+    (N + 1 - n)^s.
 
     Keeps M^k and, for j = 0..s, S_j(k) = sum_{n<=k} n^j M^n X, or the
     reversed T_j(k) = sum_{n<=k} (k + 1 - n)^j M^n X, from k = 1 along the
-    bits of count:
+    bits of the count:
       doubling   S_j(2k) = S_j(k) + M^k sum_i C(j,i) k^(j-i) S_i(k),
                  T_j(2k) = sum_i C(j,i) k^(j-i) T_i(k) + M^k T_j(k);
       set bit    S_j(k+1) = S_j(k) + (k+1)^j M^(k+1) X,
                  T_j(k+1) = sum_i C(j,i) T_i(k) + M^(k+1) X.
-    Every coefficient is positive, so nothing cancels.
+    Every coefficient is positive, so nothing cancels.  Each k on the way is
+    a prefix of the count's bits and its sums are complete, so one walk per
+    ``_walks`` count serves every count whose bits begin it, bit for bit as
+    a walk of its own would.
     """
     cols = start.reshape(start.shape[0], -1)
-    power = matrix
-    sums = np.repeat((matrix @ cols)[np.newaxis], degree + 1, axis=0)  # S_j(1) = T_j(1) = M X
-    k = 1
-    for bit in bin(count)[3:]:
-        moved = _binomial(sums, k)
-        sums = moved + power @ sums if voronoi_sums else sums + power @ moved
-        power = power @ power
-        k *= 2
-        if bit == "1":
-            power = power @ matrix
-            fresh = power @ cols
-            k += 1
-            if voronoi_sums:
-                sums = _binomial(sums, 1) + fresh
-            else:
-                scale = np.array([k**j for j in range(degree + 1)], dtype=float)
-                sums = sums + scale[:, np.newaxis, np.newaxis] * fresh
-    return sums[degree].reshape(start.shape)
+    out = {}
+    for top in _walks(counts):
+        power = matrix
+        sums = np.repeat((matrix @ cols)[np.newaxis], degree + 1, axis=0)  # S_j(1) = T_j(1) = M X
+        k = 1
+        for bit in bin(top)[3:]:
+            if k in counts:
+                out[k] = sums[degree].reshape(start.shape)
+            moved = _binomial(sums, k)
+            sums = moved + power @ sums if voronoi_sums else sums + power @ moved
+            power = power @ power
+            k *= 2
+            if bit == "1":
+                power = power @ matrix
+                fresh = power @ cols
+                k += 1
+                if voronoi_sums:
+                    sums = _binomial(sums, 1) + fresh
+                else:
+                    scale = np.array([k**j for j in range(degree + 1)], dtype=float)
+                    sums = sums + scale[:, np.newaxis, np.newaxis] * fresh
+        out[k] = sums[degree].reshape(start.shape)
+    return out
 
 
 def weighted_mean_scalar(values: Sequence[complex], scheme: WeightScheme, count: int) -> complex:
@@ -471,15 +504,59 @@ def fixed_space_projection(flow: Flow) -> np.ndarray:
     return null @ null.conj().T
 
 
+# terms of the series of ``_polynomial_means``: at |theta| < k + 1 <= 5 the
+# m-th term is at most 5^m / (6·7···(m + 5)), so the terms past m = 32 sum
+# to under 2^-64
+_SERIES_TERMS = 32
+
+
+def _polynomial_means(freq: np.ndarray, index: float, degree: int) -> np.ndarray:
+    """I_k(theta) = (k + 1) int_0^1 u^k e^(i theta u) du at theta = freq·index,
+    k = degree: each frequency's mean of e^(i freq t) under the weight t^k on
+    [0, index].
+
+    J_0 = int_0^1 e^(i theta u) du = (e^(i theta) - 1) / (i theta) is taken in
+    the form that is exactly 1 at theta = 0 and does not cancel for small
+    theta; at k = 0 that is the whole mean.  For k >= 1 and |theta| >= k + 1,
+    integration by parts steps J_j = (e^(i theta) - j J_(j-1)) / (i theta)
+    from J_0, each step scaling the error carried in by j / |theta| < 1.
+    Below that the steps would amplify it, and Kummer's transformation
+    I_k(theta) = 1F1(k + 1; k + 2; i theta) = e^(i theta) 1F1(1; k + 2; -i theta)
+    gives the series e^(i theta) sum_m (-i theta)^m / ((k + 2)···(k + m + 1)),
+    whose terms shrink in modulus from the first, 1.  For k = 1..4, against
+    an 80-digit 1F1, both are within 5 ulps relative for |theta| from 1e-300
+    to 1e6.
+    """
+    theta = freq * index
+    means = np.exp(0.5j * theta) * np.sinc(theta / (2.0 * math.pi))
+    if degree == 0:
+        return means
+    far = np.abs(theta) >= degree + 1
+    t, j = theta[far], means[far]
+    for step in range(1, degree + 1):
+        j = (np.exp(1j * t) - step * j) / (1j * t)
+    means[far] = (degree + 1) * j
+    t = theta[~far]
+    term = total = np.ones(t.shape, dtype=complex)
+    for m in range(_SERIES_TERMS):
+        term = term * (-1j * t / (degree + 2 + m))
+        total = total + term
+    means[~far] = np.exp(1j * t) * total
+    return means
+
+
 def _continuous_flow_mean(
     flow: UnitaryFlow, x: np.ndarray, scheme: WeightScheme, index: float
 ) -> np.ndarray:
-    if scheme.family == "uniform":
-        # (e^(i lambda b) - e^(i lambda a)) / (i lambda (b - a)) in the form that
-        # is exactly 1 at lambda = 0 and does not cancel for small lambda (b - a)
-        a, b = window(scheme, index)
+    degree = _polynomial_degree(scheme)
+    if degree is not None:
+        window(scheme, index)  # refuses an index <= 0
         lam = flow.eigenvalues
-        means = np.exp(0.5j * lam * (a + b)) * np.sinc(lam * (b - a) / (2.0 * math.pi))
+        if scheme.family == "voronoi":
+            # t -> N - t carries (N - t)^k e^(i lambda t) to e^(i lambda N) t^k e^(-i lambda t)
+            means = np.exp(1j * lam * index) * _polynomial_means(-lam, index, degree)
+        else:
+            means = _polynomial_means(lam, index, degree)
         v = flow.eigenvectors
         return v @ (means * (v.conj().T @ x))
     a, b, head, tail = _plan(scheme, index)
@@ -544,7 +621,9 @@ def transformed_average_check(
     mean of the reparametrized flow over [0, N].  Exponential case: the 1/t
     mean over [1, e^N] against the plain mean of the exponentially
     reparametrized flow over [0, N].  The two integrals are equal by change
-    of variable, so they must agree within quadrature error.
+    of variable, so they must agree within quadrature error.  The weighted
+    side is ``weighted_mean_flow``: for an integer s the closed form, else
+    Simpson; the reparametrized side is always Simpson.
     """
     vec = np.asarray(x, dtype=complex)
     if isinstance(variant, PowerSubstitution):

@@ -548,10 +548,11 @@ def invariant_mean_projection(
     """Weighted mean of transition powers and its projection certificate.
 
     Compares the means at the index and twice the index (Cauchy check,
-    raising on failure), both from ``weighted_power_means``, which doubles
-    polynomial weights, then squares the mean to its idempotent limit; the
-    squaring sharpens every sub-unit eigenvalue to zero quadratically, so a
-    convergent mean certifies the unique invariant idempotent.  Raises
+    raising on failure), both from one ``weighted_power_means`` call, which
+    doubles polynomial weights along one bit walk for both, then squares the
+    mean to its idempotent limit; the squaring sharpens every sub-unit
+    eigenvalue to zero quadratically, so a convergent mean certifies the
+    unique invariant idempotent.  Raises
     ``ValueError`` unless the transition is a Markov matrix: unital, real and
     entrywise nonnegative, as ``MarkovSystem`` checks a commutative system.
     """

@@ -1,5 +1,7 @@
+import decimal
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -29,9 +31,12 @@ from ergolab import (
 import ergolab.averaging as averaging
 from ergolab.averaging import (
     POWER_MEAN_WORK_CAP,
+    WEIGHT_COUNT_CAP,
+    _POWER_SUMS,
     _SUBSTEP,
-    _doubled_sum,
+    _doubled_sums,
     _doubling_work,
+    _polynomial_means,
     _simpson_grid,
     _spectral_sum,
     _weight_values,
@@ -295,6 +300,36 @@ class TestFlows:
             fixed_space_projection(UnitaryFlow(np.diag([0.0, 5e-10, 1.0])))
 
 
+def exact_polynomial_mean(theta: float, k: int) -> complex:
+    """I_k(theta) = (k + 1) int_0^1 u^k e^(i theta u) du from its power series
+    sum_m (i theta)^m (k + 1) / (m! (k + m + 1)) in 60-digit decimals: for
+    |theta| <= 8 the terms sum in modulus to at most e^8 < 3000, so
+    cancellation leaves over 50 digits, and the tail past 80 terms is below
+    8^80 / 80! < 1e-45.  The two parts are rounded to floats once each."""
+    assert abs(theta) <= 8.0
+    with decimal.localcontext() as context:
+        context.prec = 60
+        t = decimal.Decimal(theta)
+        parts = [decimal.Decimal(0), decimal.Decimal(0)]
+        term = decimal.Decimal(1)  # theta^m / m!
+        for m in range(80):
+            parts[m % 2] += (-1) ** (m // 2) * term * (k + 1) / (k + m + 1)
+            term = term * t / (m + 1)
+    return complex(float(parts[0]), float(parts[1]))
+
+
+def simpson_polynomial_bound(k: int, lam: np.ndarray, n: float, h: float) -> np.ndarray:
+    """Simpson's error bound for the t^k or (n - t)^k mean of e^(i lam t) on
+    [0, n] with sub-step h: n h^4 / 180 times the largest fourth derivative,
+    over the mass n^(k + 1) / (k + 1), once for the numerator and once for
+    the normalizer."""
+    fourth = sum(
+        math.comb(4, j) * math.perm(k, j) * np.abs(lam) ** (4 - j) / n**j
+        for j in range(k + 1)
+    )
+    return 2.0 * (k + 1) * h**4 / 180.0 * fourth
+
+
 class TestFlowMeans:
     def test_zero_generator_all_schemes(self):
         flow = UnitaryFlow(np.zeros((2, 2)))
@@ -340,6 +375,86 @@ class TestFlowMeans:
         flow = UnitaryFlow(np.diag([0.0, 2.0]))
         m = weighted_mean_flow(flow, np.array([0.25 - 1j, 0.0]), uniform(CONTINUOUS), 1e7)
         assert m[0] == 0.25 - 1j and m[1] == 0.0
+
+    @pytest.mark.parametrize("n", [10.0, 1e3])
+    @pytest.mark.parametrize("k", range(5))
+    @pytest.mark.parametrize("family", [power, voronoi])
+    def test_polynomial_closed_form_against_simpson(self, family, k, n):
+        # the Simpson oracle on the same window, per eigencomponent within
+        # Simpson's own error bound; the spectrum holds a zero eigenvalue,
+        # |lambda| N = 1e-9, |lambda| N just below and just above the
+        # series/recurrence switch at k + 1, both signs, and a random pair
+        scheme = family(float(k), CONTINUOUS)
+        ts, coeff = _simpson_grid(0.0, n, _SUBSTEP)
+        weights = coeff * _weight_values(scheme, n, ts)
+        h = ts[1] - ts[0]
+        switch = (k + 1) / n
+        rng = np.random.default_rng(10 * k + int(n))
+        r, s = rng.uniform(-3.0, 3.0, size=2)
+        spectrum = np.array(
+            [0.0, 1e-9 / n, -1e-9 / n, switch * (1 - 1e-9), -switch * (1 + 1e-9), r, s]
+        )
+        m = rng.normal(size=(7, 7)) + 1j * rng.normal(size=(7, 7))
+        q, _ = np.linalg.qr(m)
+        h_mat = q @ np.diag(spectrum) @ q.conj().T
+        flow = UnitaryFlow((h_mat + h_mat.conj().T) / 2)
+        v = flow.eigenvectors
+        x = v @ np.ones(7)
+        numerator, denominator = _spectral_sum(flow, x, ts, weights)
+        oracle = v.conj().T @ numerator / denominator
+        closed = v.conj().T @ weighted_mean_flow(flow, x, scheme, n)
+        bound = simpson_polynomial_bound(k, flow.eigenvalues, n, h) + 1e-13
+        assert np.all(np.abs(closed - oracle) <= bound)
+
+    @pytest.mark.parametrize("k", range(5))
+    @pytest.mark.parametrize("family", [power, voronoi])
+    def test_polynomial_zero_eigenvalue_mean_is_exactly_one(self, family, k):
+        flow = UnitaryFlow(np.diag([0.0, 2.0]))
+        m = weighted_mean_flow(flow, np.array([0.25 - 1j, 0.0]), family(float(k), CONTINUOUS), 1e7)
+        assert m[0] == 0.25 - 1j and m[1] == 0.0
+        assert _polynomial_means(np.zeros(1), 1e7, k)[0] == 1.0
+
+    @pytest.mark.parametrize("k", range(1, 5))
+    def test_polynomial_means_against_the_exact_series(self, k):
+        # within 8 ulps of I_k summed in exact rationals, on both sides of the
+        # switch at |theta| = k + 1: the recurrence taken below the switch
+        # loses 56 ulps at |theta| = 1 (k = 4), and the series in its
+        # unreduced form, sum_m (i theta)^m (k + 1) / (m! (k + m + 1)), 37
+        # near |theta| = 4.75
+        switch = float(k + 1)
+        points = [1e-300, 1e-9, 0.25, 0.5, 1.0, 1.5, 2.0, 3.0, 4.0, 4.75]
+        points += [np.nextafter(switch, 0.0), switch, switch + 0.5, 6.0, 7.5]
+        for theta in points:
+            for sign in (1.0, -1.0):
+                got = _polynomial_means(np.array([sign * theta]), 1.0, k)[0]
+                exact = exact_polynomial_mean(sign * theta, k)
+                assert abs(got - exact) <= 8 * 2.0**-53 * abs(exact), (theta, sign)
+
+    @pytest.mark.parametrize("k", range(1, 5))
+    def test_series_and_recurrence_agree_at_the_switch(self, k):
+        # nextafter(k + 1, 0) takes the series, k + 1 the recurrence
+        for sign in (1.0, -1.0):
+            thetas = sign * np.array([np.nextafter(k + 1, 0.0), k + 1])
+            below, at = _polynomial_means(thetas, 1.0, k)
+            assert abs(below - at) <= 8 * 2.0**-53 * abs(at)
+
+    def test_simpson_only_for_log_and_fractional_exponents(self, monkeypatch):
+        built = []
+        grid = averaging._simpson_grid
+        monkeypatch.setattr(averaging, "_simpson_grid", lambda *a: built.append(a) or grid(*a))
+        flow = UnitaryFlow(np.diag([0.0, 1.0, -2.5]))
+        x = np.ones(3)
+        closed = [uniform(CONTINUOUS)]
+        closed += [f(float(k), CONTINUOUS) for f in (power, voronoi) for k in range(5)]
+        for scheme in closed:
+            weighted_mean_flow(flow, x, scheme, 1e15)
+        assert built == []
+        for scheme in (log_family(CONTINUOUS), power(0.5, CONTINUOUS), voronoi(-0.5, CONTINUOUS)):
+            weighted_mean_flow(flow, x, scheme, 10.0)
+        assert len(built) == 3
+        # the window's index check still runs first
+        with pytest.raises(SchemeError, match="index must be positive"):
+            weighted_mean_flow(flow, x, power(2.0, CONTINUOUS), 0.0)
 
     def test_reversed_linear_converges(self):
         flow = UnitaryFlow(np.diag([0.0, 1.0]))
@@ -452,7 +567,8 @@ class TestDoubledPowerMeans:
             # odd counts need every set-bit step, powers of two none
             for count in (1, 2, 3, 7, 64, 333, 1023, 1024):
                 w = discrete_weights(scheme, count)
-                doubled = _doubled_sum(m, start, family is voronoi, exponent, count) / w.sum()
+                sums = _doubled_sums(m, start, family is voronoi, exponent, [count])
+                doubled = sums[count] / w.sum()
                 assert doubled.shape == start.shape
                 gap = np.abs(doubled - stepped_power_mean(m, start, w))
                 assert np.all(gap <= doubling_tolerance(m, start, w, exponent)), (start, count)
@@ -478,6 +594,60 @@ class TestDoubledPowerMeans:
         (mean,) = weighted_power_means(m, vector, uniform(), 3)
         assert len(stepped) == 5
         assert np.array_equal(mean, loop(m, vector, discrete_weights(uniform(), 3))[0])
+
+    @pytest.mark.parametrize("family", [uniform, power, voronoi])
+    def test_twice_the_count_extends_the_walk(self, family, monkeypatch):
+        # 2N's bits are N's and a 0: the means at (N, 2N) take one walk, bit
+        # for bit the means of two separate calls, and the work counted is
+        # that one walk's
+        budgets = []
+        check = averaging.check_power_mean_work
+        monkeypatch.setattr(averaging, "check_power_mean_work", lambda w: budgets.append(w) or check(w))
+        m = DOUBLING_MATRICES["markov"]
+        start = np.eye(5, dtype=complex)
+        degree = 0 if family is uniform else 3
+        scheme = family() if family is uniform else family(3.0)
+        hexes = lambda a: [(z.real.hex(), z.imag.hex()) for z in a.ravel().tolist()]
+        for n in (1, 64, 333, 400, 777):
+            before = len(budgets)
+            pair = weighted_power_means(m, start, scheme, n, 2 * n)
+            alone = [weighted_power_means(m, start, scheme, c)[0] for c in (n, 2 * n)]
+            assert list(map(hexes, pair)) == list(map(hexes, alone))
+            # short sweeps step the loop, which checks its own count
+            walk = _doubling_work(2 * n, degree, 5, 25)
+            assert budgets[before] == (walk if walk < 2 * n * 125 else 2 * n * 125)
+        assert averaging._walks([400, 800]) == [800]
+        assert averaging._walks([3, 5, 6, 12, 13]) == [13, 12, 5]
+
+    @pytest.mark.parametrize("scheme", [uniform(), power(2.0), voronoi(4.0)], ids=lambda s: s.label)
+    def test_polynomial_weights_build_no_weight_vector(self, scheme):
+        # at the weight-count cap a weight vector is 80 MB; the doubled mean
+        # of a 2 x 2 matrix allocates none
+        m = DOUBLING_MATRICES["slow"]
+        tracemalloc.start()
+        try:
+            (mean,) = weighted_power_means(m, np.eye(2, dtype=complex), scheme, WEIGHT_COUNT_CAP)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 10**6
+        assert np.all(np.isfinite(mean))
+        with pytest.raises(SchemeError, match="discrete weights exceed the cap"):
+            weighted_power_means(m, np.eye(2, dtype=complex), scheme, 1, WEIGHT_COUNT_CAP + 1)
+
+    def test_polynomial_normalizers_are_exact(self):
+        for degree, total in enumerate(_POWER_SUMS):
+            assert [total(n) for n in range(1, 60)] == [
+                sum(j**degree for j in range(1, n + 1)) for n in range(1, 60)
+            ]
+        # uniform: the normalizer N is the sum of N float ones, so the mean
+        # is bit for bit the doubled sum over discrete_weights' total
+        m = DOUBLING_MATRICES["three-cycle"]
+        for n in (7, 1000, 4097):
+            (mean,) = weighted_power_means(m, np.eye(4, dtype=complex), uniform(), n)
+            total = discrete_weights(uniform(), n).sum()
+            sums = _doubled_sums(m, np.eye(4, dtype=complex), False, 0, [n])
+            assert np.array_equal(mean, sums[n] / total)
 
     def test_doubled_work_over_cap_is_refused_before_the_first_product(self):
         class NoProducts(np.ndarray):

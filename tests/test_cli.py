@@ -665,10 +665,11 @@ class TestErrorPaths:
         assert proc.stderr == "error: functional family 4000000000 exceeds the cap 4194304\n"
 
     def test_flow_mean_over_quadrature_node_cap(self, tmp_path):
-        # 1e17 Simpson nodes would be 800 PB; the grid is refused before any allocation
+        # 1e17 Simpson nodes would be 800 PB; the grid is refused before any
+        # allocation (a non-integer exponent: integer ones have a closed form)
         config = dict(
             base_configs()["mean-ergodic"],
-            scheme={"family": "power", "exponent": 1.0},
+            scheme={"family": "power", "exponent": 0.5},
             indices=[1e15],
         )
         proc = run_config(config, tmp_path, "--out", str(tmp_path / "out"), timeout=60)
@@ -1314,6 +1315,25 @@ class TestContracts:
         assert proc.returncode == 0, proc.stderr + proc.stdout
         defects = json.loads((out / "folner-defect.json").read_text())["results"]["defects"]
         assert len(defects) == 2 and all(math.isfinite(d) and d > 0 for d in defects)
+        start = time.perf_counter()
+        assert run_experiment(config, tmp_path / "again", quiet=True) == 0
+        assert time.perf_counter() - start < 0.25
+
+    @pytest.mark.parametrize("family, exponent", [("power", 1.0), ("voronoi", 2.0)])
+    def test_integer_exponent_flow_mean_at_a_quadrillion(self, tmp_path, family, exponent):
+        # an integer-exponent flow mean is one closed form per eigenvalue, so
+        # N = 1e15 costs what N = 10 does; a Simpson grid there would hold 1e17 nodes
+        config = dict(
+            base_configs()["mean-ergodic"],
+            scheme={"family": family, "exponent": exponent},
+            indices=[10, 1e15],
+        )
+        out = tmp_path / "out"
+        proc = run_config(config, tmp_path, "--out", str(out), "--quiet", timeout=60)
+        assert proc.returncode == 0, proc.stderr + proc.stdout
+        errors = json.loads((out / "mean-ergodic.json").read_text())["results"]["errors"]
+        assert len(errors) == 2 and all(math.isfinite(e) for e in errors)
+        assert errors[1] < 1e-14
         start = time.perf_counter()
         assert run_experiment(config, tmp_path / "again", quiet=True) == 0
         assert time.perf_counter() - start < 0.25
