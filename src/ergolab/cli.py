@@ -905,12 +905,20 @@ def list_experiments(as_json: bool = False) -> str:
 
 
 def _overwrite(path: Path, text: str) -> None:
-    """Write ``text`` to ``path`` as ``open(path, "w", newline="")`` does, but
-    over the old bytes and then cut to length: without ``O_TRUNC``, ext4 does
-    not start writeback of a truncated file on close.  Not atomic."""
-    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "w", newline="") as handle:
-        handle.write(text)
-        handle.truncate()
+    """Write ``text`` to ``path`` over the old bytes and then cut to length:
+    without ``O_TRUNC``, ext4 does not start writeback of a truncated file on
+    close.  The bytes go to the descriptor by ``os.write``, with no buffered
+    text layer; the artifacts are ASCII, so they are the bytes that
+    ``open(path, "w", newline="")`` would write.  Not atomic."""
+    data = text.encode("utf-8")
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    try:
+        written = 0
+        while written < len(data):
+            written += os.write(fd, data[written:])
+        os.ftruncate(fd, written)
+    finally:
+        os.close(fd)
 
 
 def run_experiment(config: Dict, out_dir: Path, quiet: bool = False) -> int:

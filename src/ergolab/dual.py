@@ -15,7 +15,7 @@ cancellations stay exact.
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, Iterator, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, Sequence, Tuple
 
 from .words import Alphabet, AlphabetError, Word, invert_runs, merge_runs, shift_runs
 
@@ -63,27 +63,76 @@ def _convolve(left: list, right: list) -> Dict[tuple, complex]:
     return _pruned(acc)
 
 
-def _trace_of(left: Dict[tuple, complex], right: Dict[tuple, complex],
-              right_inverses: Optional[Sequence[tuple]] = None) -> complex:
+def _trace_of(left: Dict[tuple, complex], right: Dict[tuple, complex]) -> complex:
     """Trace of the product of two term tables, sum_u L[u] R[u^-1], not formed.
 
     The smaller side (left on a tie) is walked in its term order and the
-    other looked up at the inverted runs; ``right_inverses``, right's keys
-    inverted in its term order, spares inverting them when right is walked.
-    A total within ``PRUNE_TOL`` of zero is exactly zero, as the identity
-    coefficient of the pruned product would be; a NaN total stays NaN.
+    other looked up at the inverted runs.  A total within ``PRUNE_TOL`` of
+    zero is exactly zero, as the identity coefficient of the pruned product
+    would be; a NaN total stays NaN.
     """
-    if len(left) <= len(right):
-        walked, inverses, other = left, map(invert_runs, left), right
-    else:
-        walked, other = right, left
-        inverses = map(invert_runs, right) if right_inverses is None else right_inverses
+    walked, other = (left, right) if len(left) <= len(right) else (right, left)
     total = 0.0
-    for inverse, c in zip(inverses, walked.values()):
-        d = other.get(inverse)
+    for runs, c in walked.items():
+        d = other.get(invert_runs(runs))
         if d is not None:
             total += c * d
     return 0.0 + 0.0j if abs(total) <= PRUNE_TOL else complex(total)
+
+
+def _shift_shape(runs: tuple, lengths) -> tuple:
+    """(shape, base, cycle letters) of a key: the families and exponents in
+    order with each shift index less ``base``, the first shift index (None if
+    none), and (length, index) per cycle letter.  shift^n(v) = w exactly when
+    the shapes agree, w's base is v's plus n and each cycle index moves by n."""
+    base, shape, cycles = None, [], []
+    for fam, idx, exp in runs:
+        m = lengths[fam]
+        if m is None:
+            if base is None:
+                base = idx
+            shape.append((fam, exp, idx - base))
+        else:
+            shape.append((fam, exp))
+            cycles.append((m, idx))
+    return tuple(shape), base, cycles
+
+
+def _shift_traces(left: Dict[tuple, complex], right: Dict[tuple, complex],
+                  shifts: Iterable[int], lengths) -> Dict[int, complex]:
+    """n -> trace of left times shift^n(right), for every n of ``shifts``.
+
+    Each value equals ``_trace_of(left, shift^n(right))`` bit for bit: the
+    smaller side (left on a tie) is walked in its term order, each walked
+    key inverted once, and its products added to each total in that order; a
+    total within ``PRUNE_TOL`` of zero is exactly zero and a NaN stays NaN.
+    The other side's keys are indexed once by ``_shift_shape``, so a walked
+    key with a shift letter meets at most one n per key of its shape (the
+    difference of the bases), a key of cycle letters alone the n whose
+    residues match, and the identity every n.  No shifted table is built.
+    """
+    totals = dict.fromkeys(shifts, 0.0)
+    # a walked right key v pairs with the left key shift^n(v^-1), a walked
+    # left key u with the right key v where shift^n(v) = u^-1
+    sign = 1 if len(left) <= len(right) else -1
+    walked, other = (left, right) if sign == 1 else (right, left)
+    index: Dict[tuple, list] = {}
+    for runs, d in other.items():
+        shape, base, cycles = _shift_shape(runs, lengths)
+        index.setdefault(shape, []).append((base, cycles, d))
+    for runs, c in walked.items():
+        shape, base, cycles = _shift_shape(invert_runs(runs), lengths)
+        for other_base, other_cycles, d in index.get(shape, ()):
+            if base is not None:
+                n = sign * (base - other_base)
+                hits = (n,) if n in totals else ()
+            else:
+                hits = totals
+            for n in hits:
+                if not cycles or all((idx - other_idx - sign * n) % m == 0
+                                     for (m, idx), (_, other_idx) in zip(cycles, other_cycles)):
+                    totals[n] += c * d
+    return {n: 0.0 + 0.0j if abs(t) <= PRUNE_TOL else complex(t) for n, t in totals.items()}
 
 
 class _TermTable:

@@ -4,16 +4,16 @@ Everything here evaluates states on products of shifted algebra elements:
 decay of a single shifted element toward its finite-orbit part, multitime
 correlations, an exhaustive gap scan certifying where a correlation
 difference vanishes, and the diagonal / double recurrence averages against
-the canonical trace.  A double average traces each cell from raw term tables
-with the kernel behind ``State.on_product``, building no algebra element per
-cell, and builds each shift of a3 once with its inverted keys.
+the canonical trace.  A double average reads a whole row of cells off one
+pairing of two products, since the trace is shift invariant, and builds no
+algebra element per cell.
 
 Every shortcut rests on one separation lemma, proved in ``_separation``.
 By it decay sequences stop at a horizon H, Furstenberg sweeps at R + L,
-double averages compute each projected value once per residue pair
-(m mod L, n mod L), and the gap scan evaluates only its candidate tuples,
-where some term choice can put every infinite-orbit letter on the pooled
-state support or cancel it against another factor.  The scan builds only
+double averages compute each projected row once per residue m mod L, and
+the gap scan evaluates only its candidate tuples, where some term choice
+can put every infinite-orbit letter on the pooled state support or cancel
+it against another factor.  The scan builds only
 what its walk reaches, computes each residue class of a finite-orbit
 operator's time once while it can recur, with memory bounded by the window,
 and its last slot looks each word up in the pooled support table of the
@@ -26,8 +26,8 @@ import math
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
-from .dual import AlgebraElement, State, _convolve, _term_rows, _trace_of
-from .words import invert_runs, merge_runs
+from .dual import AlgebraElement, State, _shift_traces, _term_rows
+from .words import merge_runs
 
 StateOrStates = Union[State, Sequence[State]]
 
@@ -703,37 +703,42 @@ def bergelson_average(
 
     The grid runs m in m_base+1..m_base+count, n likewise from n_base; the
     projected average replaces every operator by its finite-orbit part.  The
-    four-fold product is never formed: each cell's trace is read off the pair
-    (a0 shift^m(a1) shift^n(a2), shift^{m+n}(a3)) by the trace kernel of
-    ``State.on_product`` (``dual._trace_of``), the first half a raw term
-    table and no algebra element.  Each lead a0 shift^m(a1) and each shift
-    of a2 is built once as term rows, so its junction symbols are read once,
-    and each shift of a3 once with its inverted keys.  The parts hold only cycle letters, so by
-    ``_separation`` a projected value depends on (m mod L, n mod L) alone
-    and is computed once per residue pair.  A count**2 above
-    ``SEQUENCE_LENGTH_CAP`` is refused.
+    four-fold product is never formed.  The trace is shift invariant and
+    shift^n(a2) shift^{m+n}(a3) = shift^n(a2 shift^m(a3)), so a cell is
+    trace(lead_m shift^n(q_m)) with lead_m = a0 shift^m(a1) and
+    q_m = a2 shift^m(a3): each row m forms these two products, and one
+    pairing pass (``dual._shift_traces``) reads all count cells of the row
+    off them, as ``State.on_product``'s trace kernel would read each.  The
+    cost is thus count products per table and one pairing pass per row, not
+    count**2 convolutions.  The parts hold only cycle letters, so by
+    ``_separation`` a projected value depends on (m mod L, n mod L) alone,
+    and the parts' row is paired once per residue r = m mod L over
+    n in 0..L-1.  A count**2 above ``SEQUENCE_LENGTH_CAP`` is refused.
     """
     _check_length(count, "count")
     _check_length(count * count, "count**2")
     for x in (a1, a2, a3):
         a0._check_compatible(x)
+    lengths = a0.alphabet._lengths
     parts = [x.finite_orbit_part() for x in (a0, a1, a2, a3)]
-    period = _separation([x._terms for x in parts], a0.alphabet._lengths)[1]
-    rows2 = _ShiftMemo(a2, _term_rows)
-    shifts3 = _ShiftMemo(a3, lambda terms: (terms, [invert_runs(runs) for runs in terms]))
-    projected: Dict[Tuple[int, int], float] = {}
+    period = _separation([x._terms for x in parts], lengths)[1]
+    columns = range(n_base + 1, n_base + count + 1)
+    projected: Dict[int, List[float]] = {}
     values = []
     total = 0.0
     etotal = 0.0
     for m in range(m_base + 1, m_base + count + 1):
-        lead = _term_rows((a0 * a1.shifted(m))._terms)
-        for n in range(n_base + 1, n_base + count + 1):
-            v = abs(_trace_of(_convolve(lead, rows2[n]), *shifts3[m + n]))
-            r, s = m % period, n % period
-            ev = projected.get((r, s))
-            if ev is None:
-                elead = parts[0] * parts[1].shifted(r) * parts[2].shifted(s)
-                ev = projected[r, s] = abs(_trace_of(elead._terms, parts[3].shifted(r + s)._terms))
+        row = _shift_traces((a0 * a1.shifted(m))._terms, (a2 * a3.shifted(m))._terms,
+                            columns, lengths)
+        r = m % period
+        erow = projected.get(r)
+        if erow is None:
+            erow = projected[r] = [abs(t) for t in _shift_traces(
+                (parts[0] * parts[1].shifted(r))._terms,
+                (parts[2] * parts[3].shifted(r))._terms, range(period), lengths).values()]
+        for n in columns:
+            v = abs(row[n])
+            ev = erow[n % period]
             total += v
             etotal += ev
             values.append((m, n, v, ev))

@@ -8,10 +8,11 @@ must reproduce their values to roundoff and their exact zeros exactly.
 ``split_furstenberg_average`` and ``decay_sequence`` are the split average
 and the decay sequence as they were before they stopped at their separation
 horizon: every n of the sweep is evaluated.  ``split_bergelson_average`` is
-the split double average as it was before it memoized the shifts of a2 and
-a3 and computed each projected value once per residue pair
-(m mod L, n mod L): every cell shifts and multiplies afresh on both sides.
-The library must reproduce their values bit for bit.
+the double average in its row form, trace(lead_m shift^n(q_m)) with
+lead_m = a0 shift^m(a1) and q_m = a2 shift^m(a3), read cell by cell with
+``State.on_product``: every cell shifts q_m afresh, nothing is memoized,
+and each projected value is computed for its own (m, n), not once per
+residue.  The library must reproduce their values bit for bit.
 """
 
 from __future__ import annotations
@@ -125,13 +126,11 @@ def split_bergelson_average(
     total = 0.0
     etotal = 0.0
     for m in range(m_base + 1, m_base + count + 1):
-        lead = a0 * a1.shifted(m)
-        elead = parts[0] * parts[1].shifted(m)
+        lead, q = a0 * a1.shifted(m), a2 * a3.shifted(m)
+        elead, eq = parts[0] * parts[1].shifted(m), parts[2] * parts[3].shifted(m)
         for n in range(n_base + 1, n_base + count + 1):
-            v = abs(trace.on_product(lead * a2.shifted(n), a3.shifted(m + n)))
-            ev = abs(
-                trace.on_product(elead * parts[2].shifted(n), parts[3].shifted(m + n))
-            )
+            v = abs(trace.on_product(lead, q.shifted(n)))
+            ev = abs(trace.on_product(elead, eq.shifted(n)))
             total += v
             etotal += ev
             values.append((m, n, v, ev))

@@ -1458,12 +1458,18 @@ class TestNumericBreaches:
                 ),
                 "error: difference at times (1, 3) on state 0 is NaN",
             ),
+            (
+                dict(base_configs()["bergelson"], alphabet=SHIFT_ONLY,
+                     operators=[[term("", 1e308), term("s[0]", 1e308)]] * 2 + [UNIT, UNIT]),
+                "error: results.average: ",
+            ),
         ],
-        ids=["furstenberg", "gap-search"],
+        ids=["furstenberg", "gap-search", "bergelson"],
     )
     def test_nan_on_the_word_side(self, tmp_path, config, message):
         # 1e308 * 1e308 overflows and inf - inf is NaN: neither a product's
-        # pruning nor the gap scan's zero test may read it as 0
+        # pruning nor the gap scan's zero test may read it as 0; the Bergelson
+        # average is not finite, whether its cells read inf or NaN
         out = tmp_path / "out"
         proc = run_config(config, tmp_path, "--out", str(out))
         assert_one_error_line(proc)

@@ -5,8 +5,8 @@ import pytest
 
 import ergolab.dual
 from ergolab import AlgebraElement, Alphabet, AlphabetError, L2Vector, State, matrix_element
-from ergolab.dual import _trace_of
-from ergolab.words import invert_runs, merge_runs
+from ergolab.dual import _shift_traces, _trace_of
+from ergolab.words import invert_runs, merge_runs, shift_runs
 from conftest import random_element, random_vector_state, random_word
 from gap_oracle import _mul_terms
 
@@ -419,8 +419,8 @@ def reference_trace(left, right):
 
 
 class TestTraceKernel:
-    """``_trace_of``, with and without right's inverted keys, against the old
-    branch bit for bit: side choice, walk order, and an exact zero in tolerance."""
+    """``_trace_of`` against the old branch bit for bit: side choice, walk
+    order, and an exact zero in tolerance."""
 
     @staticmethod
     def corpus():
@@ -454,9 +454,7 @@ class TestTraceKernel:
         seen.update(dict.fromkeys([f"order, {size}" for size in sizes], 0))
         for left, right in self.corpus():
             want = reference_trace(left, right)
-            inverses = [invert_runs(runs) for runs in right]
             assert self.bits(_trace_of(left, right)) == self.bits(want)
-            assert self.bits(_trace_of(left, right, inverses)) == self.bits(want)
             assert type(_trace_of(left, right)) is complex
             size = sizes[(len(left) >= len(right)) + (len(left) > len(right))]
             seen[size] += 1
@@ -477,6 +475,83 @@ class TestTraceKernel:
             assert self.bits(State.trace().on_product(b, a)) == self.bits(
                 reference_trace(b._terms, a._terms)
             )
+
+
+class TestShiftTraces:
+    """``_shift_traces(left, right, shifts)`` against ``_trace_of(left,
+    shift^n(right))`` at every n, bit for bit: each pair meets at the n of its
+    shift letters, at the residues of its cycle letters, or at every n."""
+
+    AB = Alphabet({"s": None, "t": None, "c": 3, "d": 2})
+    SHIFTS = range(-6, 7)
+
+    @classmethod
+    def corpus(cls):
+        ab, lengths = cls.AB, cls.AB._lengths
+        rng = random.Random(20261022)
+        families = (None, ["c", "d"], ["s", "c"], ["t"])
+
+        def coeff():
+            return complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+
+        def key():
+            return random_word(rng, ab, 3, 2, rng.choice(families)).runs
+
+        for case in range(400):
+            left = [key() for _ in range(rng.randint(0, 6))]
+            left += [()] if case % 3 == 0 else []
+            # shifted inverses of some left words, in shuffled order, among others
+            right = [
+                shift_runs(invert_runs(runs), rng.randint(-5, 5), lengths)
+                for runs in left if rng.random() < 0.7
+            ]
+            right += [key() for _ in range(rng.randint(0, 5))]
+            right += [()] if case % 4 == 0 else []
+            rng.shuffle(right)
+            left, right = ({runs: coeff() for runs in side} for side in (left, right))
+            yield (left, right) if case % 2 else (right, left)
+        # contributions 1 and -(1 + 2**-52) at n = 2 leave a total within PRUNE_TOL,
+        # and 1e308**2 - 1e308**2 at n = -1 is NaN
+        g, h = ab.word("s[0] c[1]").runs, ab.word("t[1]^-1 d[0]").runs
+        yield (
+            {g: 1 + 0j, h: -1 + 0j},
+            {shift_runs(invert_runs(x), -2, lengths): c
+             for x, c in ((g, 1 + 0j), (h, 1 + 2**-52 + 0j))},
+        )
+        yield (
+            {g: 1e308 + 0j, h: 1e308 + 0j},
+            {shift_runs(invert_runs(x), 1, lengths): c
+             for x, c in ((g, 1e308 + 0j), (h, -1e308 + 0j))},
+        )
+
+    def test_matches_the_trace_of_each_shift(self):
+        lengths = self.AB._lengths
+        sizes = ("left smaller", "equal", "right smaller")
+        seen = dict.fromkeys(sizes + ("identity", "cycles", "mixed", "zeroed", "nan"), 0)
+        seen.update(dict.fromkeys([f"order, {size}" for size in sizes], 0))
+        for left, right in self.corpus():
+            got = _shift_traces(left, right, self.SHIFTS, lengths)
+            assert list(got) == list(self.SHIFTS)
+            size = sizes[(len(left) >= len(right)) + (len(left) > len(right))]
+            seen[size] += 1
+            for n in self.SHIFTS:
+                shifted = {shift_runs(runs, n, lengths): c for runs, c in right.items()}
+                want = _trace_of(left, shifted)
+                assert TestTraceKernel.bits(got[n]) == TestTraceKernel.bits(want), n
+                assert type(got[n]) is complex
+                met = [runs for runs in left if invert_runs(runs) in shifted]
+                for runs in met:
+                    cycles = all(lengths[fam] for fam, _, _ in runs)
+                    seen["identity" if not runs else "cycles" if cycles else "mixed"] += 1
+                seen["zeroed"] += want == 0 and bool(met)
+                seen["nan"] += math.isnan(want.real)
+                # walking the other side would give other bits
+                small, big = (left, shifted) if len(left) <= len(right) else (shifted, left)
+                seen[f"order, {size}"] += (
+                    TestTraceKernel.bits(complex(walk_sum(big, small)))
+                    != TestTraceKernel.bits(want)
+                )
+        assert min(seen.values()) >= 1, seen
 
 
 class TestRunsProfile:

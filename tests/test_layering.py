@@ -18,8 +18,8 @@ PACKAGE = Path(ergolab.__file__).resolve().parent
 
 # (importing module, defining module) -> the private names it imports
 ALLOWED = {
-    # the gap scan's leaf and the Bergelson cells use the product and trace kernels
-    ("mixing", "dual"): {"_convolve", "_term_rows", "_trace_of"},
+    # the gap scan's leaf reads term rows; the Bergelson rows use the shift pairing
+    ("mixing", "dual"): {"_shift_traces", "_term_rows"},
 }
 
 

@@ -1,7 +1,7 @@
 """The recurrence sequences against their oracles.
 
 ``furstenberg_average`` and ``bergelson_average`` read the trace off two
-halves of the product with ``State.on_product``;
+halves of the product, with ``State.on_product`` and a row's pairing;
 ``recurrence_oracle`` multiplies the whole product out.  Values must agree
 within 1e-12 relative, exact zeros must stay exact, and the summaries must
 agree.  A merge count pins the work of the split.
@@ -385,10 +385,10 @@ def bergelson_residue_cases(ab):
     return cases
 
 
-def test_bergelson_equals_unmemoized_split(ab23):
+def test_bergelson_equals_unmemoized_split(ab, ab23):
     periods = set()
     short = varying = 0
-    for ops, m_base, n_base, count in bergelson_residue_cases(ab23):
+    for ops, m_base, n_base, count in bergelson_cases(ab) + bergelson_residue_cases(ab23):
         got = bergelson_average(*ops, m_base, n_base, count)
         want = recurrence_oracle.split_bergelson_average(*ops, m_base, n_base, count)
         assert got == want and repr(got) == repr(want)
