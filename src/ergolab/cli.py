@@ -907,9 +907,11 @@ def list_experiments(as_json: bool = False) -> str:
 def _overwrite(path: Path, text: str) -> None:
     """Write ``text`` to ``path`` over the old bytes and then cut to length:
     without ``O_TRUNC``, ext4 does not start writeback of a truncated file on
-    close.  The bytes go to the descriptor by ``os.write``, with no buffered
-    text layer; the artifacts are ASCII, so they are the bytes that
-    ``open(path, "w", newline="")`` would write.  Not atomic."""
+    close.  The text is encoded as UTF-8 and goes to the descriptor by
+    ``os.write``, with no buffered text layer or newline translation.  The
+    artifacts are ASCII (the JSON escapes every other character, the tables
+    hold numbers and ASCII names), so these are the bytes that
+    ``open(path, "w", newline="")`` writes in any locale.  Not atomic."""
     data = text.encode("utf-8")
     fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
     try:

@@ -712,8 +712,10 @@ def bergelson_average(
     cost is thus count products per table and one pairing pass per row, not
     count**2 convolutions.  The parts hold only cycle letters, so by
     ``_separation`` a projected value depends on (m mod L, n mod L) alone,
-    and the parts' row is paired once per residue r = m mod L over
-    n in 0..L-1.  A count**2 above ``SEQUENCE_LENGTH_CAP`` is refused.
+    and the parts' row is paired once per residue r = m mod L over the
+    residues n mod L that the columns reach, at most min(count, L) of each,
+    so a long cycle costs no more than a short one.  A count**2 above
+    ``SEQUENCE_LENGTH_CAP`` is refused.
     """
     _check_length(count, "count")
     _check_length(count * count, "count**2")
@@ -723,7 +725,9 @@ def bergelson_average(
     parts = [x.finite_orbit_part() for x in (a0, a1, a2, a3)]
     period = _separation([x._terms for x in parts], lengths)[1]
     columns = range(n_base + 1, n_base + count + 1)
-    projected: Dict[int, List[float]] = {}
+    # the residues n mod L the columns reach: at most min(count, L) of them
+    reached = dict.fromkeys(n % period for n in columns)
+    projected: Dict[int, Dict[int, float]] = {}
     values = []
     total = 0.0
     etotal = 0.0
@@ -733,9 +737,9 @@ def bergelson_average(
         r = m % period
         erow = projected.get(r)
         if erow is None:
-            erow = projected[r] = [abs(t) for t in _shift_traces(
+            erow = projected[r] = {s: abs(t) for s, t in _shift_traces(
                 (parts[0] * parts[1].shifted(r))._terms,
-                (parts[2] * parts[3].shifted(r))._terms, range(period), lengths).values()]
+                (parts[2] * parts[3].shifted(r))._terms, reached, lengths).items()}
         for n in columns:
             v = abs(row[n])
             ev = erow[n % period]

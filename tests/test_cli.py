@@ -394,6 +394,8 @@ class TestEveryKind:
             assert proc.returncode == 0, proc.stderr + proc.stdout
             csv_bytes = (out / f"{kind}.csv").read_bytes()
             json_bytes = (out / f"{kind}.json").read_bytes()
+            # ASCII, so the UTF-8 writer gives the bytes of any locale's text layer
+            assert csv_bytes.isascii() and json_bytes.isascii()
             outputs.append((csv_bytes, json_bytes))
             summary = json.loads(json_bytes)
             assert summary["experiment"] == kind
@@ -1180,6 +1182,13 @@ class TestArtifactWriter:
         for path in artifacts:
             assert stat.S_IMODE(path.stat().st_mode) == 0o666 & ~umask
 
+    def test_text_is_written_as_utf8_with_newlines_untranslated(self, tmp_path):
+        path = tmp_path / "artifact"
+        path.write_bytes(b"stale " * 4000)
+        text = "a,b\r\n1,2\r\n{\n  \"\u00b5\": 1\n}\n" * 1000
+        cli._overwrite(path, text)
+        assert path.read_bytes() == text.encode("utf-8")
+
     def test_links_are_written_through(self, tmp_path):
         fresh, out, elsewhere = tmp_path / "fresh", tmp_path / "out", tmp_path / "elsewhere"
         run_experiment(self.CONFIG, fresh, quiet=True)
@@ -1334,6 +1343,32 @@ class TestContracts:
         errors = json.loads((out / "mean-ergodic.json").read_text())["results"]["errors"]
         assert len(errors) == 2 and all(math.isfinite(e) for e in errors)
         assert errors[1] < 1e-14
+        start = time.perf_counter()
+        assert run_experiment(config, tmp_path / "again", quiet=True) == 0
+        assert time.perf_counter() - start < 0.25
+
+    def test_bergelson_over_cycles_of_a_billion(self, tmp_path):
+        # cycles of length 10**9 and 999,983 give L near 10**15; the projected
+        # side pairs only the residues the count columns reach, so this costs
+        # what a cycle of length 3 does
+        alphabet = {"families": [
+            {"name": "s", "kind": "shift"}, {"name": "t", "kind": "shift"},
+            {"name": "c", "kind": "cycle", "length": 10**9},
+            {"name": "d", "kind": "cycle", "length": 999_983},
+        ]}
+        operators = [
+            [term("d[0]^-1 c[0]^-1"), term("d[1]^-1 c[1]^-1", 2.0)],
+            [term("c[0]"), term("s[0]")],
+            [term("d[0]"), term("t[1]")],
+            [term(""), term("s[-2]^-1")],
+        ]
+        config = dict(base_configs()["bergelson"], alphabet=alphabet, operators=operators,
+                      m_base=-3, n_base=-4, count=8)
+        out = tmp_path / "out"
+        proc = run_config(config, tmp_path, "--out", str(out), "--quiet", timeout=60)
+        assert proc.returncode == 0, proc.stderr + proc.stdout
+        results = json.loads((out / "bergelson.json").read_text())["results"]
+        assert results["projected_average"] == 3 / 64
         start = time.perf_counter()
         assert run_experiment(config, tmp_path / "again", quiet=True) == 0
         assert time.perf_counter() - start < 0.25

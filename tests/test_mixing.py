@@ -394,7 +394,7 @@ class TestBergelson:
             return shifted(self, n)
 
         def counting_pairing(left, right, shifts, lengths):
-            pairings.append(shifts)
+            pairings.append(list(shifts))
             return shift_traces(left, right, shifts, lengths)
 
         def counting_inverse(runs):
@@ -410,10 +410,15 @@ class TestBergelson:
         assert sorted(n for i, n in calls if i == id(a1)) == list(rows)
         assert sorted(n for i, n in calls if i == id(a3)) == list(rows)
         assert not [n for i, n in calls if i in (id(a0), id(a2))]
-        # one pairing per row, and one projected pairing per residue of m mod 6
-        assert pairings.count(columns) == count
-        assert pairings.count(range(6)) == min(count, 6)
-        assert len(pairings) == count + min(count, 6)
+        # one pairing per row over the columns, and one projected pairing per
+        # residue of m mod 6 over the residues n mod 6 the columns reach
+        reached = list(dict.fromkeys(n % 6 for n in columns))
+        assert len(reached) == min(count, 6)
+        new_residue = [m % 6 not in {k % 6 for k in rows[:i]} for i, m in enumerate(rows)]
+        assert pairings == [
+            shifts for new in new_residue for shifts in [list(columns)] + [reached] * new
+        ]
+        assert sum(new_residue) == min(count, 6)
         # each walked key inverted once per pairing, the other side never
         assert inverted == walked
 

@@ -419,3 +419,34 @@ def test_bergelson_planted_residues(ab23):
         assert got == want and repr(got) == repr(want)
         for m, n, _, ev in got.values:
             assert ev == {(0, 0): 1.0, (1, 1): 2.0}.get((m % 3, n % 2), 0.0)
+
+
+def test_bergelson_long_cycles_pair_only_the_reached_residues(monkeypatch):
+    """Cycles of length 10**9 and 999,983 give L near 10**15: the projected
+    side pairs only the residues n mod L that the columns reach, never range(L),
+    and the planted values still land on their residues (m, n) mod (10**9, 999,983)."""
+    big, prime = 10**9, 999_983
+    ops = planted_residue_ops(Alphabet({"s": None, "t": None, "c": big, "d": prime}))
+    assert projected_period(ops) == big * prime
+    shift_traces = ergolab.mixing._shift_traces
+    pairings = []
+
+    def counting_pairing(left, right, shifts, lengths):
+        pairings.append(list(shifts))
+        return shift_traces(left, right, shifts, lengths)
+
+    monkeypatch.setattr(ergolab.mixing, "_shift_traces", counting_pairing)
+    count = 8
+    for m_base, n_base in ((-3, -4), (big - 4, 3 * prime - 5)):
+        pairings.clear()
+        got = bergelson_average(*ops, m_base, n_base, count)
+        want = recurrence_oracle.split_bergelson_average(*ops, m_base, n_base, count)
+        assert got == want and repr(got) == repr(want)
+        planted = {(0, 0): 1.0, (1, 1): 2.0}
+        assert [ev for *_, ev in got.values] == [
+            planted.get((m % big, n % prime), 0.0) for m, n, _, _ in got.values
+        ]
+        assert {ev for *_, ev in got.values} == {0.0, 1.0, 2.0}
+        # count rows over the columns, then count residues over the reached ones
+        assert len(pairings) == 2 * count
+        assert all(len(shifts) == count for shifts in pairings)
