@@ -4,7 +4,10 @@ One JSON config describes one experiment; the runner writes ``<kind>.csv``
 with the swept quantity and ``<kind>.json`` with a summary, then exits 0 when
 the experiment's pass condition holds, 2 when it fails, and 1 on any usage or
 config error.  CSV floats are printed with 17 significant digits (``%.17g``)
-and rows are emitted in a fixed order.  The JSON summary is encoded in one
+and rows are emitted in a fixed order, as one join: commas within a row,
+CRLF after each.  Cells are plain by construction (``%.17g`` numbers, decimal
+integers, fixed identifiers, ``scheme.label``, space-separated times), so no
+cell needs quoting and the text is RFC 4180.  The JSON summary is encoded in one
 pass by ``_json_text``: two-space indent, sorted keys, ASCII-escaped strings,
 floats in their shortest ``repr`` (``NaN``, ``Infinity``, ``-Infinity`` where
 not finite) and a trailing newline, the stdlib ``json`` text with
@@ -36,8 +39,6 @@ from __future__ import annotations
 
 import argparse
 import cmath
-import csv
-import io
 import json
 import math
 import os
@@ -85,10 +86,12 @@ def _once(fmt: Callable[[Any], Any], values: Iterable[Any]) -> list:
     return [memo.get(id(v)) or memo.setdefault(id(v), fmt(v)) for v in values]
 
 
-def _value_rows(values: Sequence[complex]) -> List[List[str]]:
-    """CSV rows ``n, re, im, abs`` of a sequence, n from 1, each value formatted ``_once``."""
-    cells = _once(lambda v: (_fmt(v.real), _fmt(v.imag), _fmt(abs(v))), values)
-    return [[str(n), *c] for n, c in enumerate(cells, 1)]
+def _value_rows(values: Sequence[complex]) -> List[Tuple[str, str]]:
+    """CSV rows ``n, re, im, abs`` of a sequence, n from 1.  Each value object
+    is formatted ``_once``, as one pre-joined ``re,im,abs`` cell of plain
+    ``%.17g`` numbers, so a row is ``(str(n), cell)`` and needs no quoting."""
+    cells = _once(lambda v: "%.17g,%.17g,%.17g" % (v.real, v.imag, abs(v)), values)
+    return [(str(n), cell) for n, cell in enumerate(cells, 1)]
 
 
 def _plain(value: Any, where: str = "results") -> Any:
@@ -498,7 +501,7 @@ def _apply_expectations(config: Dict, results: Dict, passed: bool) -> Tuple[bool
 # the CSV header of an invariant mean's cells
 _MEAN_HEADER = ["row", "col", "mean_re", "mean_im"]
 
-_Outcome = Tuple[Dict[str, Any], List[str], List[Sequence[Any]], bool]
+_Outcome = Tuple[Dict[str, Any], List[str], List[Sequence[str]], bool]
 
 
 class _Experiment(NamedTuple):
@@ -516,7 +519,8 @@ def _experiment(kind: str, required: Sequence[str], optional: Sequence[str], des
 
     Every kind also requires ``experiment`` and accepts ``expect``.  The runner
     gets a config that has passed this check and returns (results, CSV
-    header, CSV rows, passed).
+    header, CSV rows, passed); the rows hold plain ``str`` cells only, which
+    ``run_experiment`` joins without quoting.
     """
 
     def register(run: Callable[[Dict], _Outcome]) -> Callable[[Dict], _Outcome]:
@@ -621,15 +625,8 @@ def _run_multitime(config: Dict) -> _Outcome:
     permutation = _parse_permutation(config)
     value = mixing.correlation(state, operators, times, permutation)
     difference = mixing.correlation_difference(state, operators, times, permutation)
-    rows = [
-        [
-            " ".join(str(t) for t in times),
-            _fmt(value.real),
-            _fmt(value.imag),
-            _fmt(difference.real),
-            _fmt(difference.imag),
-        ]
-    ]
+    cells = (value.real, value.imag, difference.real, difference.imag)
+    rows = [(" ".join(map(str, times)), *map(_fmt, cells))]
     results = {"value": value, "difference": difference}
     return results, ["times", "re", "im", "difference_re", "difference_im"], rows, True
 
@@ -656,8 +653,9 @@ def _run_gap_search(config: Dict) -> _Outcome:
     )
     k = len(operators)
     header = [f"n{j + 1}" for j in range(k)] + ["state", "magnitude"]
-    # csv writes an int as str(int); a float keeps _fmt, since csv would use repr
-    rows = [(*v.times, v.state_index, _fmt(v.magnitude)) for v in result.violations]
+    # one pre-joined cell per violation: the times, the state and the magnitude
+    cells = ",".join(["%d"] * (k + 1) + ["%.17g"])
+    rows = [(cells % (*v.times, v.state_index, v.magnitude),) for v in result.violations]
     results = {
         "threshold": result.threshold,
         "violation_count": len(result.violations),
@@ -703,7 +701,7 @@ def _run_bergelson(config: Dict) -> _Outcome:
     )
     # the projected value of a residue pair is one object
     projected = _once(_fmt, (ev for *_, ev in result.values))
-    rows = [[str(m), str(n), _fmt(v), p] for (m, n, v, _), p in zip(result.values, projected)]
+    rows = [("%d,%d,%.17g" % (m, n, v), p) for (m, n, v, _), p in zip(result.values, projected)]
     results = {
         "average": result.average,
         "projected_average": result.projected_average,
@@ -924,6 +922,9 @@ def _overwrite(path: Path, text: str) -> None:
 
 
 def run_experiment(config: Dict, out_dir: Path, quiet: bool = False) -> int:
+    """Run one config and write ``<kind>.csv`` and ``<kind>.json`` to ``out_dir``;
+    0 on pass, 2 on a failed check.  The table is one join of the runner's
+    plain cells, which need no quoting; its bytes are ``csv.writer``'s."""
     if not isinstance(config, dict):
         raise ConfigError("config must be a JSON object")
     kind = config.get("experiment")
@@ -956,14 +957,10 @@ def run_experiment(config: Dict, out_dir: Path, quiet: bool = False) -> int:
     except (TypeError, ValueError, RecursionError) as exc:
         raise ConfigError(f"config: cannot be written as JSON: {exc}") from exc
 
-    table = io.StringIO()
-    writer = csv.writer(table, lineterminator="\r\n", quoting=csv.QUOTE_MINIMAL)
-    writer.writerow(header)
-    writer.writerows(rows)
-
+    table = "\r\n".join(map(",".join, [header, *rows])) + "\r\n"
     out_dir.mkdir(parents=True, exist_ok=True)
     csv_path = out_dir / f"{kind}.csv"
-    _overwrite(csv_path, table.getvalue())
+    _overwrite(csv_path, table)
     json_path = out_dir / f"{kind}.json"
     _overwrite(json_path, text)
     if not quiet:

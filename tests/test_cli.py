@@ -21,7 +21,7 @@ import pytest
 import ergolab
 from ergolab import cli
 from ergolab.cli import ConfigError, _json_text, list_experiments, run_experiment
-from ergolab.mixing import DoubleAverage, RecurrenceAverage
+from ergolab.mixing import DoubleAverage, GapScanResult, RecurrenceAverage, Violation
 
 # The child runs in tmp_path, where a relative PYTHONPATH such as "src" points
 # at nothing, so it is handed the directory that holds the package imported here.
@@ -243,6 +243,14 @@ def run_main(args, cwd):
     return subprocess.CompletedProcess(["ergolab", *args], code, out.getvalue(), err.getvalue())
 
 
+def csv_writer_text(rows):
+    """What ``csv.writer`` writes for ``rows``, CRLF after each: the oracle of
+    the runner's table, which joins plain cells without quoting."""
+    table = io.StringIO()
+    csv.writer(table, lineterminator="\r\n").writerows(rows)
+    return table.getvalue()
+
+
 def run_config(config, cwd, *options, timeout=None):
     """Write ``config`` to ``cwd/config.json`` and run it with ``options``: in
     this process, or in a child killed after ``timeout`` s, so that a regressed
@@ -401,6 +409,25 @@ class TestEveryKind:
             assert summary["experiment"] == kind
             assert summary["pass"] is True
         assert outputs[0] == outputs[1]
+
+    # the base gap-search scan finds no violation; a state on s[3] s[5] sees one
+    VIOLATING = {
+        "gap-search": {
+            "operators": [SHIFT_UNITARY, SHIFT_UNITARY],
+            "states": [{"kind": "vector", "amplitudes": [term(""), term("s[3] s[5]")]}],
+        },
+    }
+
+    def test_table_is_what_csv_writer_writes(self, kind, tmp_path):
+        # no cell needs quoting: read back, each row has the header's width,
+        # no cell holds a delimiter, quote or line end, and csv.writer agrees
+        config = {**base_configs()[kind], **self.VIOLATING.get(kind, {})}
+        run_experiment(config, tmp_path, quiet=True)
+        text = (tmp_path / f"{kind}.csv").read_bytes().decode("ascii")
+        header, *rows = csv.reader(io.StringIO(text, newline=""))
+        assert rows and all(len(row) == len(header) for row in rows)
+        assert not any(set(cell) & set(',"\r\n') for row in (header, *rows) for cell in row)
+        assert text == csv_writer_text([header, *rows])
 
     def test_rerun_over_longer_stale_artifacts(self, kind, tmp_path):
         # artifacts are overwritten in place: a longer old file must be cut off
@@ -1207,7 +1234,9 @@ class TestArtifactWriter:
 
 class TestValueRows:
     """The ``n, re, im, abs`` rows of furstenberg and mixing-decay format a
-    recurring value object once; the bytes are those of formatting each row."""
+    recurring value object once; the bytes are those of formatting each row.
+    The pre-joined cells of these, bergelson and gap-search rows give the
+    bytes that ``csv.writer`` writes for the cells one by one."""
 
     ZERO, NEGATIVE_ZERO, VALUE = 0j, complex(0.0, -0.0), complex(0.1, -2.5)
     # recurring objects, and zeros that are equal but print differently
@@ -1226,13 +1255,12 @@ class TestValueRows:
             values = RecurrenceAverage(1 + 0j, 0.5, self.VALUES)
         monkeypatch.setattr(cli.mixing, kernel, lambda *args, **kwargs: values)
         run_experiment(base_configs()[kind], tmp_path, quiet=True)
-        table = io.StringIO()
-        writer = csv.writer(table, lineterminator="\r\n")
-        writer.writerow(["n", "re", "im", "abs"])
-        for n, v in enumerate(self.VALUES, 1):
-            writer.writerow([str(n), "%.17g" % v.real, "%.17g" % v.imag, "%.17g" % abs(v)])
+        rows = [
+            [str(n), "%.17g" % v.real, "%.17g" % v.imag, "%.17g" % abs(v)]
+            for n, v in enumerate(self.VALUES, 1)
+        ]
         written = (tmp_path / f"{kind}.csv").read_bytes()
-        assert written == table.getvalue().encode()
+        assert written == csv_writer_text([["n", "re", "im", "abs"], *rows]).encode()
         assert b"\r\n2,0,-0,0\r\n" in written and b"\r\n3,0,0,0\r\n" in written
 
     def test_bergelson_csv_matches_row_by_row(self, tmp_path, monkeypatch):
@@ -1246,14 +1274,27 @@ class TestValueRows:
         average = DoubleAverage(0.5, 0.25, values)
         monkeypatch.setattr(cli.mixing, "bergelson_average", lambda *args: average)
         run_experiment(base_configs()["bergelson"], tmp_path, quiet=True)
-        table = io.StringIO()
-        writer = csv.writer(table, lineterminator="\r\n")
-        writer.writerow(["m", "n", "abs", "projected_abs"])
-        for m, n, v, ev in values:
-            writer.writerow([str(m), str(n), "%.17g" % v, "%.17g" % ev])
+        rows = [[str(m), str(n), "%.17g" % v, "%.17g" % ev] for m, n, v, ev in values]
         written = (tmp_path / "bergelson.csv").read_bytes()
-        assert written == table.getvalue().encode()
+        assert written == csv_writer_text([["m", "n", "abs", "projected_abs"], *rows]).encode()
         assert b"\r\n2,2,0,0\r\n" in written and b"\r\n2,3,-1,-0\r\n" in written
+
+    def test_gap_search_csv_matches_row_by_row(self, tmp_path, monkeypatch):
+        # each violation is one pre-joined cell: times and states of two digits
+        # or more, magnitudes in exponent form, against csv.writer's str of an int
+        violations = (
+            Violation((10, 12), 10, 1e-05),
+            Violation((11, 99), 12, 1.2345678901234567e300),
+            Violation((123, 4567), 3, 0.1),
+        )
+        result = GapScanResult(None, (11, 99), violations, 4, 10, 10, 4)
+        monkeypatch.setattr(cli.mixing, "gap_scan", lambda *args, **kwargs: result)
+        assert run_experiment(base_configs()["gap-search"], tmp_path, quiet=True) == 2
+        rows = [[*v.times, v.state_index, "%.17g" % v.magnitude] for v in violations]
+        written = (tmp_path / "gap-search.csv").read_bytes()
+        assert written == csv_writer_text([["n1", "n2", "state", "magnitude"], *rows]).encode()
+        assert b"\r\n10,12,10,1.0000000000000001e-05\r\n" in written
+        assert b"\r\n11,99,12,1.2345678901234567e+300\r\n" in written
 
 
 class TestContracts:
